@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionFailed
-from .linalg import adjoint, hermitian_eigen_extremes, operator_norm, orthonormalize
+from .linalg import adjoint, gram_eigen_extremes, hermitian_eigenvalues, operator_norm, orthonormalize
 from .system import (
     FrameBounds,
     GFusionSystem,
@@ -23,7 +23,8 @@ from .system import (
     frame_bounds,
     frame_operator,
     is_gf_complete,
-    synthesis_matrix,
+    require_same_structure,
+    split_blocks,
 )
 
 
@@ -40,34 +41,28 @@ def riesz_bounds(sys: GFusionSystem, tol: float = 1e-9) -> FrameBounds | None:
     """Optimal gf-Riesz bounds, or None when the system is not a gf-Riesz basis.
 
     The bounds are the eigenvalue extremes of the synthesis Gram matrix
-    T^H T over the full direct sum; in finite dimension this is equivalent to
-    the two-sided inequality over every finite block subset.  The verdict
-    requires gf-completeness and smallest singular value above ``tol``.
+    T^H T = K K^H over the full direct sum; in finite dimension this is
+    equivalent to the two-sided inequality over every finite block subset.
+    They are read off S = K^H K, which shares the Gram's nonzero spectrum
+    (the lower bound is 0 when the direct sum is larger than the space).
+    The verdict requires gf-completeness and smallest singular value above
+    ``tol``.
     """
-    t = synthesis_matrix(sys)
-    gram = adjoint(t) @ t
-    ext = hermitian_eigen_extremes(gram)
+    ext = gram_eigen_extremes(hermitian_eigenvalues(frame_operator(sys)), sum(sys.block_dims))
     lower = max(ext.min_eig, 0.0)
-    # A domain larger than the ambient space forces a kernel regardless of
-    # what eigvalsh returns for the PSD Gram.
-    if gram.shape[0] > sys.dim:
-        lower = 0.0
     if not is_gf_complete(sys) or np.sqrt(lower) <= tol:
         return None
     return FrameBounds(lower, ext.max_eig, "optimal-spectral")
 
 
 def _gram_block_deviation(sys: GFusionSystem) -> float:
-    a = analysis_matrix(sys)
-    gram = a @ adjoint(a)
-    dims = sys.block_dims
-    offsets = np.concatenate([[0], np.cumsum(dims)])
+    blocks = split_blocks(sys, analysis_matrix(sys))
     dev = 0.0
-    for i in range(len(dims)):
-        for j in range(len(dims)):
-            block = gram[offsets[i]:offsets[i + 1], offsets[j]:offsets[j + 1]]
+    for i, k_i in enumerate(blocks):
+        for j, k_j in enumerate(blocks):
+            block = k_i @ adjoint(k_j)
             if i == j:
-                block = block - np.eye(dims[i])
+                block = block - np.eye(block.shape[0])
             dev = max(dev, operator_norm(block))
     return dev
 
@@ -104,39 +99,23 @@ class CrossOperatorReport:
     unitary: bool | None = None
 
 
-def _require_same_structure(theta: GFusionSystem, lam: GFusionSystem, tol: float):
-    if theta.field != lam.field:
-        raise PreconditionFailed("systems use different scalar fields")
-    if theta.dim != lam.dim:
-        raise PreconditionFailed("systems have different ambient dimensions")
-    if theta.block_count != lam.block_count or theta.block_dims != lam.block_dims:
-        raise PreconditionFailed("systems have different block structure")
-    if not np.allclose(theta.weights, lam.weights, rtol=0.0, atol=1e-12):
-        raise PreconditionFailed("systems have different weights")
-    for i, (ts, ls) in enumerate(zip(theta.subsystems, lam.subsystems)):
-        if not ts.subspace.agrees_with(ls.subspace, tol):
-            raise PreconditionFailed(f"subspace {i} differs between the systems")
-
-
 def cross_operator(theta: GFusionSystem, lam: GFusionSystem, tol: float = 1e-9) -> CrossOperatorReport:
     """Assemble V = sum_j v_j^2 P_j L_j^H T_j P_j and check the intertwining.
 
     ``theta`` must be gf-orthonormal and share (dim, blocks, weights,
     subspaces) with ``lam``; ``lam`` must be a g-fusion frame.
     """
-    _require_same_structure(theta, lam, tol)
+    require_same_structure(theta, lam, tol)
     if not is_gf_orthonormal(theta, tol).is_gf_orthonormal:
         raise PreconditionFailed("theta is not a gf-orthonormal basis at the given tolerance")
     fb = frame_bounds(lam)
     if fb is None:
         raise PreconditionFailed("lambda is not a g-fusion frame")
-    v = synthesis_matrix(lam) @ analysis_matrix(theta)
-    residual = 0.0
-    vh = adjoint(v)
-    for lsub, tsub in zip(lam.subsystems, theta.subsystems):
-        lhs = lsub.operator @ lsub.subspace.projector()
-        rhs = (tsub.operator @ tsub.subspace.projector()) @ vh
-        residual = max(residual, operator_norm(lhs - rhs))
+    k_lam, k_theta = analysis_matrix(lam), analysis_matrix(theta)
+    v = adjoint(k_lam) @ k_theta
+    # Row block j of K_lam - K_theta V^H is v_j (L_j P_j - T_j P_j V^H).
+    blocks = split_blocks(lam, k_lam - k_theta @ adjoint(v))
+    residual = max(operator_norm(d) / sub.weight for sub, d in zip(lam.subsystems, blocks))
     sv = np.linalg.svd(v, compute_uv=False)
     surjective = bool(sv.size and sv[0] > 0 and sv[-1] > 1e-10 * sv[0] and v.shape[0] == lam.dim)
     return CrossOperatorReport(
@@ -187,9 +166,9 @@ class DecompositionReport:
 def decomposition_report(sys: GFusionSystem, tol: float = 1e-9) -> DecompositionReport:
     iso_dev = 0.0
     images = []
-    for sub in sys.subsystems:
-        k = sub.weight * (sub.subspace.projector() @ adjoint(sub.operator))
-        iso_dev = max(iso_dev, operator_norm(adjoint(k) @ k - np.eye(sub.block_dim)))
+    for k_j in split_blocks(sys, analysis_matrix(sys)):
+        k = adjoint(k_j)  # v_j P_j L_j^H
+        iso_dev = max(iso_dev, operator_norm(adjoint(k) @ k - np.eye(k.shape[1])))
         images.append(orthonormalize(k).basis)
     overlap = 0.0
     for i in range(len(images)):

@@ -29,16 +29,16 @@ class NotAFrameError(GFusionError):
     """An operation that requires a g-fusion frame received a degenerate system."""
 
 
-class SystemMismatch(GFusionError):
-    """Two systems that must share structure (dim, subspaces, weights, ...) do not."""
-
-
 class BadBasis(GFusionError):
     """A user-supplied block basis is not orthonormal."""
 
 
 class PreconditionFailed(GFusionError):
     """An input fails a documented precondition of the operation."""
+
+
+class SystemMismatch(PreconditionFailed):
+    """Two systems that must share structure (dim, subspaces, weights, ...) do not."""
 
 
 class SystemFileError(GFusionError):

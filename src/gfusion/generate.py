@@ -15,14 +15,14 @@ import numpy as np
 
 from .bases import is_gf_orthonormal
 from .errors import PreconditionFailed
-from .linalg import Subspace, adjoint, hermitian_eigen_extremes, orthonormalize
+from .linalg import Subspace, adjoint, orthonormalize
 from .sampling import (
     gaussian_matrix,
     haar_unitary,
     random_partition,
     well_conditioned_matrix,
 )
-from .system import GFusionSystem, Subsystem, frame_bounds
+from .system import GFusionSystem, Subsystem, frame_bounds, spectral_extremes
 
 KINDS = ("frame", "parseval", "onb", "riesz")
 
@@ -154,7 +154,8 @@ def perturbed_copy(
     """Additively perturb every block operator, keeping subspaces and weights.
 
     With ``radius`` the perturbation is scaled so the analysis-side radius
-    ``sqrt(lambda_max(sum_j v_j^2 P_j E_j^H E_j P_j))`` equals it exactly;
+    ``sqrt(lambda_max(sum_j v_j^2 P_j E_j^H E_j P_j))`` equals it exactly (the
+    sum is the frame operator of the system with block operators E_j);
     ``scale`` instead applies a raw factor to unit-norm block perturbations.
     """
     if (radius is None) == (scale is None):
@@ -166,11 +167,10 @@ def perturbed_copy(
         n = np.linalg.norm(e, 2)
         bumps.append(e / n if n > 0 else e)
     if radius is not None:
-        d = np.zeros((sys.dim, sys.dim), dtype=sys.dtype)
-        for sub, e in zip(sys.subsystems, bumps):
-            k = sub.weight * (e @ sub.subspace.projector())
-            d += adjoint(k) @ k
-        base_radius = np.sqrt(max(hermitian_eigen_extremes(d).max_eig, 0.0))
+        bump_sys = GFusionSystem(sys.dim, sys.field, tuple(
+            Subsystem(sub.weight, sub.subspace, e) for sub, e in zip(sys.subsystems, bumps)
+        ))
+        base_radius = np.sqrt(max(spectral_extremes(bump_sys).max_eig, 0.0))
         if base_radius == 0.0:
             raise RuntimeError("degenerate perturbation draw")
         factor = radius / base_radius

@@ -16,8 +16,8 @@ import numpy as np
 
 from .bases import BasisVerdict, is_gf_orthonormal
 from .errors import BadBasis, DimensionMismatch
-from .linalg import TOL_ORTHO, SpectralBounds, adjoint, hermitian_eigen_extremes
-from .system import FrameBounds, GFusionSystem, frame_bounds, frame_operator
+from .linalg import TOL_ORTHO, SpectralBounds, adjoint, gram_eigen_extremes, hermitian_eigen_extremes, hermitian_eigenvalues
+from .system import FrameBounds, GFusionSystem, analysis_matrix, frame_bounds, frame_operator, split_blocks
 
 
 @dataclass(frozen=True)
@@ -54,9 +54,9 @@ def induce_vectors(sys: GFusionSystem, onbs=None) -> InducedFamily:
             if np.abs(adjoint(e) @ e - np.eye(m)).max() > TOL_ORTHO:
                 raise BadBasis(f"block {j}: basis columns are not orthonormal")
     entries = []
-    for j, (sub, e) in enumerate(zip(sys.subsystems, onbs)):
-        u_block = sub.weight * (sub.subspace.projector() @ adjoint(sub.operator) @ e)
-        for k in range(sub.block_dim):
+    for j, (k_j, e) in enumerate(zip(split_blocks(sys, analysis_matrix(sys)), onbs)):
+        u_block = adjoint(k_j) @ e  # v_j P_j L_j^H e
+        for k in range(u_block.shape[1]):
             entries.append((j, k, u_block[:, k]))
     return InducedFamily(tuple(entries), tuple(onbs))
 
@@ -82,20 +82,24 @@ def verify_correspondence(sys: GFusionSystem, fam: InducedFamily, tol: float = 1
     Checks (a) frame-bound agreement, (b) frame-operator coincidence, and
     (c) when the system is gf-Riesz / gf-orthonormal, the ordinary Riesz /
     orthonormal-basis characterization of the family (Gram eigen extremes,
-    Gram = identity with count = dim).
+    Gram = identity with count = dim).  The Gram U^H U is never formed: its
+    spectrum is read off U U^H.  A gf-Riesz system has count = dim, so the
+    Gram and U U^H share their extremes and (c)'s Riesz-bound agreement
+    follows from (a); it is not an independent check.
     """
     u = fam.matrix()
     s = frame_operator(sys)
     induced_op = u @ adjoint(u)
     coincidence = float(np.linalg.norm(induced_op - s, 2))
-    ind_ext = hermitian_eigen_extremes(induced_op)
+    ind_eigs = hermitian_eigenvalues(induced_op)
+    ind_ext = SpectralBounds(float(ind_eigs[0]), float(ind_eigs[-1]))
     sys_ext = hermitian_eigen_extremes(s)
     bounds_agree = bool(
         abs(ind_ext.min_eig - sys_ext.min_eig) <= tol and abs(ind_ext.max_eig - sys_ext.max_eig) <= tol
     )
-    gram = adjoint(u) @ u
-    gram_ext = hermitian_eigen_extremes(gram)
-    gram_dev = float(np.linalg.norm(gram - np.eye(fam.count), 2))
+    gram_ext = gram_eigen_extremes(ind_eigs, fam.count)
+    # ||U^H U - I|| is the largest distance of a Gram eigenvalue from 1.
+    gram_dev = max(abs(gram_ext.max_eig - 1.0), abs(gram_ext.min_eig - 1.0))
     verdict = is_gf_orthonormal(sys, tol)
     riesz_agree = None
     if verdict.is_riesz and verdict.riesz_bounds is not None:

@@ -2,9 +2,10 @@
 
 Everything upstream (frames, bases, perturbation certificates) is built on
 the handful of primitives here: rank-revealing orthonormalization,
-orthogonal projectors, Hermitian eigenvalue extremes, operator norms and
-positive-definite inverses.  All values are plain ``numpy`` arrays, treated
-as immutable once constructed.
+orthogonal projectors, Hermitian eigenvalue extremes (also of a Gram X^H X,
+read off the outer operator X X^H), operator norms and positive-definite
+inverses.  All values are plain ``numpy`` arrays, treated as immutable once
+constructed.
 """
 
 from __future__ import annotations
@@ -21,6 +22,9 @@ TOL_ORTHO = 1e-10
 TOL_HERM = 1e-8
 TOL_PD = 1e-12
 TOL_INV = 1e-9
+# Structure match: weights within TOL_WEIGHT, subspace projectors within TOL_SUBSPACE.
+TOL_WEIGHT = 1e-12
+TOL_SUBSPACE = 1e-10
 
 
 def adjoint(x: np.ndarray) -> np.ndarray:
@@ -141,11 +145,27 @@ def _check_hermitian(s: np.ndarray, tol_herm: float) -> np.ndarray:
     return (s + adjoint(s)) / 2.0
 
 
+def hermitian_eigenvalues(s: np.ndarray, tol_herm: float = TOL_HERM) -> np.ndarray:
+    """Ascending eigenvalues of the symmetrized input."""
+    return np.linalg.eigvalsh(_check_hermitian(s, tol_herm))
+
+
 def hermitian_eigen_extremes(s: np.ndarray, tol_herm: float = TOL_HERM) -> SpectralBounds:
     """Smallest and largest eigenvalue of the symmetrized input."""
-    sym = _check_hermitian(s, tol_herm)
-    w = np.linalg.eigvalsh(sym)
+    w = hermitian_eigenvalues(s, tol_herm)
     return SpectralBounds(float(w[0]), float(w[-1]))
+
+
+def gram_eigen_extremes(outer_eigenvalues: np.ndarray, count: int) -> SpectralBounds:
+    """Eigenvalue extremes of a count x count Gram X^H X, from the ascending eigenvalues of the n x n X X^H.
+
+    Both share their nonzero spectrum: the Gram's eigenvalues are those of
+    X X^H with count - n zeros added (count > n) or the n - count smallest
+    dropped (count < n).  The larger Gram is never formed.
+    """
+    w = outer_eigenvalues
+    n = len(w)
+    return SpectralBounds(0.0 if count > n else float(w[n - count]), float(w[-1]))
 
 
 def hpd_inverse(s: np.ndarray, tol_pd: float = TOL_PD, tol_herm: float = TOL_HERM) -> np.ndarray:

@@ -25,14 +25,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotAFrameError, SystemMismatch
+from .errors import NotAFrameError
 from .linalg import adjoint, hermitian_eigen_extremes, operator_norm
 from .sampling import random_unit_vectors
 from .system import (
     FrameBounds,
     GFusionSystem,
+    analysis_matrix,
     frame_bounds,
     frame_operator,
+    require_same_structure,
+    split_blocks,
     synthesis_matrix,
 )
 
@@ -164,20 +167,6 @@ def check_invertibility_lemma(
     )
 
 
-def _require_match(lam_sys: GFusionSystem, theta_sys: GFusionSystem):
-    if lam_sys.field != theta_sys.field:
-        raise SystemMismatch("systems use different scalar fields")
-    if lam_sys.dim != theta_sys.dim:
-        raise SystemMismatch("systems have different ambient dimensions")
-    if lam_sys.block_dims != theta_sys.block_dims:
-        raise SystemMismatch("systems have different block dimensions")
-    if not np.allclose(lam_sys.weights, theta_sys.weights, rtol=0.0, atol=1e-12):
-        raise SystemMismatch("systems have different weights")
-    for i, (a, b) in enumerate(zip(lam_sys.subsystems, theta_sys.subsystems)):
-        if not a.subspace.agrees_with(b.subspace, 1e-10):
-            raise SystemMismatch(f"subspace {i} differs between the systems")
-
-
 def _reference_bounds(lam_sys: GFusionSystem) -> tuple[float, float]:
     fb = frame_bounds(lam_sys)
     if fb is None:
@@ -187,11 +176,7 @@ def _reference_bounds(lam_sys: GFusionSystem) -> tuple[float, float]:
 
 def _quadratic_terms(sys: GFusionSystem) -> list[np.ndarray]:
     """Per-block PSD terms v_j^2 P_j L_j^H L_j P_j of the frame operator."""
-    terms = []
-    for sub in sys.subsystems:
-        k = sub.weight * (sub.operator @ sub.subspace.projector())
-        terms.append(adjoint(k) @ k)
-    return terms
+    return [adjoint(k) @ k for k in split_blocks(sys, analysis_matrix(sys))]
 
 
 def _subset_masks(rng: np.random.Generator, count: int, extra: int) -> list[np.ndarray]:
@@ -342,7 +327,7 @@ def certify_frame_operator_perturbation(
     (the mu = 0 sufficient condition); otherwise the hypothesis is sampled on
     the full index set and random subsets.
     """
-    _require_match(lam_sys, theta_sys)
+    require_same_structure(lam_sys, theta_sys)
     a, b = _reference_bounds(lam_sys)
     sqrt_a, sqrt_b = np.sqrt(a), np.sqrt(b)
     admissible = bool(max(params.lam + params.gamma / sqrt_a, params.mu) < 1.0)
@@ -426,7 +411,7 @@ def certify_R_condition(
     individual satisfaction flags; the bracket check uses the quadratic-form
     component, which is the one the frame-operator certificate yields.
     """
-    _require_match(lam_sys, theta_sys)
+    require_same_structure(lam_sys, theta_sys)
     a, b = _reference_bounds(lam_sys)
     diffs = [l - t for l, t in zip(_quadratic_terms(lam_sys), _quadratic_terms(theta_sys))]
     actual_ext = hermitian_eigen_extremes(frame_operator(theta_sys))
@@ -516,7 +501,7 @@ def certify_synthesis_perturbation(
     are emitted and bracketed separately, with ``predicted``/``bracket_ok``
     carrying the proof-derived pair.
     """
-    _require_match(lam_sys, theta_sys)
+    require_same_structure(lam_sys, theta_sys)
     a, b = _reference_bounds(lam_sys)
     sqrt_a, sqrt_b = np.sqrt(a), np.sqrt(b)
     admissible = bool(max(params.lam + params.gamma / sqrt_a, params.mu) < 1.0)
@@ -591,17 +576,15 @@ def certify_analysis_perturbation(
 
     The optimal radius R in
     ``sum_j v_j^2 ||(L_j - T_j) P_j f||^2 <= R * ||f||^2`` is exactly the top
-    eigenvalue of the PSD operator ``sum_j v_j^2 P_j (L_j - T_j)^H (L_j - T_j) P_j``.
+    eigenvalue of the PSD operator ``D^H D`` with ``D = K_lam - K_theta``,
+    whose row blocks are ``v_j (L_j - T_j) P_j`` (the systems share subspaces).
     With R < A the perturbed system is a frame with bounds
     ``(sqrt(A) - sqrt(R))^2`` and ``(sqrt(R) + sqrt(B))^2``.
     """
-    _require_match(lam_sys, theta_sys)
+    require_same_structure(lam_sys, theta_sys)
     a, b = _reference_bounds(lam_sys)
-    d = np.zeros((lam_sys.dim, lam_sys.dim), dtype=lam_sys.dtype)
-    for lsub, tsub in zip(lam_sys.subsystems, theta_sys.subsystems):
-        k = lsub.weight * ((lsub.operator - tsub.operator) @ lsub.subspace.projector())
-        d += adjoint(k) @ k
-    radius = max(hermitian_eigen_extremes(d).max_eig, 0.0)
+    d = analysis_matrix(lam_sys) - analysis_matrix(theta_sys)
+    radius = max(hermitian_eigen_extremes(adjoint(d) @ d).max_eig, 0.0)
     actual_ext = hermitian_eigen_extremes(frame_operator(theta_sys))
     actual = FrameBounds(actual_ext.min_eig, actual_ext.max_eig, "optimal-spectral")
     holds = bool(radius < a)

@@ -6,11 +6,16 @@ dimension m_j).  With P_j the orthogonal projector onto W_j, the defining
 quadratic form is ``sum_j v_j^2 ||L_j P_j f||^2``, and the system is a
 g-fusion frame when that form is bounded between A*||f||^2 and B*||f||^2
 with 0 < A <= B.
+
+Every operator derives from the stacked analysis matrix K (row blocks
+v_j L_j P_j), cached on the system at first use: analysis is K, synthesis
+K^H, the frame operator S = K^H K, and completeness is rank K = dim.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -19,13 +24,17 @@ from .errors import (
     FieldMismatch,
     NotAFrameError,
     NotPositiveDefinite,
+    SystemMismatch,
 )
 from .linalg import (
     TOL_ORTHO,
     TOL_PD,
     TOL_RANK,
+    TOL_SUBSPACE,
+    TOL_WEIGHT,
     SpectralBounds,
     Subspace,
+    _readonly,
     adjoint,
     hermitian_eigen_extremes,
     hpd_inverse,
@@ -70,9 +79,7 @@ class Subsystem:
                 f"block operator has {op.shape[1]} columns but the subspace lives in "
                 f"dimension {self.subspace.ambient_dim}"
             )
-        out = np.array(op)
-        out.flags.writeable = False
-        object.__setattr__(self, "operator", out)
+        object.__setattr__(self, "operator", _readonly(op))
 
     @property
     def block_dim(self) -> int:
@@ -121,6 +128,32 @@ class GFusionSystem:
     @property
     def weights(self) -> tuple[float, ...]:
         return tuple(sub.weight for sub in self.subsystems)
+
+    @cached_property
+    def analysis_matrix(self) -> np.ndarray:
+        """Stacked analysis matrix K (read-only): row block j is v_j L_j P_j."""
+        k = np.vstack([sub.weight * (sub.operator @ sub.subspace.projector()) for sub in self.subsystems])
+        k.flags.writeable = False
+        return k
+
+
+def require_same_structure(a: GFusionSystem, b: GFusionSystem, tol_subspace: float = TOL_SUBSPACE):
+    """Raise SystemMismatch unless the two systems share their structure.
+
+    Field, dimension and block sizes must be equal, weights agree within
+    TOL_WEIGHT and subspace projectors within ``tol_subspace``.
+    """
+    if a.field != b.field:
+        raise SystemMismatch("systems use different scalar fields")
+    if a.dim != b.dim:
+        raise SystemMismatch("systems have different ambient dimensions")
+    if a.block_dims != b.block_dims:
+        raise SystemMismatch("systems have different block structure")
+    if not np.allclose(a.weights, b.weights, rtol=0.0, atol=TOL_WEIGHT):
+        raise SystemMismatch("systems have different weights")
+    for i, (sa, sb) in enumerate(zip(a.subsystems, b.subsystems)):
+        if not sa.subspace.agrees_with(sb.subspace, tol_subspace):
+            raise SystemMismatch(f"subspace {i} differs between the systems")
 
 
 def make_system(dim, field, components, tol_rank: float = TOL_RANK) -> GFusionSystem:
@@ -190,61 +223,54 @@ class DirectSumVector:
         return np.concatenate(self.blocks) if self.blocks else np.zeros(0)
 
 
-def _as_vector(sys: GFusionSystem, f) -> np.ndarray:
+def _as_vector(sys: GFusionSystem, f, batch: bool = False) -> np.ndarray:
     f = np.asarray(f)
     if np.iscomplexobj(f) and sys.field == "real":
         raise FieldMismatch("complex vector supplied to a real-field system")
     f = np.asarray(f, dtype=sys.dtype)
-    if f.shape != (sys.dim,):
+    if f.ndim not in ((1, 2) if batch else (1,)) or f.shape[0] != sys.dim:
         raise DimensionMismatch(f"expected a vector of length {sys.dim}, got shape {f.shape}")
     require_finite(f, "vector")
     return f
 
 
+def analysis_matrix(sys: GFusionSystem) -> np.ndarray:
+    """The system's cached, read-only stacked analysis matrix K."""
+    return sys.analysis_matrix
+
+
+def split_blocks(sys: GFusionSystem, x: np.ndarray) -> list[np.ndarray]:
+    """Row blocks of x cut at the block sizes, as views (for x = K: v_j L_j P_j)."""
+    return np.split(x, np.cumsum(sys.block_dims)[:-1])
+
+
 def analysis(sys: GFusionSystem, f) -> DirectSumVector:
-    """Analysis operator: block j is v_j * L_j P_j f."""
+    """Analysis operator: block j of K f is v_j * L_j P_j f."""
     f = _as_vector(sys, f)
-    return DirectSumVector(tuple(
-        sub.weight * (sub.operator @ sub.subspace.project(f)) for sub in sys.subsystems
-    ))
+    return DirectSumVector(tuple(split_blocks(sys, sys.analysis_matrix @ f)))
 
 
 def synthesis(sys: GFusionSystem, g) -> np.ndarray:
-    """Synthesis operator (adjoint of analysis): sum_j v_j P_j L_j^H g_j."""
+    """Synthesis operator (adjoint of analysis): K^H g = sum_j v_j P_j L_j^H g_j."""
     blocks = g.blocks if isinstance(g, DirectSumVector) else tuple(np.asarray(b) for b in g)
-    if len(blocks) != sys.block_count:
-        raise DimensionMismatch(f"expected {sys.block_count} blocks, got {len(blocks)}")
-    out = np.zeros(sys.dim, dtype=sys.dtype)
-    for sub, b in zip(sys.subsystems, blocks):
-        b = np.asarray(b)
-        if np.iscomplexobj(b) and sys.field == "real":
-            raise FieldMismatch("complex block supplied to a real-field system")
-        b = np.asarray(b, dtype=sys.dtype)
-        if b.shape != (sub.block_dim,):
-            raise DimensionMismatch(f"block of length {b.shape} does not match m_j={sub.block_dim}")
-        out += sub.weight * sub.subspace.project(adjoint(sub.operator) @ b)
-    return out
-
-
-def analysis_matrix(sys: GFusionSystem) -> np.ndarray:
-    """Stacked matrix of the analysis operator: rows are the blocks v_j L_j P_j."""
-    return np.vstack([
-        sub.weight * (sub.operator @ sub.subspace.projector()) for sub in sys.subsystems
-    ])
+    shapes = tuple(np.shape(b) for b in blocks)
+    if shapes != tuple((m,) for m in sys.block_dims):
+        raise DimensionMismatch(f"block shapes {shapes} do not match the block dimensions {sys.block_dims}")
+    g = np.concatenate(blocks)
+    if np.iscomplexobj(g) and sys.field == "real":
+        raise FieldMismatch("complex block supplied to a real-field system")
+    return adjoint(sys.analysis_matrix) @ g.astype(sys.dtype, copy=False)
 
 
 def synthesis_matrix(sys: GFusionSystem) -> np.ndarray:
     """Matrix of the synthesis operator; exactly the adjoint of analysis_matrix."""
-    return adjoint(analysis_matrix(sys))
+    return adjoint(sys.analysis_matrix)
 
 
 def frame_operator(sys: GFusionSystem) -> np.ndarray:
-    """S = sum_j v_j^2 P_j L_j^H L_j P_j, accumulated in block order."""
-    s = np.zeros((sys.dim, sys.dim), dtype=sys.dtype)
-    for sub in sys.subsystems:
-        k = sub.weight * (sub.operator @ sub.subspace.projector())
-        s += adjoint(k) @ k
-    return s
+    """S = K^H K = sum_j v_j^2 P_j L_j^H L_j P_j."""
+    k = sys.analysis_matrix
+    return adjoint(k) @ k
 
 
 def frame_bounds(sys: GFusionSystem, tol_pd: float = TOL_PD) -> FrameBounds | None:
@@ -264,9 +290,8 @@ def spectral_extremes(sys: GFusionSystem) -> SpectralBounds:
 
 
 def is_gf_complete(sys: GFusionSystem, tol: float = TOL_RANK) -> bool:
-    """True iff the stacked maps L_j P_j have trivial joint kernel (rank = dim)."""
-    stacked = np.vstack([sub.operator @ sub.subspace.projector() for sub in sys.subsystems])
-    s = np.linalg.svd(stacked, compute_uv=False)
+    """True iff the stacked maps L_j P_j (K with its weights divided out) have rank = dim."""
+    s = np.linalg.svd(sys.analysis_matrix / np.repeat(sys.weights, sys.block_dims)[:, None], compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
         return False
     return int(np.count_nonzero(s > tol * s[0])) == sys.dim
@@ -283,16 +308,15 @@ def canonical_dual(sys: GFusionSystem, tol_pd: float = TOL_PD) -> GFusionSystem:
     except NotPositiveDefinite as exc:
         raise NotAFrameError("frame operator is not invertible at tol_pd") from exc
     subs = []
-    for sub in sys.subsystems:
+    for sub, k_j in zip(sys.subsystems, split_blocks(sys, sys.analysis_matrix)):
         basis = orthonormalize(s_inv @ sub.subspace.basis).basis.astype(sys.dtype)
-        op = sub.operator @ sub.subspace.projector() @ s_inv
-        subs.append(Subsystem(sub.weight, Subspace(basis), op))
+        subs.append(Subsystem(sub.weight, Subspace(basis), (k_j @ s_inv) / sub.weight))
     return GFusionSystem(sys.dim, sys.field, tuple(subs))
 
 
 @dataclass(frozen=True)
 class ReconstructionResult:
-    """Both orderings of the dual reconstruction and their residuals vs f."""
+    """Both orderings of the dual reconstruction and their (largest column) residuals vs f."""
 
     primal: np.ndarray
     swapped: np.ndarray
@@ -300,32 +324,24 @@ class ReconstructionResult:
     swapped_residual: float
 
 
-def _check_companion(sys: GFusionSystem, dual: GFusionSystem):
+def reconstruct(sys: GFusionSystem, dual: GFusionSystem, f) -> ReconstructionResult:
+    """Reconstruct f, a vector or a (dim, k) batch of columns, through a dual pair.
+
+    primal  = K^H K_d f = sum_j v_j^2 P_j L_j^H  Ld_j Pd_j f
+    swapped = K_d^H K f = sum_j v_j^2 Pd_j Ld_j^H L_j  P_j f
+
+    With ``dual = canonical_dual(sys)`` both recover f up to round-off.
+    """
     if sys.field != dual.field:
         raise FieldMismatch("system and dual use different scalar fields")
     if sys.dim != dual.dim or sys.block_dims != dual.block_dims:
         raise DimensionMismatch("system and dual shapes differ")
+    f = _as_vector(sys, f, batch=True)
+    k, k_dual = sys.analysis_matrix, dual.analysis_matrix
+    primal = adjoint(k) @ (k_dual @ f)
+    swapped = adjoint(k_dual) @ (k @ f)
+    return ReconstructionResult(primal, swapped, _max_residual(primal, f), _max_residual(swapped, f))
 
 
-def reconstruct(sys: GFusionSystem, dual: GFusionSystem, f) -> ReconstructionResult:
-    """Reconstruct f through a dual pair.
-
-    primal  = sum_j v_j^2 P_j L_j^H  Ld_j Pd_j f
-    swapped = sum_j v_j^2 Pd_j Ld_j^H L_j  P_j f
-
-    With ``dual = canonical_dual(sys)`` both recover f up to round-off.
-    """
-    _check_companion(sys, dual)
-    f = _as_vector(sys, f)
-    primal = np.zeros_like(f)
-    swapped = np.zeros_like(f)
-    for sub, dsub in zip(sys.subsystems, dual.subsystems):
-        w2 = sub.weight**2
-        primal += w2 * sub.subspace.project(adjoint(sub.operator) @ (dsub.operator @ dsub.subspace.project(f)))
-        swapped += w2 * dsub.subspace.project(adjoint(dsub.operator) @ (sub.operator @ sub.subspace.project(f)))
-    return ReconstructionResult(
-        primal,
-        swapped,
-        float(np.linalg.norm(primal - f)),
-        float(np.linalg.norm(swapped - f)),
-    )
+def _max_residual(x: np.ndarray, f: np.ndarray) -> float:
+    return float(np.max(np.linalg.norm(x - f, axis=0), initial=0.0))

@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 from helpers import coordinate_system, scale_blocks
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gfusion as gf
 from gfusion.errors import PreconditionFailed
 from gfusion.linalg import adjoint, operator_norm
-from gfusion.sampling import well_conditioned_matrix
+from gfusion.sampling import gaussian_matrix, random_partition, well_conditioned_matrix
 
 
 class TestRieszBounds:
@@ -172,3 +174,55 @@ class TestCrossOperator:
         other = gf.make_system(6, "real", comps)
         with pytest.raises(PreconditionFailed):
             gf.cross_operator(theta, other)
+
+
+def _shaped_system(n, blocks, seed, shape, field):
+    """Random system whose total block dimension M is below, equal to or above n."""
+    rng = np.random.default_rng(seed)
+    total = {
+        "under": int(rng.integers(blocks, n)),
+        "square": n,
+        "over": int(rng.integers(n + 1, 2 * n + blocks + 1)),
+    }[shape]
+    comps = []
+    for m in random_partition(rng, total, blocks):
+        k = int(rng.integers(min(m, n), n + 1))
+        comps.append((float(rng.uniform(0.5, 2.0)), gaussian_matrix(rng, n, k, field), gaussian_matrix(rng, m, n, field)))
+    return gf.make_system(n, field, comps)
+
+
+def _explicit_gram_riesz_bounds(sys, tol=1e-9):
+    """Reference: the eigenvalue extremes of the explicit M x M synthesis Gram T^H T."""
+    t = gf.synthesis_matrix(sys)
+    w = np.linalg.eigvalsh(adjoint(t) @ t)
+    lower = 0.0 if t.shape[1] > sys.dim else max(w[0], 0.0)
+    if not gf.is_gf_complete(sys) or np.sqrt(lower) <= tol:
+        return None
+    return lower, w[-1]
+
+
+class TestGramSpectrumOracle:
+    """The n x n spectral rule against the M x M Gram it replaced."""
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("shape", ["under", "square", "over"])
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(2, 8), blocks=st.integers(1, 7), seed=st.integers(0, 10_000))
+    def test_matches_explicit_gram(self, shape, field, n, blocks, seed):
+        blocks = 1 + (blocks - 1) % (n - 1)  # 1 <= J < n, so every shape is reachable
+        sys = _shaped_system(n, blocks, seed, shape, field)
+        t = gf.synthesis_matrix(sys)
+        w = np.linalg.eigvalsh(adjoint(t) @ t)
+        scale = 1e-10 * max(1.0, w[-1])
+
+        rb, ref = gf.riesz_bounds(sys), _explicit_gram_riesz_bounds(sys)
+        assert (rb is None) == (ref is None)
+        if rb is not None:
+            assert abs(rb.lower - ref[0]) <= scale and abs(rb.upper - ref[1]) <= scale
+
+        rep = gf.verify_correspondence(sys, gf.induce_vectors(sys))
+        assert abs(rep.gram_extremes.max_eig - w[-1]) <= scale
+        assert abs(rep.gram_extremes.min_eig - w[0]) <= scale
+        assert abs(rep.gram_identity_deviation - np.abs(w - 1.0).max()) <= scale
+        if shape == "over":
+            assert rb is None and rep.gram_extremes.min_eig == 0.0

@@ -9,7 +9,9 @@ from gfusion.errors import NonFiniteInput, NotHermitian, NotPositiveDefinite
 from gfusion.linalg import (
     Subspace,
     adjoint,
+    gram_eigen_extremes,
     hermitian_eigen_extremes,
+    hermitian_eigenvalues,
     hpd_inverse,
     operator_norm,
     orthonormalize,
@@ -124,6 +126,23 @@ class TestEigenExtremes:
         a = np.array([[2.0, 1j], [-1j, 2.0]])
         ext = hermitian_eigen_extremes(a)
         np.testing.assert_allclose([ext.min_eig, ext.max_eig], [1.0, 3.0], atol=1e-12)
+
+
+class TestGramEigenExtremes:
+    @settings(max_examples=50, deadline=None)
+    @given(n=st.integers(1, 8), count=st.integers(1, 12), seed=st.integers(0, 10_000), complex_=st.booleans())
+    def test_matches_explicit_gram(self, n, count, seed, complex_):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((n, count))
+        if complex_:
+            x = x + 1j * rng.standard_normal((n, count))
+        w = np.linalg.eigvalsh(adjoint(x) @ x)
+        ext = gram_eigen_extremes(hermitian_eigenvalues(x @ adjoint(x)), count)
+        scale = 1e-10 * max(1.0, w[-1])
+        assert abs(ext.max_eig - w[-1]) <= scale
+        assert abs(ext.min_eig - w[0]) <= scale
+        if count > n:
+            assert ext.min_eig == 0.0
 
 
 class TestOperatorNorm:

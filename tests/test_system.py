@@ -9,8 +9,10 @@ from gfusion.errors import (
     DimensionMismatch,
     FieldMismatch,
     NotAFrameError,
+    SystemMismatch,
 )
 from gfusion.linalg import adjoint, hpd_inverse, operator_norm
+from gfusion.sampling import random_unit_vectors
 
 
 def quadratic_form(sys, f):
@@ -70,6 +72,13 @@ class TestAnalysisSynthesis:
     def test_matrix_adjointness_is_exact(self):
         sys = gf.generate("frame", 6, 3, seed=5, field="complex")
         assert np.array_equal(gf.synthesis_matrix(sys), adjoint(gf.analysis_matrix(sys)))
+
+    def test_analysis_matrix_is_cached_and_read_only(self):
+        sys = gf.generate("frame", 5, 3, seed=2)
+        k = gf.analysis_matrix(sys)
+        assert gf.analysis_matrix(sys) is k
+        with pytest.raises(ValueError):
+            k[0, 0] = 1.0
 
     def test_dimension_mismatch(self):
         sys = coordinate_system((1.0, 1.0))
@@ -172,6 +181,11 @@ class TestCompleteness:
             assert gf.frame_bounds(sys) is not None
             assert gf.is_gf_complete(sys)
 
+    @pytest.mark.parametrize("weights", [(1.0, 1e-11), (1e-11, 1.0), (1.0, 1e11), (1e-20, 1e20, 1.0)])
+    def test_verdict_ignores_weight_spread(self, weights):
+        assert gf.is_gf_complete(coordinate_system(weights))
+        assert gf.is_gf_complete(coordinate_system(weights, "complex"))
+
 
 class TestCanonicalDual:
     def test_parseval_dual_is_itself(self):
@@ -218,6 +232,18 @@ class TestCanonicalDual:
         zero = gf.reconstruct(sys, dual, np.zeros(5))
         assert zero.primal_residual == 0.0 and zero.swapped_residual == 0.0
 
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_batch_equals_column_by_column(self, field):
+        sys = gf.generate("frame", 6, 3, seed=31, field=field)
+        dual = gf.canonical_dual(sys)
+        fs = random_unit_vectors(np.random.default_rng(5), 6, 10, field)
+        batch = gf.reconstruct(sys, dual, fs)
+        cols = [gf.reconstruct(sys, dual, fs[:, i]) for i in range(fs.shape[1])]
+        np.testing.assert_allclose(batch.primal, np.column_stack([c.primal for c in cols]), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(batch.swapped, np.column_stack([c.swapped for c in cols]), rtol=0, atol=1e-12)
+        assert abs(batch.primal_residual - max(c.primal_residual for c in cols)) <= 1e-12
+        assert abs(batch.swapped_residual - max(c.swapped_residual for c in cols)) <= 1e-12
+
     def test_dual_is_a_frame(self):
         sys = gf.generate("frame", 5, 3, seed=17)
         assert gf.frame_bounds(gf.canonical_dual(sys)) is not None
@@ -236,6 +262,17 @@ class TestCanonicalDual:
         f = np.random.default_rng(2).standard_normal(6)
         np.testing.assert_allclose(s @ (s_inv @ f), f, atol=1e-9)
         np.testing.assert_allclose(s_inv @ (s @ f), f, atol=1e-9)
+
+
+class TestStructureMatch:
+    def test_weight_mismatch_raises_the_same_type_everywhere(self):
+        theta = coordinate_system((1.0, 1.0))
+        lam = coordinate_system((1.0, 2.0))
+        with pytest.raises(SystemMismatch, match="weights") as from_cross:
+            gf.cross_operator(theta, lam)
+        with pytest.raises(SystemMismatch, match="weights") as from_certifier:
+            gf.certify_analysis_perturbation(theta, lam)
+        assert type(from_cross.value) is type(from_certifier.value)
 
 
 class TestMakeSystem:
