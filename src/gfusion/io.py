@@ -12,7 +12,8 @@ A system file is human-writable JSON with an explicit version field:
       ]
     }
 
-Matrices are row-major nested lists; complex entries are [re, im] pairs.
+Matrices are row-major nested lists of plain numbers (ints are accepted,
+booleans are not); complex entries are [re, im] pairs or plain numbers.
 Subspace matrices hold spanning columns; columns that are already
 orthonormal are kept verbatim (so canonical files round-trip exactly),
 anything else is orthonormalized on load.
@@ -23,6 +24,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+from itertools import chain
 from typing import Any
 
 import numpy as np
@@ -33,14 +35,14 @@ from .system import FrameBounds, GFusionSystem, make_system
 SYSTEM_FILE_VERSION = 1
 
 
-def _entry_to_data(x, field: str):
-    if field == "complex":
-        return [float(np.real(x)), float(np.imag(x))]
-    return float(np.real(x))
-
-
 def matrix_to_data(m: np.ndarray, field: str) -> list:
-    return [[_entry_to_data(x, field) for x in row] for row in np.asarray(m)]
+    """Nested lists of Python floats; complex entries become [re, im] pairs.
+
+    The float64 cast makes int and float32 arrays print as floats.
+    """
+    m = np.asarray(m)
+    parts = np.stack((m.real, m.imag), axis=-1) if field == "complex" else m.real
+    return parts.astype(np.float64).tolist()
 
 
 def _is_number(x) -> bool:
@@ -59,16 +61,36 @@ def _entry_from_data(x, field: str, where: str) -> complex | float:
     raise SystemFileError(f"{where}: real entries must be plain numbers")
 
 
+_PLAIN_NUMBERS = {int, float}
+
+
 def matrix_from_data(data, field: str, where: str) -> np.ndarray:
     if not isinstance(data, list) or not data or not all(isinstance(r, list) for r in data):
         raise SystemFileError(f"{where}: expected a non-empty list of rows")
     width = len(data[0])
-    rows = []
     for i, row in enumerate(data):
         if len(row) != width:
             raise SystemFileError(f"{where}[{i}]: ragged row (expected {width} entries, got {len(row)})")
-        rows.append([_entry_from_data(x, field, f"{where}[{i}][{k}]") for k, x in enumerate(row)])
     dtype = np.complex128 if field == "complex" else np.float64
+    # Whole-matrix fast paths: leaf types are checked by exact type (so bool,
+    # a subclass of int, is left to the per-entry path) and one np.array call
+    # converts every entry.  An (m, n, 2) float64 array of [re, im] pairs has
+    # the memory layout of an (m, n) complex128 one, so the view is exact.
+    leaf_types = set(map(type, chain.from_iterable(data)))
+    if leaf_types <= _PLAIN_NUMBERS:
+        return np.array(data, dtype=np.float64).astype(dtype, copy=False)
+    if (
+        field == "complex"
+        and leaf_types == {list}
+        and set(map(len, chain.from_iterable(data))) == {2}
+        and set(map(type, chain.from_iterable(chain.from_iterable(data)))) <= _PLAIN_NUMBERS
+    ):
+        return np.array(data, dtype=np.float64).view(np.complex128)[..., 0]
+    # Per entry: names the offending entry, and accepts complex matrices that
+    # mix plain numbers and [re, im] pairs.
+    rows = [
+        [_entry_from_data(x, field, f"{where}[{i}][{k}]") for k, x in enumerate(row)] for i, row in enumerate(data)
+    ]
     return np.array(rows, dtype=dtype)
 
 
@@ -92,13 +114,13 @@ def system_from_dict(data: dict) -> GFusionSystem:
     if not isinstance(data, dict):
         raise SystemFileError("top level: expected an object")
     version = data.get("version")
-    if version != SYSTEM_FILE_VERSION:
+    if isinstance(version, bool) or version != SYSTEM_FILE_VERSION:
         raise SystemFileError(f"version: expected {SYSTEM_FILE_VERSION}, got {version!r}")
     field = data.get("field")
     if field not in ("real", "complex"):
         raise SystemFileError(f"field: expected 'real' or 'complex', got {field!r}")
     dim = data.get("dim")
-    if not isinstance(dim, int) or dim < 1:
+    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
         raise SystemFileError(f"dim: expected a positive integer, got {dim!r}")
     raw_subs = data.get("subsystems")
     if not isinstance(raw_subs, list) or not raw_subs:
@@ -130,6 +152,8 @@ def load_system(path: str) -> GFusionSystem:
             data = json.load(fh)
     except OSError as exc:
         raise SystemFileError(f"{path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise SystemFileError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
     except json.JSONDecodeError as exc:
         raise SystemFileError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
     return system_from_dict(data)
@@ -161,11 +185,8 @@ def to_jsonable(obj: Any) -> Any:
     if isinstance(obj, (complex, np.complexfloating)):
         return [float(obj.real), float(obj.imag)]
     if isinstance(obj, np.ndarray):
-        field = "complex" if np.iscomplexobj(obj) else "real"
-        if obj.ndim == 2:
-            return matrix_to_data(obj, field)
-        if obj.ndim == 1:
-            return [_entry_to_data(x, field) for x in obj]
+        if obj.ndim in (1, 2):
+            return matrix_to_data(obj, "complex" if np.iscomplexobj(obj) else "real")
         return obj.tolist()
     if isinstance(obj, FrameBounds):
         return {"lower": obj.lower, "upper": obj.upper, "kind": obj.kind}

@@ -269,20 +269,20 @@ def _sampled_max_margin(
                     out -= params.gamma * np.linalg.norm(f)
             return float(out)
 
-        def grad(f, d_m=d_m, l_m=l_m, t_m=t_m):
+        def grad(f, d_m=d_m, l_m=l_m, t_m=t_m, d_h=adjoint(d_m), l_h=adjoint(l_m), t_h=adjoint(t_m)):
             g = np.zeros_like(f)
             df = d_m @ f
             dn = np.linalg.norm(df)
             if dn > 0:
-                g = g + adjoint(d_m) @ df / dn
+                g = g + d_h @ df / dn
             lf = l_m @ f
             ln = np.linalg.norm(lf)
             if params.lam and ln > 0:
-                g = g - params.lam * (adjoint(l_m) @ lf) / ln
+                g = g - params.lam * (l_h @ lf) / ln
             tf = t_m @ f
             tn = np.linalg.norm(tf)
             if params.mu and tn > 0:
-                g = g - params.mu * (adjoint(t_m) @ tf) / tn
+                g = g - params.mu * (t_h @ tf) / tn
             if params.gamma:
                 if quad_form:
                     q = max(np.vdot(f, lf).real, 0.0)
@@ -432,13 +432,15 @@ def certify_R_condition(
         def value(f):
             return float(sum(np.linalg.norm(d @ f) for d in diffs))
 
+        diffs_h = [adjoint(d) for d in diffs]
+
         def grad(f):
             g = np.zeros_like(f)
-            for d in diffs:
+            for d, d_h in zip(diffs, diffs_h):
                 df = d @ f
                 dn = np.linalg.norm(df)
                 if dn > 0:
-                    g = g + adjoint(d) @ df / dn
+                    g = g + d_h @ df / dn
             return g
 
         r_sampled = float(_ascend(value, grad, f_batch[:, order], ascent_steps))
