@@ -17,7 +17,7 @@ import numpy as np
 from . import bases, induced, perturb
 from .errors import GFusionError
 from .generate import generate, generate_like, perturbed_copy
-from .io import dumps_canonical, file_digest, load_system, save_system, system_to_dict, to_jsonable
+from .io import dumps_canonical, load_system, read_system, save_system, system_to_dict, to_jsonable
 from .linalg import hpd_inverse
 from .sampling import random_unit_vectors
 from .system import (
@@ -32,8 +32,11 @@ from .system import (
 _THEOREMS = ("t52", "cR", "synth", "analysis", "lemma")
 
 
-def _input_stamp(label: str, path: str) -> dict:
-    return {label: {"path": path, "sha256": file_digest(path)}}
+def _load(inputs: dict, label: str, path: str):
+    """Load a system file and stamp it into `inputs` with the sha256 of the bytes parsed."""
+    sys_, digest = read_system(path)
+    inputs[label] = {"path": path, "sha256": digest}
+    return sys_
 
 
 def _envelope(args, command: str, inputs: dict, tolerances: dict, seed=None) -> dict:
@@ -47,11 +50,12 @@ def _envelope(args, command: str, inputs: dict, tolerances: dict, seed=None) -> 
 
 
 def _cmd_analyze(args):
-    sys_ = load_system(args.system)
+    inputs = {}
+    sys_ = _load(inputs, "system", args.system)
     tol_pd = args.tol if args.tol is not None else 1e-12
     fb = frame_bounds(sys_, tol_pd=tol_pd)
     ext = spectral_extremes(sys_)
-    report = _envelope(args, "analyze", _input_stamp("system", args.system), {"tol_pd": tol_pd})
+    report = _envelope(args, "analyze", inputs, {"tol_pd": tol_pd})
     report.update(
         {
             "dim": sys_.dim,
@@ -68,9 +72,10 @@ def _cmd_analyze(args):
 
 
 def _cmd_dual(args):
-    sys_ = load_system(args.system)
+    inputs = {}
+    sys_ = _load(inputs, "system", args.system)
     tol = args.tol if args.tol is not None else 1e-9
-    report = _envelope(args, "dual", _input_stamp("system", args.system), {"residual_tol": tol}, args.seed)
+    report = _envelope(args, "dual", inputs, {"residual_tol": tol}, args.seed)
     if frame_bounds(sys_) is None:
         report.update({"verdict": "not_a_frame"})
         return 1, report
@@ -93,30 +98,32 @@ def _cmd_dual(args):
 
 
 def _cmd_riesz(args):
-    sys_ = load_system(args.system)
+    inputs = {}
+    sys_ = _load(inputs, "system", args.system)
     tol = args.tol if args.tol is not None else 1e-9
     rb = bases.riesz_bounds(sys_, tol)
-    report = _envelope(args, "riesz", _input_stamp("system", args.system), {"tol": tol})
+    report = _envelope(args, "riesz", inputs, {"tol": tol})
     report.update({"verdict": "riesz" if rb is not None else "not_riesz", "riesz_bounds": to_jsonable(rb)})
     return (0 if rb is not None else 1), report
 
 
 def _cmd_onb(args):
-    sys_ = load_system(args.system)
+    inputs = {}
+    sys_ = _load(inputs, "system", args.system)
     tol = args.tol if args.tol is not None else 1e-9
     verdict = bases.is_gf_orthonormal(sys_, tol)
-    report = _envelope(args, "onb", _input_stamp("system", args.system), {"tol": tol})
+    report = _envelope(args, "onb", inputs, {"tol": tol})
     report.update({"verdict": to_jsonable(verdict)})
     return (0 if verdict.is_gf_orthonormal else 1), report
 
 
 def _cmd_cross(args):
-    theta = load_system(args.theta)
-    lam = load_system(args.system)
+    inputs = {}
+    theta = _load(inputs, "theta", args.theta)
+    lam = _load(inputs, "lambda", args.system)
     tol = args.tol if args.tol is not None else 1e-9
     rep = bases.cross_operator(theta, lam, tol)
     rep = bases.classify_cross_operator(rep, lam, tol)
-    inputs = {**_input_stamp("theta", args.theta), **_input_stamp("lambda", args.system)}
     report = _envelope(args, "cross", inputs, {"tol": tol})
     report.update({"report": to_jsonable(rep)})
     ok = rep.intertwine_residual <= tol and rep.surjective
@@ -124,11 +131,12 @@ def _cmd_cross(args):
 
 
 def _cmd_induce(args):
-    sys_ = load_system(args.system)
+    inputs = {}
+    sys_ = _load(inputs, "system", args.system)
     tol = args.tol if args.tol is not None else 1e-9
     fam = induced.induce_vectors(sys_)
     rep = induced.verify_correspondence(sys_, fam, tol)
-    report = _envelope(args, "induce", _input_stamp("system", args.system), {"tol": tol})
+    report = _envelope(args, "induce", inputs, {"tol": tol})
     report.update(
         {
             "family": {
@@ -144,8 +152,9 @@ def _cmd_induce(args):
 
 
 def _cmd_perturb(args):
-    lam_sys = load_system(args.system)
-    theta_sys = load_system(args.perturbed)
+    inputs = {}
+    lam_sys = _load(inputs, "system", args.system)
+    theta_sys = _load(inputs, "perturbed", args.perturbed)
     tol = args.tol if args.tol is not None else 1e-9
     params = perturb.PerturbParams(args.lam, args.mu, args.gamma)
     if args.theorem == "t52":
@@ -174,7 +183,6 @@ def _cmd_perturb(args):
         lam1 = args.lam + args.gamma / np.sqrt(fb.lower)
         rep = perturb.check_invertibility_lemma(u, lam1, args.mu, samples=args.samples, seed=args.seed)
         ok = rep.hypothesis_holds and rep.sandwich_ok
-    inputs = {**_input_stamp("system", args.system), **_input_stamp("perturbed", args.perturbed)}
     report = _envelope(args, "perturb", inputs, {"bracket_tol": tol}, args.seed)
     report.update(
         {

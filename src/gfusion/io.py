@@ -22,6 +22,7 @@ anything else is orthonormalized on load.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 from itertools import chain
@@ -49,15 +50,22 @@ def _is_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
+def _float(x, where: str) -> float:
+    try:
+        return float(x)
+    except OverflowError:
+        raise SystemFileError(f"{where}: integer too large for a float") from None
+
+
 def _entry_from_data(x, field: str, where: str) -> complex | float:
     if field == "complex":
         if _is_number(x):
-            return complex(float(x), 0.0)
+            return complex(_float(x, where), 0.0)
         if isinstance(x, list) and len(x) == 2 and all(_is_number(p) for p in x):
-            return complex(float(x[0]), float(x[1]))
+            return complex(_float(x[0], where), _float(x[1], where))
         raise SystemFileError(f"{where}: complex entries must be numbers or [re, im] pairs")
     if _is_number(x):
-        return float(x)
+        return _float(x, where)
     raise SystemFileError(f"{where}: real entries must be plain numbers")
 
 
@@ -77,15 +85,18 @@ def matrix_from_data(data, field: str, where: str) -> np.ndarray:
     # converts every entry.  An (m, n, 2) float64 array of [re, im] pairs has
     # the memory layout of an (m, n) complex128 one, so the view is exact.
     leaf_types = set(map(type, chain.from_iterable(data)))
-    if leaf_types <= _PLAIN_NUMBERS:
-        return np.array(data, dtype=np.float64).astype(dtype, copy=False)
-    if (
-        field == "complex"
-        and leaf_types == {list}
-        and set(map(len, chain.from_iterable(data))) == {2}
-        and set(map(type, chain.from_iterable(chain.from_iterable(data)))) <= _PLAIN_NUMBERS
-    ):
-        return np.array(data, dtype=np.float64).view(np.complex128)[..., 0]
+    try:
+        if leaf_types <= _PLAIN_NUMBERS:
+            return np.array(data, dtype=np.float64).astype(dtype, copy=False)
+        if (
+            field == "complex"
+            and leaf_types == {list}
+            and set(map(len, chain.from_iterable(data))) == {2}
+            and set(map(type, chain.from_iterable(chain.from_iterable(data)))) <= _PLAIN_NUMBERS
+        ):
+            return np.array(data, dtype=np.float64).view(np.complex128)[..., 0]
+    except OverflowError:
+        pass  # an int too large for a float; the per-entry path names it
     # Per entry: names the offending entry, and accepts complex matrices that
     # mix plain numbers and [re, im] pairs.
     rows = [
@@ -139,24 +150,47 @@ def system_from_dict(data: dict) -> GFusionSystem:
         lam = matrix_from_data(raw.get("lambda"), field, f"{where}.lambda")
         if lam.shape[1] != dim:
             raise SystemFileError(f"{where}.lambda: expected {dim} columns, got {lam.shape[1]}")
-        components.append((float(weight), span, lam))
+        components.append((_float(weight, f"{where}.weight"), span, lam))
     try:
         return make_system(dim, field, components)
     except GFusionError as exc:
         raise SystemFileError(f"system validation failed: {exc}") from exc
 
 
-def load_system(path: str) -> GFusionSystem:
+def read_system(path: str) -> tuple[GFusionSystem, str]:
+    """Load a system file; also return the sha256 hex digest of the bytes that were parsed."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+        data, digest = _read_json(path)
     except OSError as exc:
         raise SystemFileError(f"{path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise SystemFileError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
     except json.JSONDecodeError as exc:
         raise SystemFileError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
-    return system_from_dict(data)
+    return system_from_dict(data), digest
+
+
+def _read_json(path: str) -> tuple[Any, str]:
+    """Parse a file's UTF-8 JSON text; return it with the sha256 hex digest of the file's bytes.
+
+    One read of the bytes serves both.  CR is JSON whitespace, so the text
+    parses as the newline-translated text of a text-mode read would; a syntax
+    error is located in the translated text, as a text-mode read locates it.
+    """
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    digest = hashlib.sha256(raw).hexdigest()
+    text = raw.decode("utf-8")
+    del raw  # parse with only the text alive, as after a text-mode read
+    try:
+        return json.loads(text), digest
+    except json.JSONDecodeError:
+        json.loads(text.replace("\r\n", "\n").replace("\r", "\n"))
+        raise
+
+
+def load_system(path: str) -> GFusionSystem:
+    return read_system(path)[0]
 
 
 def save_system(sys: GFusionSystem, path: str):
@@ -164,14 +198,58 @@ def save_system(sys: GFusionSystem, path: str):
         fh.write(dumps_canonical(system_to_dict(sys)))
 
 
+_encode_scalar = json.JSONEncoder(check_circular=False).encode
+
+
+@functools.cache
+def _number_list_encoder(indent: str):
+    """Encodes a list of numbers as '[a,<newline+indent>b, ...]' with the C encoder; one per nesting depth."""
+    return json.JSONEncoder(separators=(",\n" + indent, ": "), check_circular=False).encode
+
+
+def _encode(obj, indent: str, out: list):
+    """Append to `out` the json.dumps(indent=2, sort_keys=True) text of obj at nesting `indent`."""
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = indent + "  "
+        if set(map(type, obj)) <= _PLAIN_NUMBERS:
+            out.append("[\n" + inner + _number_list_encoder(inner)(obj)[1:-1] + "\n" + indent + "]")
+            return
+        out.append("[\n" + inner)
+        for i, item in enumerate(obj):
+            if i:
+                out.append(",\n" + inner)
+            _encode(item, inner, out)
+        out.append("\n" + indent + "]")
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = indent + "  "
+        out.append("{\n" + inner)
+        for i, (key, value) in enumerate(sorted(obj.items())):
+            if i:
+                out.append(",\n" + inner)
+            out.append(json.encoder.encode_basestring_ascii(key) + ": ")
+            _encode(value, inner, out)
+        out.append("\n" + indent + "}")
+    else:
+        out.append(_encode_scalar(obj))
+
+
 def dumps_canonical(payload: dict) -> str:
-    """Deterministic JSON: sorted keys, fixed separators, trailing newline."""
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    """Deterministic JSON: exactly json.dumps(payload, sort_keys=True, indent=2) plus a newline.
 
-
-def file_digest(path: str) -> str:
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
+    Keys must be str (a TypeError otherwise).  Lists of plain numbers, the
+    bulk of every payload, are encoded by the C encoder in one call each; the
+    stdlib's indent=2 encoder is pure Python.
+    """
+    out: list = []
+    _encode(payload, "", out)
+    out.append("\n")
+    return "".join(out)
 
 
 def to_jsonable(obj: Any) -> Any:

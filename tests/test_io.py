@@ -1,18 +1,27 @@
 """The system-file contract of gfusion.io: entry types, diagnostics, encoding."""
 
+import collections
 import copy
+import hashlib
 import json
+import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
+from helpers import GOLDEN_DIR, run_cli
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gfusion as gf
 from gfusion.errors import SystemFileError
 from gfusion.io import (
+    dumps_canonical,
     load_system,
     matrix_from_data,
     matrix_to_data,
+    read_system,
     save_system,
     system_from_dict,
     to_jsonable,
@@ -228,3 +237,248 @@ def test_save_load_save_is_byte_identical(tmp_path, field, kind):
     save_system(gf.generate(kind, 6, 3, seed=23, field=field), str(first))
     save_system(load_system(str(first)), str(second))
     assert first.read_bytes() == second.read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# Integers too large for a float are input errors that name their entry.
+
+HUGE = 10**400
+
+
+def _with_value(base, keys, value):
+    data = copy.deepcopy(base)
+    target = data
+    for key in keys[:-1]:
+        target = target[key]
+    target[keys[-1]] = value
+    return data
+
+
+@pytest.mark.parametrize(
+    "base, keys, value, where",
+    [
+        (REAL_FILE, ("subsystems", 1, "lambda", 1, 0), HUGE, "subsystems[1].lambda[1][0]"),
+        (REAL_FILE, ("subsystems", 1, "lambda", 1, 0), -HUGE, "subsystems[1].lambda[1][0]"),
+        (REAL_FILE, ("subsystems", 0, "subspace", 1, 0), HUGE, "subsystems[0].subspace[1][0]"),
+        (REAL_FILE, ("subsystems", 1, "weight"), HUGE, "subsystems[1].weight"),
+        (COMPLEX_FILE, ("subsystems", 1, "lambda", 1, 0), [0.5, HUGE], "subsystems[1].lambda[1][0]"),
+        (COMPLEX_FILE, ("subsystems", 1, "lambda", 1, 0), HUGE, "subsystems[1].lambda[1][0]"),
+        (COMPLEX_FILE, ("subsystems", 0, "subspace", 0, 0), [HUGE, 0], "subsystems[0].subspace[0][0]"),
+        (COMPLEX_FILE, ("subsystems", 0, "weight"), HUGE, "subsystems[0].weight"),
+    ],
+    ids=lambda v: v if isinstance(v, str) else None,
+)
+def test_integer_too_large_for_a_float_names_its_path(base, keys, value, where):
+    with pytest.raises(SystemFileError, match="^" + re.escape(where) + ": integer too large for a float$"):
+        system_from_dict(_with_value(base, keys, value))
+
+
+@pytest.mark.parametrize("key", ["lambda", "weight"])
+def test_cli_exits_two_on_an_integer_too_large_for_a_float(tmp_path, capsys, key):
+    huge = "1" + "0" * 400
+    entry = {"lambda": f"[[{huge}]]", "weight": "1"}
+    if key == "weight":
+        entry = {"lambda": "[[1]]", "weight": huge}
+    path = tmp_path / "huge.json"
+    path.write_text(
+        '{"version": 1, "field": "real", "dim": 1, "subsystems": '
+        f'[{{"weight": {entry["weight"]}, "subspace": [[1]], "lambda": {entry["lambda"]}}}]}}'
+    )
+    code, out = run_cli(["analyze", str(path)])
+    assert code == 2 and out == ""
+    err = json.loads(capsys.readouterr().err)
+    where = "subsystems[0].lambda[0][0]" if key == "lambda" else "subsystems[0].weight"
+    assert err == {"error": "SystemFileError", "message": f"{where}: integer too large for a float"}
+
+
+# ---------------------------------------------------------------------------
+# dumps_canonical against its oracle, the stdlib's indent=2 encoder.
+
+
+def _stdlib(x) -> str:
+    return json.dumps(x, sort_keys=True, indent=2) + "\n"
+
+
+_FLOATS = st.one_of(
+    st.floats(),
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 1e308, 1e16, 0.1]),
+    st.floats().map(np.float64),
+)
+_BIG_INTS = st.integers(min_value=10**20, max_value=10**80)
+_INTS = st.one_of(st.integers(), _BIG_INTS, _BIG_INTS.map(lambda i: -i))
+_NUMBERS = st.one_of(_INTS, _FLOATS)
+_TEXT = st.one_of(
+    st.text(max_size=8),
+    st.sampled_from(["", "é", "ü\n", "\x00\x1f\x7f", "\u2028", "\U0001f600", '"\\/']),
+)
+_SCALARS = st.one_of(st.none(), st.booleans(), _NUMBERS, _TEXT)
+_NUMBER_LISTS = st.one_of(
+    st.lists(_NUMBERS, max_size=6),
+    st.lists(st.lists(st.lists(_NUMBERS, max_size=4), max_size=3), max_size=3),
+)
+_MIXED_LISTS = st.lists(st.one_of(_NUMBERS, st.booleans(), st.none(), _TEXT), max_size=6)
+_TREES = st.recursive(
+    st.one_of(_SCALARS, _NUMBER_LISTS, _MIXED_LISTS),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(_TEXT, children, max_size=4),
+    ),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_TREES)
+def test_dumps_canonical_matches_the_stdlib_encoder(tree):
+    assert dumps_canonical(tree) == _stdlib(tree)
+
+
+class _List(list):
+    pass
+
+
+class _Dict(dict):
+    pass
+
+
+@pytest.mark.parametrize(
+    "tree",
+    [
+        {},
+        [],
+        (),
+        [[], {}, ()],
+        (1, 2.5),
+        [(1, 2), (3.0,), ()],
+        {"b": (1, [2, (3,)]), "a": ()},
+        _List([1, 2.0]),
+        [_List([1, None]), _Dict(b=1, a=[2.0])],
+        collections.OrderedDict([("z", 1), ("a", [0.5])]),
+        [np.float64(0.5), 1.0],
+        {"x": np.float64(-0.0), "y": [np.float64(math.inf)]},
+        [True, 1, 0.0],
+        [[1, 2], [3, None]],
+        "é",
+        7,
+        None,
+    ],
+    ids=repr,
+)
+def test_dumps_canonical_follows_the_stdlib_for_containers(tree):
+    assert dumps_canonical(tree) == _stdlib(tree)
+
+
+@pytest.mark.parametrize("key", [1, 1.5, None, True, ("a",)])
+def test_dumps_canonical_rejects_non_string_keys(key):
+    with pytest.raises(TypeError):
+        dumps_canonical({"a": [{key: 1}]})
+
+
+@pytest.mark.parametrize("path", sorted(GOLDEN_DIR.glob("*.json")), ids=lambda p: p.name)
+def test_golden_files_re_encode_to_their_own_bytes(path):
+    text = path.read_text(encoding="utf-8")
+    assert dumps_canonical(json.loads(text)) == text
+
+
+def test_dumps_canonical_of_generated_systems_matches_the_stdlib():
+    for field in ("real", "complex"):
+        data = gf.system_to_dict(gf.generate("frame", 8, 3, seed=3, field=field))
+        assert dumps_canonical(data) == _stdlib(data)
+
+
+# ---------------------------------------------------------------------------
+# read_system: one read of the bytes serves the parse and the digest.
+
+
+def test_read_system_returns_the_sha256_of_the_file(tmp_path):
+    path = tmp_path / "sys.json"
+    save_system(gf.generate("frame", 5, 2, seed=9), str(path))
+    sys_, digest = read_system(str(path))
+    assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
+    assert gf.system_to_dict(sys_) == gf.system_to_dict(load_system(str(path)))
+
+
+def _text_mode_location(path: Path) -> str:
+    """line:col of the parse error as a text-mode read of the file reports it."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            json.loads(fh.read())
+        except json.JSONDecodeError as exc:
+            return f"{exc.lineno}:{exc.colno}"
+    raise AssertionError("file parses")
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+def test_newline_forms_load_and_fail_alike(tmp_path, newline):
+    lf, other = tmp_path / "lf.json", tmp_path / "other.json"
+    text = json.dumps(REAL_FILE, indent=2)
+    lf.write_bytes(text.encode())
+    other.write_bytes(text.replace("\n", newline).encode())
+    _assert_same_system(load_system(str(lf)), load_system(str(other)))
+
+    broken = text.replace('"field": "real"', '"field" "real"')
+    lf.write_bytes(broken.encode())
+    other.write_bytes(broken.replace("\n", newline).encode())
+    where = _text_mode_location(lf)
+    assert where.startswith("3:")
+    for path in (lf, other):
+        assert _text_mode_location(path) == where
+        with pytest.raises(SystemFileError, match="^" + re.escape(f"{path}:{where}: Expecting ':' delimiter") + "$"):
+            load_system(str(path))
+
+
+def test_non_utf8_byte_is_named_at_its_absolute_offset(tmp_path):
+    path = tmp_path / "latin1.json"
+    head = b" " * 10_000 + b'{"version": "'
+    path.write_bytes(head + b'\xe9"}')
+    message = f"latin1.json: not UTF-8 text (invalid continuation byte at byte {len(head)})"
+    with pytest.raises(SystemFileError, match=re.escape(message)):
+        load_system(str(path))
+
+
+def test_missing_file_is_a_system_file_error(tmp_path):
+    path = tmp_path / "nope.json"
+    with pytest.raises(SystemFileError, match="^" + re.escape(f"{path}: [Errno 2]")):
+        read_system(str(path))
+
+
+def test_bom_prefixed_file_is_a_system_file_error(tmp_path):
+    path = tmp_path / "bom.json"
+    path.write_bytes(b"\xef\xbb\xbf" + json.dumps(REAL_FILE).encode())
+    with pytest.raises(SystemFileError, match=re.escape(f"{path}:1:1: Unexpected UTF-8 BOM")):
+        read_system(str(path))
+
+
+def test_every_report_stamps_the_sha256_of_its_input_files(tmp_path):
+    def write(name, sys_, crlf=False):
+        path = tmp_path / name
+        text = json.dumps(gf.system_to_dict(sys_), indent=1)  # not the canonical bytes
+        path.write_bytes((text.replace("\n", "\r\n") if crlf else text).encode())
+        return str(path)
+
+    frame = gf.generate("frame", 5, 2, seed=4)
+    onb_sys = gf.generate("onb", 4, 2, seed=2)
+    onb = write("onb.json", onb_sys)
+    riesz = write("riesz.json", gf.generate_like(onb_sys, "riesz", 3), crlf=True)
+    ref = write("frame.json", frame)
+    pert = write("pert.json", gf.perturbed_copy(frame, 5, radius=1e-3), crlf=True)
+    pair = {"system": ref, "perturbed": pert}
+    requests = [
+        (["analyze", ref], {"system": ref}),
+        (["dual", ref, "--seed", "1"], {"system": ref}),
+        (["riesz", riesz], {"system": riesz}),
+        (["onb", onb], {"system": onb}),
+        (["induce", riesz], {"system": riesz}),
+        (["cross", onb, riesz], {"theta": onb, "lambda": riesz}),
+        (["perturb", ref, pert, "--theorem", "analysis", "--seed", "1"], pair),
+        (["perturb", ref, pert, "--theorem", "lemma", "--seed", "1", "--samples", "50"], pair),
+    ]
+    for argv, files in requests:
+        code, out = run_cli(argv)
+        assert code in (0, 1), argv
+        want = {
+            label: {"path": path, "sha256": hashlib.sha256(Path(path).read_bytes()).hexdigest()}
+            for label, path in files.items()
+        }
+        assert json.loads(out)["inputs"] == want, argv
