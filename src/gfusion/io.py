@@ -25,6 +25,7 @@ import dataclasses
 import functools
 import hashlib
 import json
+import math
 from itertools import chain
 from typing import Any
 
@@ -52,9 +53,12 @@ def _is_number(x) -> bool:
 
 def _float(x, where: str) -> float:
     try:
-        return float(x)
+        out = float(x)
     except OverflowError:
         raise SystemFileError(f"{where}: integer too large for a float") from None
+    if not math.isfinite(out):  # e.g. 1e400, which JSON parses as inf
+        raise SystemFileError(f"{where}: expected a finite number, got {out!r}")
+    return out
 
 
 def _entry_from_data(x, field: str, where: str) -> complex | float:
@@ -85,18 +89,20 @@ def matrix_from_data(data, field: str, where: str) -> np.ndarray:
     # converts every entry.  An (m, n, 2) float64 array of [re, im] pairs has
     # the memory layout of an (m, n) complex128 one, so the view is exact.
     leaf_types = set(map(type, chain.from_iterable(data)))
-    try:
-        if leaf_types <= _PLAIN_NUMBERS:
-            return np.array(data, dtype=np.float64).astype(dtype, copy=False)
-        if (
-            field == "complex"
-            and leaf_types == {list}
-            and set(map(len, chain.from_iterable(data))) == {2}
-            and set(map(type, chain.from_iterable(chain.from_iterable(data)))) <= _PLAIN_NUMBERS
-        ):
-            return np.array(data, dtype=np.float64).view(np.complex128)[..., 0]
-    except OverflowError:
-        pass  # an int too large for a float; the per-entry path names it
+    pairs = (
+        field == "complex"
+        and leaf_types == {list}
+        and set(map(len, chain.from_iterable(data))) == {2}
+        and set(map(type, chain.from_iterable(chain.from_iterable(data)))) <= _PLAIN_NUMBERS
+    )
+    if leaf_types <= _PLAIN_NUMBERS or pairs:
+        try:
+            parts = np.array(data, dtype=np.float64)
+        except OverflowError:
+            parts = None  # an int too large for a float; the per-entry path names it
+        # A non-finite entry (1e400 parses as inf) is also named per entry.
+        if parts is not None and np.isfinite(parts).all():
+            return parts.view(np.complex128)[..., 0] if pairs else parts.astype(dtype, copy=False)
     # Per entry: names the offending entry, and accepts complex matrices that
     # mix plain numbers and [re, im] pairs.
     rows = [
@@ -144,13 +150,14 @@ def system_from_dict(data: dict) -> GFusionSystem:
         weight = raw.get("weight")
         if not _is_number(weight) or not weight > 0:
             raise SystemFileError(f"{where}.weight: expected a positive number, got {weight!r}")
+        weight = _float(weight, f"{where}.weight")
         span = matrix_from_data(raw.get("subspace"), field, f"{where}.subspace")
         if span.shape[0] != dim:
             raise SystemFileError(f"{where}.subspace: expected {dim} rows, got {span.shape[0]}")
         lam = matrix_from_data(raw.get("lambda"), field, f"{where}.lambda")
         if lam.shape[1] != dim:
             raise SystemFileError(f"{where}.lambda: expected {dim} columns, got {lam.shape[1]}")
-        components.append((_float(weight, f"{where}.weight"), span, lam))
+        components.append((weight, span, lam))
     try:
         return make_system(dim, field, components)
     except GFusionError as exc:

@@ -25,6 +25,14 @@ TOL_INV = 1e-9
 # Structure match: weights within TOL_WEIGHT, subspace projectors within TOL_SUBSPACE.
 TOL_WEIGHT = 1e-12
 TOL_SUBSPACE = 1e-10
+# A sampled hypothesis margin <= TOL_SAMPLED_MARGIN * max(1, scale) counts as
+# holding (round-off on exactly tight instances); scale is B for the
+# frame-operator hypothesis and sqrt(B) for the synthesis one, and 1 for the
+# invertibility lemma.
+TOL_SAMPLED_MARGIN = 1e-12
+# The lemma's four sandwich bounds are checked against the singular spectrum
+# with this absolute slack.
+TOL_LEMMA_SLACK = 1e-9
 
 
 def adjoint(x: np.ndarray) -> np.ndarray:

@@ -17,6 +17,15 @@ every report labels the guarantee it carries:
 * ``exact`` -- the hypothesis reduces to a spectral quantity computed
   exactly (analysis-side certifier);
 * ``none`` -- the hypothesis could not be established.
+
+Sampling evaluates the hypothesis's margin on ``samples`` random unit
+vectors per operator triple (one triple per block subset, or one in all for
+the radius condition), then runs projected-gradient ascent on the unit
+sphere from the ``ascent_top`` worst of them.  The starts of a triple ascend
+together: each takes at most ``ascent_steps`` steps, with its own step size
+and stopping rules, and every step evaluates the margin and its gradient
+once, on all the candidate columns.  Terms whose coefficient is 0 are not
+evaluated.
 """
 
 from __future__ import annotations
@@ -26,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotAFrameError
-from .linalg import adjoint, hermitian_eigen_extremes, operator_norm
+from .linalg import TOL_LEMMA_SLACK, TOL_SAMPLED_MARGIN, adjoint, hermitian_eigen_extremes, operator_norm
 from .sampling import random_unit_vectors
 from .system import (
     FrameBounds,
@@ -122,7 +131,7 @@ class LemmaReport:
 
 
 def check_invertibility_lemma(
-    u: np.ndarray, lam1: float, lam2: float, *, samples: int = 2000, seed: int, margin_tol: float = 1e-12
+    u: np.ndarray, lam1: float, lam2: float, *, samples: int = 2000, seed: int, margin_tol: float = TOL_SAMPLED_MARGIN
 ) -> LemmaReport:
     if not (0.0 <= lam1 < 1.0 and 0.0 <= lam2 < 1.0):
         raise ValueError("lam1 and lam2 must lie in [0, 1)")
@@ -141,7 +150,7 @@ def check_invertibility_lemma(
     smin, smax = float(sv[-1]), float(sv[0])
     fl, fu = (1 - lam1) / (1 + lam2), (1 + lam1) / (1 - lam2)
     il, iu = (1 - lam2) / (1 + lam1), (1 + lam2) / (1 - lam1)
-    slack = 1e-9
+    slack = TOL_LEMMA_SLACK
     sandwich = bool(
         smin > 0.0
         and smin >= fl - slack
@@ -197,35 +206,91 @@ def _subset_masks(rng: np.random.Generator, count: int, extra: int) -> list[np.n
     return masks
 
 
-def _ascend(value, grad, starts: np.ndarray, steps: int) -> float:
-    """Projected-gradient ascent on the unit sphere from each start column."""
-    best = -np.inf
-    for idx in range(starts.shape[1]):
-        f = starts[:, idx]
-        cur = value(f)
-        best = max(best, cur)
-        eta = 0.25
-        for _ in range(steps):
-            g = grad(f)
-            g = g - np.real(np.vdot(f, g)) * f
-            gn = np.linalg.norm(g)
-            if gn < 1e-14:
-                break
-            cand = f + eta * g
-            cand = cand / np.linalg.norm(cand)
-            cv = value(cand)
-            if cv > cur:
-                f, cur = cand, cv
-                best = max(best, cv)
-            else:
-                eta *= 0.5
-                if eta < 1e-8:
-                    break
-    return best
+def _ascend(objective, starts: np.ndarray, steps: int) -> np.ndarray:
+    """Projected-gradient ascent on the unit sphere from every start column at once; each column's best value.
+
+    ``objective`` maps a (dim, k) block of unit columns to their k values and
+    (dim, k) gradients.  Each column has its own step size (0.25, halved on
+    every step that does not raise its value) and stops on its own: when its
+    tangent gradient falls below 1e-14, its step size below 1e-8, or after
+    ``steps`` steps.  Every step evaluates the objective once, on the
+    candidates of the columns still moving; an accepted candidate keeps the
+    gradient computed with its value.
+    """
+    f = starts.copy()
+    cur, grad = objective(f)
+    eta = np.full(f.shape[1], 0.25)
+    live = np.arange(f.shape[1])
+    for _ in range(steps):
+        fl = f[:, live]
+        g = grad[:, live]
+        g = g - np.einsum("is,is->s", fl.conj(), g).real * fl
+        gn = np.linalg.norm(g, axis=0)
+        moving = ~(gn < 1e-14)
+        live, fl, g = live[moving], fl[:, moving], g[:, moving]
+        if not live.size:
+            break
+        cand = fl + eta[live] * g
+        cand = cand / np.linalg.norm(cand, axis=0)
+        cv, cg = objective(cand)
+        up = cv > cur[live]
+        won = live[up]
+        f[:, won] = cand[:, up]
+        cur[won] = cv[up]
+        grad[:, won] = cg[:, up]
+        eta[live[~up]] *= 0.5
+        live = live[eta[live] >= 1e-8]
+    return cur
 
 
-def _norm_cols(m: np.ndarray) -> np.ndarray:
-    return np.linalg.norm(m, axis=0)
+def _over(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """num / den column by column; a column whose den is 0 (its term has no gradient there) gives 0."""
+    return np.divide(num, den, out=np.zeros_like(num), where=den > 0)
+
+
+def _margin_objective(d_m, l_m, t_m, params: PerturbParams, quad_form: bool):
+    """The hypothesis margin of one (D, L, T) triple, column by column, with its gradient.
+
+    ``objective(f, grad)`` returns, for a (dim, k) block f of unit columns,
+    the k margins ``||D f|| - lam*||L f|| - mu*||T f|| - gamma * w(f)``, where
+    ``w`` is ``sqrt(f^H L f)`` when ``quad_form`` (frame-operator hypothesis,
+    L PSD) and ``||f|| = 1`` otherwise (synthesis hypothesis), and, when
+    ``grad``, their (dim, k) gradients (else None).  A term whose coefficient
+    is 0 is skipped: it would add exactly 0.0.
+    """
+    lam, mu, gamma = params.lam, params.mu, params.gamma
+    d_h = adjoint(d_m)
+    l_h = adjoint(l_m) if lam else None
+    t_h = adjoint(t_m) if mu else None
+    need_lf = bool(lam or (gamma and quad_form))
+
+    def objective(f, grad=True):
+        df = d_m @ f
+        lhs = np.linalg.norm(df, axis=0)
+        g = _over(d_h @ df, lhs) if grad else None
+        rhs = 0.0
+        lf = l_m @ f if need_lf else None
+        if lam:
+            ln = np.linalg.norm(lf, axis=0)
+            rhs = rhs + lam * ln
+            if grad:
+                g = g - lam * _over(l_h @ lf, ln)
+        if mu:
+            tf = t_m @ f
+            tn = np.linalg.norm(tf, axis=0)
+            rhs = rhs + mu * tn
+            if grad:
+                g = g - mu * _over(t_h @ tf, tn)
+        if gamma and quad_form:
+            root = np.sqrt(np.clip(np.einsum("is,is->s", f.conj(), lf).real, 0.0, None))
+            rhs = rhs + gamma * root
+            if grad:
+                g = g - gamma * _over(lf, root)
+        elif gamma:
+            rhs = rhs + gamma  # constant on the unit sphere: no tangent gradient
+        return lhs - rhs, g
+
+    return objective
 
 
 def _sampled_max_margin(
@@ -238,61 +303,14 @@ def _sampled_max_margin(
     top: int,
     quad_form: bool,
 ) -> float:
-    """Worst sampled hypothesis margin over the given (D, L, T) triples.
-
-    For each triple the margin at unit f is
-    ``||D f|| - lam*||L f|| - mu*||T f|| - gamma * w(f)`` where ``w`` is
-    ``sqrt(f^H L f)`` when ``quad_form`` (frame-operator hypothesis, L PSD)
-    and ``||f||`` otherwise (synthesis hypothesis).
-    """
+    """Worst sampled hypothesis margin over the given (D, L, T) triples (see ``_margin_objective``)."""
     worst = -np.inf
     for d_m, l_m, t_m in matrices:
         f_batch = random_unit_vectors(rng, d_m.shape[1], samples, field)
-        lhs = _norm_cols(d_m @ f_batch)
-        rhs = params.lam * _norm_cols(l_m @ f_batch) + params.mu * _norm_cols(t_m @ f_batch)
-        if params.gamma:
-            if quad_form:
-                q = np.einsum("is,is->s", f_batch.conj(), l_m @ f_batch).real
-                rhs = rhs + params.gamma * np.sqrt(np.clip(q, 0.0, None))
-            else:
-                rhs = rhs + params.gamma
-        margins = lhs - rhs
+        objective = _margin_objective(d_m, l_m, t_m, params, quad_form)
+        margins, _ = objective(f_batch, grad=False)
         order = np.argsort(margins)[::-1][:top]
-
-        def value(f, d_m=d_m, l_m=l_m, t_m=t_m):
-            out = np.linalg.norm(d_m @ f) - params.lam * np.linalg.norm(l_m @ f)
-            out -= params.mu * np.linalg.norm(t_m @ f)
-            if params.gamma:
-                if quad_form:
-                    out -= params.gamma * np.sqrt(max(np.vdot(f, l_m @ f).real, 0.0))
-                else:
-                    out -= params.gamma * np.linalg.norm(f)
-            return float(out)
-
-        def grad(f, d_m=d_m, l_m=l_m, t_m=t_m, d_h=adjoint(d_m), l_h=adjoint(l_m), t_h=adjoint(t_m)):
-            g = np.zeros_like(f)
-            df = d_m @ f
-            dn = np.linalg.norm(df)
-            if dn > 0:
-                g = g + d_h @ df / dn
-            lf = l_m @ f
-            ln = np.linalg.norm(lf)
-            if params.lam and ln > 0:
-                g = g - params.lam * (l_h @ lf) / ln
-            tf = t_m @ f
-            tn = np.linalg.norm(tf)
-            if params.mu and tn > 0:
-                g = g - params.mu * (t_h @ tf) / tn
-            if params.gamma:
-                if quad_form:
-                    q = max(np.vdot(f, lf).real, 0.0)
-                    if q > 0:
-                        g = g - params.gamma * lf / np.sqrt(q)
-                else:
-                    g = g - params.gamma * f
-            return g
-
-        worst = max(worst, _ascend(value, grad, f_batch[:, order], steps))
+        worst = max(worst, _ascend(objective, f_batch[:, order], steps).max(initial=-np.inf))
     return float(worst)
 
 
@@ -324,8 +342,10 @@ def certify_frame_operator_perturbation(
     B*(1+lam+gamma/sqrt(B))/(1-mu).
 
     The sound certificate checks ``||S_lam - S_theta|| <= lam*A + gamma*sqrt(A)``
-    (the mu = 0 sufficient condition); otherwise the hypothesis is sampled on
-    the full index set and random subsets.
+    (the mu = 0 sufficient condition) and covers the full index set only,
+    which is all the predicted bounds need.  Otherwise the hypothesis is
+    sampled on the full index set plus up to ``subset_count - 1`` distinct
+    random nonempty subsets.
     """
     require_same_structure(lam_sys, theta_sys)
     a, b = _reference_bounds(lam_sys)
@@ -357,7 +377,7 @@ def certify_frame_operator_perturbation(
         )
         mode = "sampled"
         margin = sampled_margin
-        inequality_ok = sampled_margin <= 1e-12 * max(1.0, b)
+        inequality_ok = sampled_margin <= TOL_SAMPLED_MARGIN * max(1.0, b)
     else:
         mode = "none"
         margin = cert_margin
@@ -426,24 +446,22 @@ def certify_R_condition(
     elif samples > 0:
         rng = np.random.default_rng(seed)
         f_batch = random_unit_vectors(rng, lam_sys.dim, samples, lam_sys.field)
-        values = sum(_norm_cols(d @ f_batch) for d in diffs)
-        order = np.argsort(values)[::-1][:ascent_top]
-
-        def value(f):
-            return float(sum(np.linalg.norm(d @ f) for d in diffs))
-
         diffs_h = [adjoint(d) for d in diffs]
 
-        def grad(f):
-            g = np.zeros_like(f)
+        def objective(f, grad=True):
+            """sum_j ||D_j f|| per column of f, with its gradient when ``grad``."""
+            value, g = 0, 0
             for d, d_h in zip(diffs, diffs_h):
                 df = d @ f
-                dn = np.linalg.norm(df)
-                if dn > 0:
-                    g = g + d_h @ df / dn
-            return g
+                dn = np.linalg.norm(df, axis=0)
+                value = value + dn
+                if grad:
+                    g = g + _over(d_h @ df, dn)
+            return value, g if grad else None
 
-        r_sampled = float(_ascend(value, grad, f_batch[:, order], ascent_steps))
+        values, _ = objective(f_batch, grad=False)
+        order = np.argsort(values)[::-1][:ascent_top]
+        r_sampled = float(_ascend(objective, f_batch[:, order], ascent_steps).max(initial=-np.inf))
         if r_sampled < a:
             mode = "sampled"
             radius = r_sampled
@@ -496,7 +514,10 @@ def certify_synthesis_perturbation(
 
     Hypothesis over direct-sum sequences g (and block subsets):
     ``||(T_lam - T_theta) g|| <= lam*||T_lam g|| + mu*||T_theta g|| +
-    gamma*||g||``.  Sound certificate: ``||T_lam - T_theta|| <= gamma``.
+    gamma*||g||``.  Sound certificate: ``||T_lam - T_theta|| <= gamma``, which
+    covers the full index set only, as the predicted bounds need.  Otherwise
+    the hypothesis is sampled on the full index set plus up to
+    ``subset_count - 1`` distinct random nonempty subsets.
 
     The published lower bound ``A*(1-(lam+gamma/sqrt(A))^2)/(1+mu)`` and the
     proof-derived one ``A*((1-(lam+gamma/sqrt(A)))/(1+mu))^2`` disagree; both
@@ -532,7 +553,7 @@ def certify_synthesis_perturbation(
         )
         mode = "sampled"
         margin = sampled_margin
-        inequality_ok = sampled_margin <= 1e-12 * max(1.0, sqrt_b)
+        inequality_ok = sampled_margin <= TOL_SAMPLED_MARGIN * max(1.0, sqrt_b)
     else:
         mode = "none"
         margin = cert_margin

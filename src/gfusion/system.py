@@ -68,8 +68,8 @@ class Subsystem:
     operator: np.ndarray  # block_dim x ambient_dim
 
     def __post_init__(self):
-        if not self.weight > 0:
-            raise ValueError(f"weight must be positive, got {self.weight}")
+        if not (self.weight > 0 and np.isfinite(self.weight)):
+            raise ValueError(f"weight must be positive and finite, got {self.weight}")
         op = np.asarray(self.operator)
         require_finite(op, "block operator")
         if op.ndim != 2 or op.shape[0] < 1:

@@ -6,6 +6,7 @@ import hashlib
 import json
 import math
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -289,6 +290,66 @@ def test_cli_exits_two_on_an_integer_too_large_for_a_float(tmp_path, capsys, key
     err = json.loads(capsys.readouterr().err)
     where = "subsystems[0].lambda[0][0]" if key == "lambda" else "subsystems[0].weight"
     assert err == {"error": "SystemFileError", "message": f"{where}: integer too large for a float"}
+
+
+# ---------------------------------------------------------------------------
+# Numbers that parse as non-finite floats (1e400 reads as inf; the json module
+# also accepts NaN and Infinity) are input errors that name their entry.
+
+INF = float("inf")
+
+
+@pytest.mark.parametrize(
+    "base, keys, value, where",
+    [
+        (REAL_FILE, ("subsystems", 1, "lambda", 1, 0), INF, "subsystems[1].lambda[1][0]"),
+        (REAL_FILE, ("subsystems", 1, "lambda", 1, 0), -INF, "subsystems[1].lambda[1][0]"),
+        (REAL_FILE, ("subsystems", 1, "lambda", 1, 0), math.nan, "subsystems[1].lambda[1][0]"),
+        (REAL_FILE, ("subsystems", 0, "subspace", 1, 0), INF, "subsystems[0].subspace[1][0]"),
+        (REAL_FILE, ("subsystems", 1, "weight"), INF, "subsystems[1].weight"),
+        (COMPLEX_FILE, ("subsystems", 1, "lambda", 1, 0), [0.5, INF], "subsystems[1].lambda[1][0]"),
+        (COMPLEX_FILE, ("subsystems", 1, "lambda", 1, 0), [math.nan, 0.5], "subsystems[1].lambda[1][0]"),
+        (COMPLEX_FILE, ("subsystems", 1, "lambda", 1, 0), -INF, "subsystems[1].lambda[1][0]"),
+        (COMPLEX_FILE, ("subsystems", 0, "subspace", 0, 0), [INF, 0], "subsystems[0].subspace[0][0]"),
+        (COMPLEX_FILE, ("subsystems", 0, "weight"), INF, "subsystems[0].weight"),
+    ],
+    ids=lambda v: v if isinstance(v, str) else None,
+)
+def test_non_finite_number_names_its_path(base, keys, value, where):
+    with pytest.raises(SystemFileError, match="^" + re.escape(where) + r": expected a finite number, got -?(inf|nan)$"):
+        system_from_dict(_with_value(base, keys, value))
+
+
+@pytest.mark.parametrize(
+    "weight, lam, where, shown",
+    [
+        ("1e400", "[[1]]", "subsystems[0].weight", "inf"),
+        ("1", "[[1e400]]", "subsystems[0].lambda[0][0]", "inf"),
+        ("1", "[[-1e400]]", "subsystems[0].lambda[0][0]", "-inf"),
+        ("1", "[[NaN]]", "subsystems[0].lambda[0][0]", "nan"),
+    ],
+)
+def test_cli_exits_two_on_a_non_finite_number(tmp_path, capsys, weight, lam, where, shown):
+    path = tmp_path / "overflow.json"
+    path.write_text(
+        '{"version": 1, "field": "real", "dim": 1, "subsystems": '
+        f'[{{"weight": {weight}, "subspace": [[1]], "lambda": {lam}}}]}}'
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy RuntimeWarning on the way
+        code, out = run_cli(["analyze", str(path)])
+    assert code == 2 and out == ""
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "SystemFileError", "message": f"{where}: expected a finite number, got {shown}"}
+
+
+@pytest.mark.parametrize("weight", [INF, math.nan])
+def test_library_rejects_a_non_finite_weight(weight):
+    with pytest.raises(ValueError, match="weight must be positive and finite"):
+        gf.make_system(2, "real", [(weight, np.eye(2), np.ones((1, 2)))])
+    space = gf.make_system(2, "real", [(1.0, np.eye(2), np.ones((1, 2)))]).subsystems[0].subspace
+    with pytest.raises(ValueError, match="weight must be positive and finite"):
+        gf.Subsystem(weight, space, np.ones((1, 2)))
 
 
 # ---------------------------------------------------------------------------

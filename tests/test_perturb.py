@@ -7,7 +7,8 @@ from helpers import coordinate_system, fitted_radius, full_space_system, scale_b
 import gfusion as gf
 from gfusion.errors import SystemMismatch
 from gfusion.linalg import adjoint, hermitian_eigen_extremes, operator_norm
-from gfusion.sampling import well_conditioned_matrix
+from gfusion.perturb import _ascend, _margin_objective
+from gfusion.sampling import gaussian_matrix, haar_unitary, random_unit_vectors, well_conditioned_matrix
 
 
 def small_frame(seed, dim=6, blocks=3):
@@ -324,3 +325,163 @@ def test_zero_perturbation_fixed_point_all_certifiers():
         assert rep.predicted.lower <= fb.lower + 1e-9
         assert rep.predicted.upper >= fb.upper - 1e-9
         assert rep.bracket_ok
+
+
+# ---------------------------------------------------------------------------
+# The batched ascent against the column-by-column loop it replaced.
+
+
+def _reference_ascent(d_m, l_m, t_m, params, quad_form, starts, steps):
+    """Column-by-column projected-gradient ascent with separate value and gradient; each start's best value."""
+
+    def value(f):
+        out = np.linalg.norm(d_m @ f) - params.lam * np.linalg.norm(l_m @ f)
+        out -= params.mu * np.linalg.norm(t_m @ f)
+        if params.gamma:
+            if quad_form:
+                out -= params.gamma * np.sqrt(max(np.vdot(f, l_m @ f).real, 0.0))
+            else:
+                out -= params.gamma * np.linalg.norm(f)
+        return float(out)
+
+    def grad(f):
+        g = np.zeros_like(f)
+        df, lf, tf = d_m @ f, l_m @ f, t_m @ f
+        dn, ln, tn = np.linalg.norm(df), np.linalg.norm(lf), np.linalg.norm(tf)
+        if dn > 0:
+            g = g + adjoint(d_m) @ df / dn
+        if params.lam and ln > 0:
+            g = g - params.lam * (adjoint(l_m) @ lf) / ln
+        if params.mu and tn > 0:
+            g = g - params.mu * (adjoint(t_m) @ tf) / tn
+        if params.gamma:
+            if quad_form:
+                q = max(np.vdot(f, lf).real, 0.0)
+                if q > 0:
+                    g = g - params.gamma * lf / np.sqrt(q)
+            else:
+                g = g - params.gamma * f
+        return g
+
+    best = []
+    for idx in range(starts.shape[1]):
+        f = starts[:, idx]
+        cur = value(f)
+        eta = 0.25
+        for _ in range(steps):
+            g = grad(f)
+            g = g - np.real(np.vdot(f, g)) * f
+            if np.linalg.norm(g) < 1e-14:
+                break
+            cand = f + eta * g
+            cand = cand / np.linalg.norm(cand)
+            cv = value(cand)
+            if cv > cur:
+                f, cur = cand, cv
+            else:
+                eta *= 0.5
+                if eta < 1e-8:
+                    break
+        best.append(cur)
+    return np.array(best)
+
+
+def _triple(rng, field, rows, cols, quad_form):
+    d_m, l_m, t_m = (gaussian_matrix(rng, rows, cols, field) for _ in range(3))
+    if quad_form:  # the frame-operator hypothesis: square, L positive semidefinite
+        l_m = adjoint(l_m) @ l_m
+    return d_m, l_m, t_m
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("k", [1, 5])
+@pytest.mark.parametrize("quad_form", [False, True])
+@pytest.mark.parametrize("lam, mu, gamma", [(a, b, c) for a in (0.0, 0.3) for b in (0.0, 0.2) for c in (0.0, 0.1)])
+def test_batched_ascent_matches_column_by_column(field, k, quad_form, lam, mu, gamma):
+    rng = np.random.default_rng([k, quad_form, int(10 * lam), int(10 * mu), int(10 * gamma), field == "complex"])
+    cols = 6
+    d_m, l_m, t_m = _triple(rng, field, cols if quad_form else 4, cols, quad_form)
+    params = gf.PerturbParams(lam=lam, mu=mu, gamma=gamma)
+    starts = random_unit_vectors(rng, cols, k, field)
+    objective = _margin_objective(d_m, l_m, t_m, params, quad_form)
+    got = _ascend(objective, starts, 50)
+    want = _reference_ascent(d_m, l_m, t_m, params, quad_form, starts, 50)
+    assert got.shape == (k,)
+    np.testing.assert_array_less(np.abs(got - want), 1e-9 * np.maximum(1.0, np.abs(want)))
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("quad_form", [False, True])
+@pytest.mark.parametrize("lam, mu, gamma", [(a, b, c) for a in (0.0, 0.3) for b in (0.0, 0.2) for c in (0.0, 0.1)])
+def test_screening_margins_are_bit_identical_with_zero_terms_skipped(field, quad_form, lam, mu, gamma):
+    # The screening formula with every term evaluated: x + 0.0 * y == x, so
+    # skipping the terms whose coefficient is 0 changes no bit.
+    rng = np.random.default_rng([3, quad_form, field == "complex"])
+    d_m, l_m, t_m = _triple(rng, field, 6 if quad_form else 4, 6, quad_form)
+    f = random_unit_vectors(rng, 6, 300, field)
+    rhs = lam * np.linalg.norm(l_m @ f, axis=0) + mu * np.linalg.norm(t_m @ f, axis=0)
+    if gamma:
+        if quad_form:
+            q = np.einsum("is,is->s", f.conj(), l_m @ f).real
+            rhs = rhs + gamma * np.sqrt(np.clip(q, 0.0, None))
+        else:
+            rhs = rhs + gamma
+    want = np.linalg.norm(d_m @ f, axis=0) - rhs
+    objective = _margin_objective(d_m, l_m, t_m, gf.PerturbParams(lam=lam, mu=mu, gamma=gamma), quad_form)
+    got, grad = objective(f, grad=False)
+    assert grad is None
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("k", [1, 5])
+def test_batched_ascent_reaches_the_top_singular_value(field, k):
+    # ||A f|| on the unit sphere peaks at sigma_max(A) = 3; a spectral gap of 2
+    # makes the ascent converge well within its steps.  With k = 5, the first
+    # start is the right singular vector of sigma = 1.5, a stationary point:
+    # that column stops at once while the others climb on.
+    rng = np.random.default_rng(7 + k)
+    w = haar_unitary(rng, 5, field)
+    a = haar_unitary(rng, 5, field) @ np.diag([3.0, 1.5, 1.0, 0.5, 0.1]) @ w
+    zero = np.zeros_like(a)
+    objective = _margin_objective(a, zero, zero, gf.PerturbParams(), False)
+    starts = random_unit_vectors(rng, 5, k, field)
+    want = np.full(k, 3.0)
+    if k > 1:
+        starts[:, 0], want[0] = adjoint(w)[:, 1], 1.5
+    got = _ascend(objective, starts, 200)
+    np.testing.assert_allclose(got, want, rtol=1e-9, atol=0.0)
+
+
+# ---------------------------------------------------------------------------
+# The sampled path pinned on fixed instances: a change to the draws, their
+# order, the screening or the ascent's arithmetic beyond round-off shows here.
+# Values recorded with the column-by-column ascent.
+
+
+def _sampled_pair(field, seed):
+    lam = gf.generate("frame", 6, 3, seed=seed, field=field, max_condition=50)
+    radius = 0.3 * np.sqrt(gf.frame_bounds(lam).lower)  # too far for the norm certificates
+    return lam, gf.perturbed_copy(lam, seed=seed + 100, radius=radius)
+
+
+def test_pinned_sampled_frame_operator_margin():
+    lam, theta = _sampled_pair("real", 3)
+    p = gf.PerturbParams(lam=0.3, mu=0.2, gamma=0.05)
+    rep = gf.certify_frame_operator_perturbation(lam, theta, p, samples=400, seed=11)
+    assert (rep.mode, rep.hypothesis_holds) == ("sampled", False)
+    assert rep.sampled_margin == pytest.approx(0.08638651094585831, rel=1e-6)
+
+
+def test_pinned_sampled_synthesis_margin():
+    lam, theta = _sampled_pair("complex", 4)
+    rep = gf.certify_synthesis_perturbation(lam, theta, gf.PerturbParams(lam=0.3), samples=400, seed=12)
+    assert (rep.mode, rep.hypothesis_holds) == ("sampled", False)
+    assert rep.sampled_margin == pytest.approx(0.12351959783338727, rel=1e-6)
+
+
+def test_pinned_sampled_radius():
+    lam, theta = _sampled_pair("real", 3)
+    rep = gf.certify_R_condition(lam, theta, samples=400, seed=13)
+    assert (rep.mode, rep.hypothesis_holds) == ("sampled", True)
+    assert rep.radius_sampled == pytest.approx(0.29246883711373856, rel=1e-6)
