@@ -15,13 +15,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionFailed
-from .linalg import adjoint, gram_eigen_extremes, hermitian_eigenvalues, operator_norm, orthonormalize
+from .linalg import adjoint, gram_eigen_extremes, operator_norm, orthonormalize
 from .system import (
     FrameBounds,
     GFusionSystem,
     analysis_matrix,
     frame_bounds,
-    frame_operator,
     is_gf_complete,
     require_same_structure,
     split_blocks,
@@ -33,8 +32,8 @@ class BasisVerdict:
     is_riesz: bool
     riesz_bounds: FrameBounds | None
     is_gf_orthonormal: bool
-    gram_deviation: float      # max block deviation of the weighted Gram from delta_ij * I
-    parseval_deviation: float  # ||S - I||
+    gram_deviation: float      # ||K K^H - I||: the whole weighted Gram against delta_ij * I
+    parseval_deviation: float  # ||S - I|| = max |w - 1| over the eigenvalues w of S
 
 
 def riesz_bounds(sys: GFusionSystem, tol: float = 1e-9) -> FrameBounds | None:
@@ -48,23 +47,11 @@ def riesz_bounds(sys: GFusionSystem, tol: float = 1e-9) -> FrameBounds | None:
     The verdict requires gf-completeness and smallest singular value above
     ``tol``.
     """
-    ext = gram_eigen_extremes(hermitian_eigenvalues(frame_operator(sys)), sum(sys.block_dims))
+    ext = gram_eigen_extremes(sys.spectrum, sum(sys.block_dims))
     lower = max(ext.min_eig, 0.0)
     if not is_gf_complete(sys) or np.sqrt(lower) <= tol:
         return None
     return FrameBounds(lower, ext.max_eig, "optimal-spectral")
-
-
-def _gram_block_deviation(sys: GFusionSystem) -> float:
-    blocks = split_blocks(sys, analysis_matrix(sys))
-    dev = 0.0
-    for i, k_i in enumerate(blocks):
-        for j, k_j in enumerate(blocks):
-            block = k_i @ adjoint(k_j)
-            if i == j:
-                block = block - np.eye(block.shape[0])
-            dev = max(dev, operator_norm(block))
-    return dev
 
 
 def is_gf_orthonormal(sys: GFusionSystem, tol: float = 1e-9) -> BasisVerdict:
@@ -74,9 +61,15 @@ def is_gf_orthonormal(sys: GFusionSystem, tol: float = 1e-9) -> BasisVerdict:
         delta_ij * identity within ``tol`` (the operator form of the
         universally quantified inner-product condition), and
     (b) the frame operator equals the identity within ``tol``.
+
+    Both are read off the cached eigenvalues w of S: ``gram_deviation`` is
+    ||K K^H - I|| (shared-spectrum rule), which bounds every block's
+    deviation and is 0 exactly when they all are; ``parseval_deviation`` is max |w - 1|.
     """
-    gram_dev = _gram_block_deviation(sys)
-    pars_dev = operator_norm(frame_operator(sys) - np.eye(sys.dim))
+    w = sys.spectrum
+    gram = gram_eigen_extremes(w, sum(sys.block_dims))
+    gram_dev = max(abs(gram.max_eig - 1.0), abs(gram.min_eig - 1.0))
+    pars_dev = float(np.max(np.abs(w - 1.0)))
     rb = riesz_bounds(sys, tol)
     return BasisVerdict(
         is_riesz=rb is not None,
@@ -135,11 +128,10 @@ def classify_cross_operator(
     Invertibility uses the smallest singular value with an absolute threshold
     scaled by the largest one.
     """
-    v = report.matrix
-    eye = np.eye(v.shape[0])
-    adj_iso = operator_norm(v @ adjoint(v) - eye) <= tol
-    sv = np.linalg.svd(v, compute_uv=False)
-    invertible = bool(sv.size and sv[-1] > tol * sv[0])
+    sv = np.linalg.svd(report.matrix, compute_uv=False)
+    # V is n x n, so ||V V^H - I|| is the largest distance of a squared singular value from 1.
+    adj_iso = bool(np.abs(sv**2 - 1.0).max() <= tol)
+    invertible = bool(sv[-1] > tol * sv[0])
     return dataclasses.replace(
         report,
         adjoint_isometric=bool(adj_iso),

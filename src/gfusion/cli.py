@@ -161,20 +161,16 @@ def _cmd_perturb(args):
         rep = perturb.certify_frame_operator_perturbation(
             lam_sys, theta_sys, params, samples=args.samples, seed=args.seed, bracket_tol=tol
         )
-        ok = rep.hypothesis_holds and bool(rep.bracket_ok)
     elif args.theorem == "cR":
         rep = perturb.certify_R_condition(
             lam_sys, theta_sys, samples=args.samples, seed=args.seed, bracket_tol=tol
         )
-        ok = rep.hypothesis_holds and bool(rep.bracket_ok)
     elif args.theorem == "synth":
         rep = perturb.certify_synthesis_perturbation(
             lam_sys, theta_sys, params, samples=args.samples, seed=args.seed, bracket_tol=tol
         )
-        ok = rep.hypothesis_holds and bool(rep.bracket_ok)
     elif args.theorem == "analysis":
         rep = perturb.certify_analysis_perturbation(lam_sys, theta_sys, bracket_tol=tol)
-        ok = rep.hypothesis_holds and bool(rep.bracket_ok)
     else:  # lemma: U = S_theta S_lambda^-1, lam1 = lam + gamma/sqrt(A), lam2 = mu
         fb = frame_bounds(lam_sys)
         if fb is None:
@@ -182,7 +178,7 @@ def _cmd_perturb(args):
         u = frame_operator(theta_sys) @ hpd_inverse(frame_operator(lam_sys))
         lam1 = args.lam + args.gamma / np.sqrt(fb.lower)
         rep = perturb.check_invertibility_lemma(u, lam1, args.mu, samples=args.samples, seed=args.seed)
-        ok = rep.hypothesis_holds and rep.sandwich_ok
+    ok = rep.hypothesis_holds and bool(rep.sandwich_ok if args.theorem == "lemma" else rep.bracket_ok)
     report = _envelope(args, "perturb", inputs, {"bracket_tol": tol}, args.seed)
     report.update(
         {

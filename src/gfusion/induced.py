@@ -16,8 +16,10 @@ import numpy as np
 
 from .bases import BasisVerdict, is_gf_orthonormal
 from .errors import BadBasis, DimensionMismatch
-from .linalg import TOL_ORTHO, SpectralBounds, adjoint, gram_eigen_extremes, hermitian_eigen_extremes, hermitian_eigenvalues
-from .system import FrameBounds, GFusionSystem, analysis_matrix, frame_bounds, frame_operator, split_blocks
+from .linalg import TOL_ORTHO, SpectralBounds, adjoint, gram_eigen_extremes, hermitian_eigenvalues
+from .system import (
+    FrameBounds, GFusionSystem, analysis_matrix, frame_bounds, frame_operator, spectral_extremes, split_blocks
+)
 
 
 @dataclass(frozen=True)
@@ -87,13 +89,12 @@ def verify_correspondence(sys: GFusionSystem, fam: InducedFamily, tol: float = 1
     Gram and U U^H share their extremes and (c)'s Riesz-bound agreement
     follows from (a); it is not an independent check.
     """
+    sys_ext = spectral_extremes(sys)
     u = fam.matrix()
-    s = frame_operator(sys)
     induced_op = u @ adjoint(u)
-    coincidence = float(np.linalg.norm(induced_op - s, 2))
+    coincidence = float(np.linalg.norm(induced_op - frame_operator(sys), 2))
     ind_eigs = hermitian_eigenvalues(induced_op)
     ind_ext = SpectralBounds(float(ind_eigs[0]), float(ind_eigs[-1]))
-    sys_ext = hermitian_eigen_extremes(s)
     bounds_agree = bool(
         abs(ind_ext.min_eig - sys_ext.min_eig) <= tol and abs(ind_ext.max_eig - sys_ext.max_eig) <= tol
     )

@@ -8,8 +8,8 @@ g-fusion frame when that form is bounded between A*||f||^2 and B*||f||^2
 with 0 < A <= B.
 
 Every operator derives from the stacked analysis matrix K (row blocks
-v_j L_j P_j), cached on the system at first use: analysis is K, synthesis
-K^H, the frame operator S = K^H K, and completeness is rank K = dim.
+v_j L_j P_j), cached on the system at first use, as is the spectrum of
+S = K^H K: analysis is K, synthesis K^H, completeness is rank K = dim.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from .linalg import (
     Subspace,
     _readonly,
     adjoint,
-    hermitian_eigen_extremes,
     hpd_inverse,
     orthonormalize,
     require_finite,
@@ -131,10 +130,20 @@ class GFusionSystem:
 
     @cached_property
     def analysis_matrix(self) -> np.ndarray:
-        """Stacked analysis matrix K (read-only): row block j is v_j L_j P_j."""
-        k = np.vstack([sub.weight * (sub.operator @ sub.subspace.projector()) for sub in self.subsystems])
+        """Stacked analysis matrix K (read-only): row block j is v_j L_j P_j, which must not overflow."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            blocks = [sub.weight * (sub.operator @ sub.subspace.projector()) for sub in self.subsystems]
+        for i, block in enumerate(blocks):
+            require_finite(block, f"subsystem {i}: the weighted block v_j L_j P_j")
+        k = np.vstack(blocks)
         k.flags.writeable = False
         return k
+
+    @cached_property
+    def spectrum(self) -> np.ndarray:
+        """Ascending eigenvalues of S = K^H K (read-only), its round-off asymmetry averaged out."""
+        s = frame_operator(self)
+        return _readonly(np.linalg.eigvalsh((s + adjoint(s)) / 2.0))
 
 
 def require_same_structure(a: GFusionSystem, b: GFusionSystem, tol_subspace: float = TOL_SUBSPACE):
@@ -268,9 +277,11 @@ def synthesis_matrix(sys: GFusionSystem) -> np.ndarray:
 
 
 def frame_operator(sys: GFusionSystem) -> np.ndarray:
-    """S = K^H K = sum_j v_j^2 P_j L_j^H L_j P_j."""
+    """S = K^H K = sum_j v_j^2 P_j L_j^H L_j P_j; NonFiniteInput if it overflows."""
     k = sys.analysis_matrix
-    return adjoint(k) @ k
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = adjoint(k) @ k
+    return require_finite(s, "frame operator K^H K")
 
 
 def frame_bounds(sys: GFusionSystem, tol_pd: float = TOL_PD) -> FrameBounds | None:
@@ -278,15 +289,15 @@ def frame_bounds(sys: GFusionSystem, tol_pd: float = TOL_PD) -> FrameBounds | No
 
     None is a verdict, not an error: pipelines continue on degenerate input.
     """
-    ext = hermitian_eigen_extremes(frame_operator(sys))
+    ext = spectral_extremes(sys)
     if ext.min_eig <= tol_pd:
         return None
     return FrameBounds(ext.min_eig, ext.max_eig, "optimal-spectral")
 
 
 def spectral_extremes(sys: GFusionSystem) -> SpectralBounds:
-    """Eigenvalue extremes of the frame operator regardless of frame status."""
-    return hermitian_eigen_extremes(frame_operator(sys))
+    """Eigenvalue extremes of the frame operator regardless of frame status (from the cached spectrum)."""
+    return SpectralBounds(float(sys.spectrum[0]), float(sys.spectrum[-1]))
 
 
 def is_gf_complete(sys: GFusionSystem, tol: float = TOL_RANK) -> bool:

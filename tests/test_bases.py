@@ -10,6 +10,7 @@ import gfusion as gf
 from gfusion.errors import PreconditionFailed
 from gfusion.linalg import adjoint, operator_norm
 from gfusion.sampling import gaussian_matrix, random_partition, well_conditioned_matrix
+from gfusion.system import split_blocks
 
 
 class TestRieszBounds:
@@ -226,3 +227,74 @@ class TestGramSpectrumOracle:
         assert abs(rep.gram_identity_deviation - np.abs(w - 1.0).max()) <= scale
         if shape == "over":
             assert rb is None and rep.gram_extremes.min_eig == 0.0
+
+
+def _block_gram_deviation(sys):
+    """The former J^2 block loop: the largest ||v_i v_j L_j P_j P_i L_i^H - delta_ij I|| over block pairs."""
+    blocks = split_blocks(sys, gf.analysis_matrix(sys))
+    dev = 0.0
+    for i, k_i in enumerate(blocks):
+        for j, k_j in enumerate(blocks):
+            block = k_i @ adjoint(k_j)
+            if i == j:
+                block = block - np.eye(block.shape[0])
+            dev = max(dev, operator_norm(block))
+    return dev
+
+
+def _block_loop_verdict(sys, tol=1e-9):
+    """The gf-orthonormal verdict as the block loop and an explicit ||S - I|| decided it."""
+    parseval = operator_norm(gf.frame_operator(sys) - np.eye(sys.dim))
+    return bool(_block_gram_deviation(sys) <= tol and parseval <= tol)
+
+
+class TestGramDeviationOracle:
+    """gram_deviation is ||K K^H - I||, read off S's spectrum; the block loop it replaced is the oracle."""
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("shape", ["under", "square", "over"])
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(2, 8), blocks=st.integers(1, 7), seed=st.integers(0, 10_000))
+    def test_full_gram_norm_bounds_every_block(self, shape, field, n, blocks, seed):
+        blocks = 1 + (blocks - 1) % (n - 1)
+        sys = _shaped_system(n, blocks, seed, shape, field)
+        k = gf.analysis_matrix(sys)
+        s = gf.frame_operator(sys)
+        scale = 1e-12 * max(1.0, operator_norm(s))
+        verdict = gf.is_gf_orthonormal(sys)
+        assert abs(verdict.gram_deviation - operator_norm(k @ adjoint(k) - np.eye(k.shape[0]))) <= scale
+        assert verdict.gram_deviation >= _block_gram_deviation(sys) - scale
+        assert abs(verdict.parseval_deviation - operator_norm(s - np.eye(n))) <= scale
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("kind", ["onb", "parseval", "riesz", "frame"])
+    def test_verdict_unchanged_on_generated_draws(self, kind, field):
+        for seed in range(8):
+            sys = gf.generate(kind, 6, 3, seed=seed, field=field)
+            verdict = gf.is_gf_orthonormal(sys).is_gf_orthonormal
+            assert verdict == _block_loop_verdict(sys)
+            if kind == "onb":
+                assert verdict
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize(
+        "weights", [(1.0, 1.0), (2.0, 1.0), (1.0, 1.0, 1.0), (1.0, 1e-8), (1.0 + 1e-10, 1.0), (1.0 + 1e-8, 1.0)]
+    )
+    def test_verdict_unchanged_on_coordinate_systems(self, weights, field):
+        sys = coordinate_system(weights, field)
+        assert gf.is_gf_orthonormal(sys).is_gf_orthonormal == _block_loop_verdict(sys)
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("kind", ["onb", "parseval", "riesz", "frame"])
+def test_cross_classification_matches_explicit_norms(kind, field):
+    # The flags come from one SVD of V; the oracle forms V V^H - I explicitly.
+    for seed in range(4):
+        theta = gf.generate("onb", 6, 3, seed=seed, field=field)
+        lam = gf.generate_like(theta, kind, seed=100 + seed)
+        rep = gf.classify_cross_operator(gf.cross_operator(theta, lam), lam)
+        v = rep.matrix
+        sv = np.linalg.svd(v, compute_uv=False)
+        assert rep.adjoint_isometric == (operator_norm(v @ adjoint(v) - np.eye(6)) <= 1e-9)
+        assert rep.invertible == bool(sv[-1] > 1e-9 * sv[0])
+        assert rep.adjoint_isometric == (kind in ("onb", "parseval"))

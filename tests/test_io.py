@@ -343,6 +343,30 @@ def test_cli_exits_two_on_a_non_finite_number(tmp_path, capsys, weight, lam, whe
     assert err == {"error": "SystemFileError", "message": f"{where}: expected a finite number, got {shown}"}
 
 
+OVERFLOWING = '{"weight": 1e300, "subspace": [[1]], "lambda": [[1e300]]}'  # finite entries, v_j L_j P_j = inf
+BLOCK_OVERFLOW = "the weighted block v_j L_j P_j contains NaN or Inf entries"
+
+
+@pytest.mark.parametrize("command", ["analyze", "onb", "induce"])
+@pytest.mark.parametrize(
+    "subsystems, message",
+    [
+        (OVERFLOWING, f"subsystem 0: {BLOCK_OVERFLOW}"),
+        ('{"weight": 1, "subspace": [[1]], "lambda": [[1]]}, ' + OVERFLOWING, f"subsystem 1: {BLOCK_OVERFLOW}"),
+        # K is finite (1e200) but S = K^H K is not.
+        ('{"weight": 1e100, "subspace": [[1]], "lambda": [[1e100]]}', "frame operator K^H K contains NaN or Inf entries"),
+    ],
+)
+def test_cli_exits_two_on_an_overflowing_product(tmp_path, capsys, command, subsystems, message):
+    path = tmp_path / "overflow.json"
+    path.write_text(f'{{"version": 1, "field": "real", "dim": 1, "subsystems": [{subsystems}]}}')
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy RuntimeWarning on the way
+        code, out = run_cli([command, str(path)])
+    assert code == 2 and out == ""
+    assert json.loads(capsys.readouterr().err) == {"error": "NonFiniteInput", "message": message}
+
+
 @pytest.mark.parametrize("weight", [INF, math.nan])
 def test_library_rejects_a_non_finite_weight(weight):
     with pytest.raises(ValueError, match="weight must be positive and finite"):

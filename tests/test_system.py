@@ -1,5 +1,7 @@
 """Tests for the g-fusion system core."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from helpers import coordinate_system
@@ -8,10 +10,11 @@ import gfusion as gf
 from gfusion.errors import (
     DimensionMismatch,
     FieldMismatch,
+    NonFiniteInput,
     NotAFrameError,
     SystemMismatch,
 )
-from gfusion.linalg import adjoint, hpd_inverse, operator_norm
+from gfusion.linalg import adjoint, hermitian_eigenvalues, hpd_inverse, operator_norm
 from gfusion.sampling import random_unit_vectors
 
 
@@ -115,6 +118,62 @@ class TestFrameOperator:
         for _ in range(30):
             f = rng.standard_normal(6)
             assert abs(np.vdot(f, s @ f).real - quadratic_form(sys, f)) <= 1e-10 * max(1.0, quadratic_form(sys, f))
+
+
+class TestSpectrumCache:
+    """The eigenvalues of S are computed once per system and every spectral verdict reads them."""
+
+    def test_read_only_and_cached(self):
+        sys = gf.generate("frame", 6, 3, seed=5)
+        w = sys.spectrum
+        assert sys.spectrum is w
+        assert not w.flags.writeable
+        with pytest.raises(ValueError):
+            w[0] = 0.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            sys.spectrum = np.ones(6)
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_bit_identical_to_the_checked_eigensolve(self, field):
+        for seed in range(5):
+            sys = gf.generate("frame", 7, 4, seed=seed, field=field)
+            assert np.array_equal(sys.spectrum, hermitian_eigenvalues(gf.frame_operator(sys)))
+            ext = gf.spectral_extremes(sys)
+            assert (ext.min_eig, ext.max_eig) == (sys.spectrum[0], sys.spectrum[-1])
+
+    def test_one_eigensolve_of_s_per_system(self, monkeypatch):
+        drawn = gf.generate("frame", 6, 3, seed=5)  # the generator reads the spectrum itself
+        sys = gf.GFusionSystem(drawn.dim, drawn.field, drawn.subsystems)
+        fam = gf.induce_vectors(sys)
+        shapes = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counting(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        gf.frame_bounds(sys)
+        gf.riesz_bounds(sys)
+        gf.is_gf_orthonormal(sys)
+        assert shapes == [(6, 6)]
+        # The correspondence check adds only the induced family's U U^H; S's spectrum is cached.
+        gf.verify_correspondence(sys, fam)
+        assert shapes == [(6, 6), (6, 6)]
+
+
+class TestOverflow:
+    """Finite entries whose products overflow are input errors, raised without a numpy warning."""
+
+    def test_overflowing_block_names_its_subsystem(self):
+        sys = gf.make_system(1, "real", [(1.0, [[1.0]], [[1.0]]), (1e300, [[1.0]], [[1e300]])])
+        with pytest.raises(NonFiniteInput, match=r"^subsystem 1: the weighted block v_j L_j P_j contains NaN or Inf entries$"):
+            gf.frame_bounds(sys)
+
+    def test_overflowing_frame_operator(self):
+        sys = gf.make_system(1, "complex", [(1e100, [[1.0]], [[1e100j]])])
+        with pytest.raises(NonFiniteInput, match="frame operator"):
+            gf.frame_bounds(sys)
 
 
 class TestFrameBounds:
