@@ -152,6 +152,9 @@ def _cmd_induce(args):
 
 
 def _cmd_perturb(args):
+    least = 1 if args.theorem == "lemma" else 0
+    if args.samples < least:
+        raise GFusionError(f"--samples must be at least {least} for --theorem {args.theorem}, got {args.samples}")
     inputs = {}
     lam_sys = _load(inputs, "system", args.system)
     theta_sys = _load(inputs, "perturbed", args.perturbed)

@@ -26,10 +26,19 @@ together: each takes at most ``ascent_steps`` steps, with its own step size
 and stopping rules, and every step evaluates the margin and its gradient
 once, on all the candidate columns.  Terms whose coefficient is 0 are not
 evaluated.
+
+A single vector whose margin exceeds the threshold refutes a hypothesis that
+quantifies over every vector and subset, so sampling stops at the first such
+margin: at the starts or after any ascent step, and before later subsets are
+built or drawn.  A refuted report's sampled margin (or radius) is then the
+worst seen up to that point: still a witness, and a lower bound on the worst
+over all subsets after full ascent.  A hypothesis that holds never stops
+early, so its report is what the exhaustive search gives.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,7 +91,9 @@ class PerturbationReport:
     mode: str
     hypothesis_holds: bool
     hypothesis_margin: float          # max observed violation; <= 0 when the
-                                      # hypothesis holds (round-off ties excepted)
+                                      # hypothesis holds (round-off ties excepted);
+                                      # sampled and refuted: the worst seen when sampling
+                                      # stopped, at the first margin above the threshold
     actual: FrameBounds               # eigenvalue extremes of the perturbed frame operator
     predicted: FrameBounds | None     # certified bounds; None when nothing is certified
     bracket_ok: bool | None
@@ -90,9 +101,10 @@ class PerturbationReport:
     params_admissible: bool | None = None
     radius: float | None = None
     radius_certificate: float | None = None
-    radius_sampled: float | None = None
+    radius_sampled: float | None = None          # the ascent stops once it reaches A
     cert_margin: float | None = None
-    sampled_margin: float | None = None
+    sampled_margin: float | None = None          # worst seen; sampling stops at the first margin
+                                                 # above the threshold (a refutation)
     stated_lower: float | None = None            # synthesis: published lower-bound formula
     stated_lower_bracket_ok: bool | None = None
     upper_quadratic: float | None = None         # r-condition: B + R*sqrt(B/A)
@@ -131,9 +143,15 @@ class LemmaReport:
     samples: int
 
 
+def _require_samples(samples: int, least: int) -> None:
+    if samples < least:
+        raise ValueError(f"samples must be at least {least}, got {samples}")
+
+
 def check_invertibility_lemma(
     u: np.ndarray, lam1: float, lam2: float, *, samples: int = 2000, seed: int, margin_tol: float = TOL_SAMPLED_MARGIN
 ) -> LemmaReport:
+    _require_samples(samples, 1)
     if not (0.0 <= lam1 < 1.0 and 0.0 <= lam2 < 1.0):
         raise ValueError("lam1 and lam2 must lie in [0, 1)")
     u = np.asarray(u)
@@ -207,7 +225,7 @@ def _subset_masks(rng: np.random.Generator, count: int, extra: int) -> list[np.n
     return masks
 
 
-def _ascend(objective, starts: np.ndarray, steps: int) -> np.ndarray:
+def _ascend(objective, starts: np.ndarray, steps: int, stop_above: float = np.inf) -> np.ndarray:
     """Projected-gradient ascent on the unit sphere from every start column at once; each column's best value.
 
     ``objective`` maps a (dim, k) block of unit columns to their k values and
@@ -216,13 +234,16 @@ def _ascend(objective, starts: np.ndarray, steps: int) -> np.ndarray:
     tangent gradient falls below 1e-14, its step size below 1e-8, or after
     ``steps`` steps.  Every step evaluates the objective once, on the
     candidates of the columns still moving; an accepted candidate keeps the
-    gradient computed with its value.
+    gradient computed with its value.  All columns stop as soon as any value
+    exceeds ``stop_above``, checked at the starts and after every step.
     """
     f = starts.copy()
     cur, grad = objective(f)
     eta = np.full(f.shape[1], 0.25)
     live = np.arange(f.shape[1])
     for _ in range(steps):
+        if cur.max(initial=-np.inf) > stop_above:
+            break
         fl = f[:, live]
         g = grad[:, live]
         g = g - np.einsum("is,is->s", fl.conj(), g).real * fl
@@ -295,7 +316,7 @@ def _margin_objective(d_m, l_m, t_m, params: PerturbParams, quad_form: bool):
 
 
 def _sampled_max_margin(
-    matrices: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
+    matrices: Iterable[tuple[np.ndarray, np.ndarray, np.ndarray]],
     params: PerturbParams,
     rng: np.random.Generator,
     field: str,
@@ -303,15 +324,23 @@ def _sampled_max_margin(
     steps: int,
     top: int,
     quad_form: bool,
+    stop_above: float,
 ) -> float:
-    """Worst sampled hypothesis margin over the given (D, L, T) triples (see ``_margin_objective``)."""
+    """Worst sampled hypothesis margin over the given (D, L, T) triples (see ``_margin_objective``).
+
+    Stops at the first margin above ``stop_above``, which refutes the
+    hypothesis: the result is then the worst margin seen so far.  Triples
+    after that one are neither built nor sampled.
+    """
     worst = -np.inf
     for d_m, l_m, t_m in matrices:
         f_batch = random_unit_vectors(rng, d_m.shape[1], samples, field)
         objective = _margin_objective(d_m, l_m, t_m, params, quad_form)
         margins, _ = objective(f_batch, grad=False)
         order = np.argsort(margins)[::-1][:top]
-        worst = max(worst, _ascend(objective, f_batch[:, order], steps).max(initial=-np.inf))
+        worst = max(worst, _ascend(objective, f_batch[:, order], steps, stop_above).max(initial=-np.inf))
+        if worst > stop_above:
+            break
     return float(worst)
 
 
@@ -346,8 +375,10 @@ def certify_frame_operator_perturbation(
     (the mu = 0 sufficient condition) and covers the full index set only,
     which is all the predicted bounds need.  Otherwise the hypothesis is
     sampled on the full index set plus up to ``subset_count - 1`` distinct
-    random nonempty subsets.
+    random nonempty subsets, stopping at the first margin above
+    ``TOL_SAMPLED_MARGIN * max(1, B)``, which refutes it.
     """
+    _require_samples(samples, 0)
     require_same_structure(lam_sys, theta_sys)
     a, b = _reference_bounds(lam_sys)
     sqrt_a, sqrt_b = np.sqrt(a), np.sqrt(b)
@@ -367,17 +398,21 @@ def certify_frame_operator_perturbation(
         rng = np.random.default_rng(seed)
         terms_l = _quadratic_terms(lam_sys)
         terms_t = _quadratic_terms(theta_sys)
-        triples = []
-        for mask in _subset_masks(rng, lam_sys.block_count, subset_count - 1):
-            l_m = sum(t for t, keep in zip(terms_l, mask) if keep)
-            t_m = sum(t for t, keep in zip(terms_t, mask) if keep)
-            triples.append((l_m - t_m, l_m, t_m))
+        masks = _subset_masks(rng, lam_sys.block_count, subset_count - 1)
+
+        def triples():
+            for mask in masks:
+                l_m = sum(t for t, keep in zip(terms_l, mask) if keep)
+                t_m = sum(t for t, keep in zip(terms_t, mask) if keep)
+                yield l_m - t_m, l_m, t_m
+
+        threshold = TOL_SAMPLED_MARGIN * max(1.0, b)
         sampled_margin = _sampled_max_margin(
-            triples, params, rng, lam_sys.field, samples, ascent_steps, ascent_top, True
+            triples(), params, rng, lam_sys.field, samples, ascent_steps, ascent_top, True, threshold
         )
         mode = "sampled"
         margin = sampled_margin
-        inequality_ok = sampled_margin <= TOL_SAMPLED_MARGIN * max(1.0, b)
+        inequality_ok = sampled_margin <= threshold
     else:
         mode = "none"
         margin = cert_margin
@@ -424,13 +459,15 @@ def certify_R_condition(
     for some R < A.  The sound radius is the triangle-inequality certificate
     ``R_cert = sum_j`` of the per-block operator norms; when that exceeds A a
     sampled estimate of the functional's maximum is tried instead (reported
-    with a warning, since a sampled radius is not a proof).
+    with a warning, since a sampled radius is not a proof).  Its ascent stops
+    once the sampled radius reaches A, which already means mode ``none``.
 
     Predicted lower bound: A - R.  The two published upper-bound components
     ``B + R*sqrt(B/A)`` and ``R + sqrt(B)`` are emitted separately with
     individual satisfaction flags; the bracket check uses the quadratic-form
     component, which is the one the frame-operator certificate yields.
     """
+    _require_samples(samples, 0)
     require_same_structure(lam_sys, theta_sys)
     a, b = _reference_bounds(lam_sys)
     diffs = [l - t for l, t in zip(_quadratic_terms(lam_sys), _quadratic_terms(theta_sys))]
@@ -461,7 +498,9 @@ def certify_R_condition(
 
         values, _ = objective(f_batch, grad=False)
         order = np.argsort(values)[::-1][:ascent_top]
-        r_sampled = float(_ascend(objective, f_batch[:, order], ascent_steps).max(initial=-np.inf))
+        # stop once r_sampled >= a (the largest float below a is exceeded): the mode is then none
+        stop = np.nextafter(a, -np.inf)
+        r_sampled = float(_ascend(objective, f_batch[:, order], ascent_steps, stop).max(initial=-np.inf))
         if r_sampled < a:
             mode = "sampled"
             radius = r_sampled
@@ -517,13 +556,16 @@ def certify_synthesis_perturbation(
     gamma*||g||``.  Sound certificate: ``||T_lam - T_theta|| <= gamma``, which
     covers the full index set only, as the predicted bounds need.  Otherwise
     the hypothesis is sampled on the full index set plus up to
-    ``subset_count - 1`` distinct random nonempty subsets.
+    ``subset_count - 1`` distinct random nonempty subsets, stopping at the
+    first margin above ``TOL_SAMPLED_MARGIN * max(1, sqrt(B))``, which
+    refutes it.
 
     The published lower bound ``A*(1-(lam+gamma/sqrt(A))^2)/(1+mu)`` and the
     proof-derived one ``A*((1-(lam+gamma/sqrt(A)))/(1+mu))^2`` disagree; both
     are emitted and bracketed separately, with ``predicted``/``bracket_ok``
     carrying the proof-derived pair.
     """
+    _require_samples(samples, 0)
     require_same_structure(lam_sys, theta_sys)
     a, b = _reference_bounds(lam_sys)
     sqrt_a, sqrt_b = np.sqrt(a), np.sqrt(b)
@@ -534,7 +576,8 @@ def certify_synthesis_perturbation(
     actual_ext = spectral_extremes(theta_sys)
     actual = FrameBounds(actual_ext.min_eig, actual_ext.max_eig, "optimal-spectral")
 
-    cert_margin = float(operator_norm(t_lam - t_theta) - params.gamma)
+    d_t = t_lam - t_theta
+    cert_margin = float(operator_norm(d_t) - params.gamma)
     sampled_margin = None
     if cert_margin <= 0.0:
         mode = "certified_sufficient"
@@ -542,18 +585,16 @@ def certify_synthesis_perturbation(
         inequality_ok = True
     elif samples > 0:
         rng = np.random.default_rng(seed)
-        dims = lam_sys.block_dims
-        col_blocks = np.repeat(np.arange(lam_sys.block_count), dims)
-        triples = []
-        for mask in _subset_masks(rng, lam_sys.block_count, subset_count - 1):
-            cols = mask[col_blocks]
-            triples.append(((t_lam - t_theta)[:, cols], t_lam[:, cols], t_theta[:, cols]))
+        col_blocks = np.repeat(np.arange(lam_sys.block_count), lam_sys.block_dims)
+        masks = _subset_masks(rng, lam_sys.block_count, subset_count - 1)
+        triples = ((d_t[:, cols], t_lam[:, cols], t_theta[:, cols]) for cols in (m[col_blocks] for m in masks))
+        threshold = TOL_SAMPLED_MARGIN * max(1.0, sqrt_b)
         sampled_margin = _sampled_max_margin(
-            triples, params, rng, lam_sys.field, samples, ascent_steps, ascent_top, False
+            triples, params, rng, lam_sys.field, samples, ascent_steps, ascent_top, False, threshold
         )
         mode = "sampled"
         margin = sampled_margin
-        inequality_ok = sampled_margin <= TOL_SAMPLED_MARGIN * max(1.0, sqrt_b)
+        inequality_ok = sampled_margin <= threshold
     else:
         mode = "none"
         margin = cert_margin

@@ -134,6 +134,17 @@ class TestExitCodes:
         rep = json.loads(out)["report"]
         assert rep["hypothesis_holds"] and rep["bracket_ok"]
 
+    @pytest.mark.parametrize("theorem", ["t52", "synth", "cR", "analysis", "lemma"])
+    def test_negative_samples_is_an_input_error(self, frame_file, theorem, capsys):
+        code, out = run_cli(["perturb", frame_file, frame_file, "--theorem", theorem, "--seed", "1", "--samples", "-5"])
+        assert (code, out) == (2, "")
+        assert "--samples" in json.loads(capsys.readouterr().err)["message"]
+
+    def test_lemma_needs_a_sample(self, frame_file, capsys):
+        code, out = run_cli(["perturb", frame_file, frame_file, "--theorem", "lemma", "--seed", "1", "--samples", "0"])
+        assert (code, out) == (2, "")
+        assert "--samples" in json.loads(capsys.readouterr().err)["message"]
+
 
 class TestParseDiagnostics:
     def test_bad_field_value(self, tmp_path):

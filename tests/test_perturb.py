@@ -5,9 +5,10 @@ import pytest
 from helpers import coordinate_system, fitted_radius, full_space_system, scale_blocks
 
 import gfusion as gf
+from gfusion import perturb
 from gfusion.errors import SystemMismatch
 from gfusion.linalg import adjoint, hermitian_eigen_extremes, operator_norm
-from gfusion.perturb import _ascend, _margin_objective
+from gfusion.perturb import _ascend, _margin_objective, _subset_masks
 from gfusion.sampling import gaussian_matrix, haar_unitary, random_unit_vectors, well_conditioned_matrix
 
 
@@ -456,7 +457,8 @@ def test_batched_ascent_reaches_the_top_singular_value(field, k):
 # ---------------------------------------------------------------------------
 # The sampled path pinned on fixed instances: a change to the draws, their
 # order, the screening or the ascent's arithmetic beyond round-off shows here.
-# Values recorded with the column-by-column ascent.
+# The holding radius was recorded with the column-by-column ascent; the two
+# refuted margins are the worst seen up to the first refuting one.
 
 
 def _sampled_pair(field, seed):
@@ -470,14 +472,14 @@ def test_pinned_sampled_frame_operator_margin():
     p = gf.PerturbParams(lam=0.3, mu=0.2, gamma=0.05)
     rep = gf.certify_frame_operator_perturbation(lam, theta, p, samples=400, seed=11)
     assert (rep.mode, rep.hypothesis_holds) == ("sampled", False)
-    assert rep.sampled_margin == pytest.approx(0.08638651094585831, rel=1e-6)
+    assert rep.sampled_margin == pytest.approx(0.004481375797139753, rel=1e-6)
 
 
 def test_pinned_sampled_synthesis_margin():
     lam, theta = _sampled_pair("complex", 4)
     rep = gf.certify_synthesis_perturbation(lam, theta, gf.PerturbParams(lam=0.3), samples=400, seed=12)
     assert (rep.mode, rep.hypothesis_holds) == ("sampled", False)
-    assert rep.sampled_margin == pytest.approx(0.12351959783338727, rel=1e-6)
+    assert rep.sampled_margin == pytest.approx(0.00805968847883845, rel=1e-6)
 
 
 def test_pinned_sampled_radius():
@@ -485,3 +487,143 @@ def test_pinned_sampled_radius():
     rep = gf.certify_R_condition(lam, theta, samples=400, seed=13)
     assert (rep.mode, rep.hypothesis_holds) == ("sampled", True)
     assert rep.radius_sampled == pytest.approx(0.29246883711373856, rel=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# The sampled certifiers stop at the first margin that refutes the hypothesis.
+# Against the exhaustive search (every subset drawn, screened and ascended in
+# full) the verdict must not change, and a hypothesis that holds must give the
+# same report bit for bit.
+
+
+def _equivalence_cases(theorem, field):
+    """Twelve (args, samples, seed) cases for one certifier, holding and refuted, all past the norm certificates."""
+    cases = []
+    for i in range(12):
+        d = 0.1 + 0.02 * i
+        if theorem == "cR":
+            if i % 2 == 0:  # disjointly supported block differences: holds while u * sqrt(n) < 1
+                n, u = 3 + (i // 2) % 3, 0.34 + 0.04 * (i // 2)
+                eye = np.eye(n, dtype=np.complex128 if field == "complex" else np.float64)
+                lam = gf.make_system(n, field, [(1.0, eye, eye[[j], :]) for j in range(n)])
+                theta = gf.make_system(n, field, [(1.0, eye, np.sqrt(1 - u) * eye[[j], :]) for j in range(n)])
+            else:
+                lam = gf.generate("parseval", 5, 3, seed=500 + i, field=field)
+                theta = scale_blocks(lam, np.sqrt(1.3 + 0.08 * i))
+            cases.append(((lam, theta), 300, 80 + i))
+            continue
+        quad = theorem == "t52"
+        lam = gf.generate("frame", 5, 3 + i % 2, seed=(300 if quad else 400) + i, field=field, max_condition=20)
+        # a uniform scale c multiplies every D by c - 1 and T by c: the first
+        # kind holds, the second is refuted; alternating scales mix the two
+        kind = i % 3
+        factors = 1 + d * (np.array([1, -1, 1, -1][: lam.block_count]) if kind == 2 else 1.0)
+        theta = scale_blocks(lam, np.sqrt(factors) if quad else factors)
+        lam_c, mu_c, gamma = [(0.6, 0.4, 0.01), (0.3, 0.1, 0.01), (0.5, 0.1 if quad else 0.3, 0.02)][kind]
+        cases.append(((lam, theta, gf.PerturbParams(lam=lam_c * d, mu=mu_c * d, gamma=gamma)), 200, 40 + i))
+    return cases
+
+
+_CERTIFIERS = {
+    "t52": gf.certify_frame_operator_perturbation,
+    "synth": gf.certify_synthesis_perturbation,
+    "cR": gf.certify_R_condition,
+}
+
+
+def _exhaustive_report(monkeypatch, certify, args, samples, seed):
+    """The certifier's report with the stop removed, and how many subsets its search visited."""
+    visited = []
+
+    def full_search(matrices, params, rng, field, samples, steps, top, quad_form, stop_above):
+        worst, count = -np.inf, 0
+        for count, (d_m, l_m, t_m) in enumerate(matrices, 1):
+            f_batch = random_unit_vectors(rng, d_m.shape[1], samples, field)
+            objective = _margin_objective(d_m, l_m, t_m, params, quad_form)
+            margins, _ = objective(f_batch, grad=False)
+            order = np.argsort(margins)[::-1][:top]
+            worst = max(worst, _ascend(objective, f_batch[:, order], steps).max(initial=-np.inf))
+        visited.append(count)
+        return float(worst)
+
+    with monkeypatch.context() as m:
+        m.setattr(perturb, "_sampled_max_margin", full_search)
+        m.setattr(perturb, "_ascend", lambda objective, starts, steps, stop_above=np.inf: _ascend(objective, starts, steps))
+        rep = certify(*args, samples=samples, seed=seed)
+    return rep, visited
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("theorem", ["t52", "synth", "cR"])
+def test_early_stop_keeps_every_verdict(monkeypatch, theorem, field):
+    certify = _CERTIFIERS[theorem]
+    held = refuted = cut_short = 0
+    for args, samples, seed in _equivalence_cases(theorem, field):
+        got = certify(*args, samples=samples, seed=seed)
+        want, visited = _exhaustive_report(monkeypatch, certify, args, samples, seed)
+        assert want.mode in ("sampled", "none")
+        key = (got.mode, got.hypothesis_holds, got.bracket_ok)  # the exit code follows from these
+        assert key == (want.mode, want.hypothesis_holds, want.bracket_ok)
+        if visited:
+            lam_sys = args[0]
+            assert visited == [len(_subset_masks(np.random.default_rng(seed), lam_sys.block_count, 7))]
+        if want.hypothesis_holds:
+            held += 1
+            assert got == want
+        else:
+            refuted += 1
+            # still a witness: a margin that refutes, and at most the exhaustive worst
+            assert got.hypothesis_margin > 0.0
+            assert got.hypothesis_margin <= want.hypothesis_margin
+            cut_short += got.hypothesis_margin < want.hypothesis_margin
+    assert held >= 4 and refuted >= 4 and cut_short >= 1, (held, refuted, cut_short)
+
+
+def _count_draws(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return random_unit_vectors(*args)
+
+    monkeypatch.setattr(perturb, "random_unit_vectors", counted)
+    return calls
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("theorem", ["t52", "synth"])
+def test_refutation_on_the_full_set_draws_once(monkeypatch, theorem, field):
+    # A uniform scale c with lam, mu, gamma = 0: every nonzero direction
+    # violates ||(c - 1) X f|| <= 0, so the first screening refutes.
+    lam = gf.generate("frame", 5, 4, seed=31, field=field, max_condition=20)
+    theta = scale_blocks(lam, 1.2)
+    calls = _count_draws(monkeypatch)
+    rep = _CERTIFIERS[theorem](lam, theta, gf.PerturbParams(), samples=200, seed=5)
+    assert (rep.mode, rep.hypothesis_holds) == ("sampled", False)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("theorem", ["t52", "synth"])
+def test_holding_hypothesis_draws_once_per_subset(monkeypatch, theorem, field):
+    lam = gf.generate("frame", 5, 4, seed=32, field=field, max_condition=20)
+    d = 0.2
+    theta = scale_blocks(lam, np.sqrt(1 + d) if theorem == "t52" else 1 + d)
+    calls = _count_draws(monkeypatch)
+    rep = _CERTIFIERS[theorem](lam, theta, gf.PerturbParams(lam=0.6 * d, mu=0.4 * d), samples=200, seed=6)
+    assert (rep.mode, rep.hypothesis_holds) == ("sampled", True)
+    assert len(calls) == len(_subset_masks(np.random.default_rng(6), 4, 7)) > 1
+
+
+@pytest.mark.parametrize("theorem", ["t52", "synth", "cR"])
+def test_negative_sample_count_is_rejected(theorem):
+    lam = small_frame(3)
+    args = (lam, lam) if theorem == "cR" else (lam, lam, gf.PerturbParams())
+    with pytest.raises(ValueError, match="samples"):
+        _CERTIFIERS[theorem](*args, samples=-1, seed=0)
+
+
+@pytest.mark.parametrize("samples", [0, -3])
+def test_lemma_needs_a_sample(samples):
+    with pytest.raises(ValueError, match="samples"):
+        gf.check_invertibility_lemma(np.eye(3), 0.1, 0.1, samples=samples, seed=0)
