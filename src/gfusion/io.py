@@ -86,23 +86,22 @@ def matrix_from_data(data, field: str, where: str) -> np.ndarray:
     dtype = np.complex128 if field == "complex" else np.float64
     # Whole-matrix fast paths: leaf types are checked by exact type (so bool,
     # a subclass of int, is left to the per-entry path) and one np.array call
-    # converts every entry.  An (m, n, 2) float64 array of [re, im] pairs has
-    # the memory layout of an (m, n) complex128 one, so the view is exact.
+    # converts every entry: real rows as nested lists, [re, im] pairs flattened
+    # once, as float64 parts whose memory layout is that of complex128.
+    items = data
     leaf_types = set(map(type, chain.from_iterable(data)))
-    pairs = (
-        field == "complex"
-        and leaf_types == {list}
-        and set(map(len, chain.from_iterable(data))) == {2}
-        and set(map(type, chain.from_iterable(chain.from_iterable(data)))) <= _PLAIN_NUMBERS
-    )
-    if leaf_types <= _PLAIN_NUMBERS or pairs:
+    pairs = field == "complex" and leaf_types == {list} and set(map(len, chain.from_iterable(data))) == {2}
+    if pairs:
+        items = list(chain.from_iterable(chain.from_iterable(data)))
+        leaf_types = set(map(type, items))
+    if leaf_types <= _PLAIN_NUMBERS:
         try:
-            parts = np.array(data, dtype=np.float64)
+            parts = np.array(items, dtype=np.float64)
         except OverflowError:
             parts = None  # an int too large for a float; the per-entry path names it
         # A non-finite entry (1e400 parses as inf) is also named per entry.
         if parts is not None and np.isfinite(parts).all():
-            return parts.view(np.complex128)[..., 0] if pairs else parts.astype(dtype, copy=False)
+            return parts.view(np.complex128).reshape(len(data), width) if pairs else parts.astype(dtype, copy=False)
     # Per entry: names the offending entry, and accepts complex matrices that
     # mix plain numbers and [re, im] pairs.
     rows = [
@@ -221,8 +220,19 @@ def _encode(obj, indent: str, out: list):
             out.append("[]")
             return
         inner = indent + "  "
-        if set(map(type, obj)) <= _PLAIN_NUMBERS:
+        item_types = set(map(type, obj))
+        if item_types <= _PLAIN_NUMBERS:
             out.append("[\n" + inner + _number_list_encoder(inner)(obj)[1:-1] + "\n" + indent + "]")
+            return
+        pairs = item_types == {list} and set(map(len, obj)) == {2}
+        if pairs and set(map(type, chain.from_iterable(obj))) <= _PLAIN_NUMBERS:
+            # [re, im] pairs (or [j, k] labels): one call encodes the row, and
+            # each pair boundary "],<sep>[" becomes the indent=2 text between
+            # two pairs.  No number the C encoder writes contains a bracket.
+            deeper = inner + "  "
+            text = _number_list_encoder(deeper)(obj)[2:-2]
+            text = text.replace("],\n" + deeper + "[", "\n" + inner + "],\n" + inner + "[\n" + deeper)
+            out.append("[\n" + inner + "[\n" + deeper + text + "\n" + inner + "]\n" + indent + "]")
             return
         out.append("[\n" + inner)
         for i, item in enumerate(obj):
@@ -250,8 +260,9 @@ def dumps_canonical(payload: dict) -> str:
     """Deterministic JSON: exactly json.dumps(payload, sort_keys=True, indent=2) plus a newline.
 
     Keys must be str (a TypeError otherwise).  Lists of plain numbers, the
-    bulk of every payload, are encoded by the C encoder in one call each; the
-    stdlib's indent=2 encoder is pure Python.
+    bulk of every payload, and lists of [a, b] number pairs (a row of a complex
+    matrix) are encoded by the C encoder in one call each; the stdlib's
+    indent=2 encoder is pure Python.
     """
     out: list = []
     _encode(payload, "", out)

@@ -85,11 +85,12 @@ def _strip_workspace(text: str, ws: Path) -> str:
     return text.replace(str(ws), "WS")
 
 
-def replay_golden(ws: Path, compare: bool = True) -> list[str]:
-    """Run every scenario; compare stdout bytes (and exit codes) to the goldens.
+def replay_golden(ws: Path) -> list[str]:
+    """Run every scenario; check exit codes, and compare stdout bytes to the goldens.
 
     Returns the list of scenario names that ran.  With GFUSION_REGEN_GOLDEN=1
-    the golden files are rewritten instead of compared.
+    the golden files are rewritten instead of compared; exit codes are still
+    checked.
     """
     regen = os.environ.get(REGEN_ENV) == "1"
     names = []
@@ -98,13 +99,13 @@ def replay_golden(ws: Path, compare: bool = True) -> list[str]:
         # Determinism: an immediate replay must be byte-identical.
         code2, out2 = run_cli(argv)
         assert (code, out) == (code2, out2), f"{name}: output not deterministic"
+        assert code == want_code, f"{name}: exit code {code}, expected {want_code}"
         normalized = _strip_workspace(out, ws)
         golden_path = GOLDEN_DIR / f"{name}.json"
         if regen:
             GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
             golden_path.write_text(normalized, encoding="utf-8")
-        elif compare:
-            assert code == want_code, f"{name}: exit code {code}, expected {want_code}"
+        else:
             want = golden_path.read_text(encoding="utf-8")
             assert normalized == want, f"{name}: output differs from golden file"
         names.append(name)

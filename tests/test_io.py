@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gfusion as gf
+import gfusion.io as gfio
 from gfusion.errors import SystemFileError
 from gfusion.io import (
     dumps_canonical,
@@ -402,8 +403,13 @@ _NUMBER_LISTS = st.one_of(
     st.lists(st.lists(st.lists(_NUMBERS, max_size=4), max_size=3), max_size=3),
 )
 _MIXED_LISTS = st.lists(st.one_of(_NUMBERS, st.booleans(), st.none(), _TEXT), max_size=6)
+# Rows of [re, im] pairs, the shape of a complex matrix row, alone and stacked
+# into matrices; exact ints and floats, so that most take the one-call path.
+_PLAIN = st.one_of(_INTS, st.floats(), st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 10**20 + 1]))
+_PAIR_ROWS = st.lists(st.lists(_PLAIN, min_size=2, max_size=2), min_size=1, max_size=6)
+_PAIR_LISTS = st.one_of(_PAIR_ROWS, st.lists(_PAIR_ROWS, max_size=3))
 _TREES = st.recursive(
-    st.one_of(_SCALARS, _NUMBER_LISTS, _MIXED_LISTS),
+    st.one_of(_SCALARS, _NUMBER_LISTS, _MIXED_LISTS, _PAIR_LISTS),
     lambda children: st.one_of(
         st.lists(children, max_size=4),
         st.lists(children, max_size=4).map(tuple),
@@ -447,11 +453,44 @@ class _Dict(dict):
         "é",
         7,
         None,
+        # Rows of exact-int/float pairs take one encoder call, also inside a tuple or a matrix.
+        [[1, 2]],
+        ([0.5, -0.0], [math.nan, math.inf]),
+        {"m": [[[1.0, -0.0], [-math.inf, 10**30]], [[-(10**25), 0.1], [5e-324, 1e308]]]},
+        # Not rows of pairs: the generic path.
+        [[1, 2], [3], [4, 5]],
+        [[1, 2], [3, 4, 5]],
+        [[], []],
+        [[1, 2], []],
+        [[1, 2], [True, 3]],
+        [[np.float64(0.5), 1.0], [2, 3]],
+        [(1, 2), (3, 4)],
+        [[1, 2], (3, 4)],
+        [_List([1, 2]), [3, 4]],
+        [[1, 2], ["a", 3]],
     ],
     ids=repr,
 )
 def test_dumps_canonical_follows_the_stdlib_for_containers(tree):
     assert dumps_canonical(tree) == _stdlib(tree)
+
+
+def test_dumps_canonical_encodes_a_complex_row_in_one_call(monkeypatch):
+    system = gf.generate("frame", 8, 3, seed=3, field="complex")
+    data = gf.system_to_dict(system)
+    calls = []
+    encode = gfio._encode
+
+    def counted(obj, indent, out):
+        calls.append(obj)
+        encode(obj, indent, out)
+
+    monkeypatch.setattr(gfio, "_encode", counted)
+    text = dumps_canonical(data)
+    rows = sum(len(sub[key]) for sub in data["subsystems"] for key in ("subspace", "lambda"))
+    # The payload dict, its four values, and per subsystem the dict, its weight and two matrices.
+    assert len(calls) <= rows + 5 + 4 * len(system.subsystems)
+    assert text == _stdlib(data)
 
 
 @pytest.mark.parametrize("key", [1, 1.5, None, True, ("a",)])
