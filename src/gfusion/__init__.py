@@ -10,7 +10,6 @@ from .bases import (
     BasisVerdict,
     CrossOperatorReport,
     DecompositionReport,
-    classify_cross_operator,
     cross_operator,
     decomposition_report,
     is_gf_orthonormal,

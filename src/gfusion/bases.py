@@ -9,13 +9,12 @@ gf-Riesz / gf-orthonormal).
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import PreconditionFailed
-from .linalg import adjoint, gram_eigen_extremes, operator_norm, orthonormalize
+from .linalg import TOL_VERDICT, adjoint, gram_eigen_extremes, operator_norm, orthonormalize
 from .system import (
     FrameBounds,
     GFusionSystem,
@@ -36,7 +35,7 @@ class BasisVerdict:
     parseval_deviation: float  # ||S - I|| = max |w - 1| over the eigenvalues w of S
 
 
-def riesz_bounds(sys: GFusionSystem, tol: float = 1e-9) -> FrameBounds | None:
+def riesz_bounds(sys: GFusionSystem, tol: float = TOL_VERDICT) -> FrameBounds | None:
     """Optimal gf-Riesz bounds, or None when the system is not a gf-Riesz basis.
 
     The bounds are the eigenvalue extremes of the synthesis Gram matrix
@@ -54,7 +53,7 @@ def riesz_bounds(sys: GFusionSystem, tol: float = 1e-9) -> FrameBounds | None:
     return FrameBounds(lower, ext.max_eig, "optimal-spectral")
 
 
-def is_gf_orthonormal(sys: GFusionSystem, tol: float = 1e-9) -> BasisVerdict:
+def is_gf_orthonormal(sys: GFusionSystem, tol: float = TOL_VERDICT) -> BasisVerdict:
     """Check the two gf-orthonormal basis conditions.
 
     (a) the weighted Gram blocks v_i v_j L_j P_j P_i L_i^H equal
@@ -87,16 +86,18 @@ class CrossOperatorReport:
     norm: float                  # ||V||
     bessel_norm_bound: float     # sqrt(B) of lambda; ||V|| stays below this
     surjective: bool
-    adjoint_isometric: bool | None = None
-    invertible: bool | None = None
-    unitary: bool | None = None
+    adjoint_isometric: bool      # ||V V^H - I|| <= tol
+    invertible: bool             # sigma_min(V) > tol * sigma_max(V)
+    unitary: bool
 
 
-def cross_operator(theta: GFusionSystem, lam: GFusionSystem, tol: float = 1e-9) -> CrossOperatorReport:
-    """Assemble V = sum_j v_j^2 P_j L_j^H T_j P_j and check the intertwining.
+def cross_operator(theta: GFusionSystem, lam: GFusionSystem, tol: float = TOL_VERDICT) -> CrossOperatorReport:
+    """Assemble V = sum_j v_j^2 P_j L_j^H T_j P_j, check the intertwining and classify V.
 
     ``theta`` must be gf-orthonormal and share (dim, blocks, weights,
-    subspaces) with ``lam``; ``lam`` must be a g-fusion frame.
+    subspaces) with ``lam``; ``lam`` must be a g-fusion frame.  One SVD of
+    the n x n V gives its norm and its flags: invertibility uses the smallest
+    singular value with a threshold scaled by the largest one.
     """
     require_same_structure(theta, lam, tol)
     if not is_gf_orthonormal(theta, tol).is_gf_orthonormal:
@@ -110,33 +111,18 @@ def cross_operator(theta: GFusionSystem, lam: GFusionSystem, tol: float = 1e-9) 
     blocks = split_blocks(lam, k_lam - k_theta @ adjoint(v))
     residual = max(operator_norm(d) / sub.weight for sub, d in zip(lam.subsystems, blocks))
     sv = np.linalg.svd(v, compute_uv=False)
-    surjective = bool(sv.size and sv[0] > 0 and sv[-1] > 1e-10 * sv[0] and v.shape[0] == lam.dim)
-    return CrossOperatorReport(
-        matrix=v,
-        intertwine_residual=float(residual),
-        norm=float(sv[0]) if sv.size else 0.0,
-        bessel_norm_bound=float(np.sqrt(fb.upper)),
-        surjective=surjective,
-    )
-
-
-def classify_cross_operator(
-    report: CrossOperatorReport, lam: GFusionSystem, tol: float = 1e-9
-) -> CrossOperatorReport:
-    """Fill in the adjoint-isometric / invertible / unitary flags.
-
-    Invertibility uses the smallest singular value with an absolute threshold
-    scaled by the largest one.
-    """
-    sv = np.linalg.svd(report.matrix, compute_uv=False)
     # V is n x n, so ||V V^H - I|| is the largest distance of a squared singular value from 1.
     adj_iso = bool(np.abs(sv**2 - 1.0).max() <= tol)
     invertible = bool(sv[-1] > tol * sv[0])
-    return dataclasses.replace(
-        report,
-        adjoint_isometric=bool(adj_iso),
+    return CrossOperatorReport(
+        matrix=v,
+        intertwine_residual=float(residual),
+        norm=float(sv[0]),
+        bessel_norm_bound=float(np.sqrt(fb.upper)),
+        surjective=bool(sv[0] > 0 and sv[-1] > 1e-10 * sv[0]),
+        adjoint_isometric=adj_iso,
         invertible=invertible,
-        unitary=bool(adj_iso and invertible),
+        unitary=adj_iso and invertible,
     )
 
 
@@ -155,7 +141,7 @@ class DecompositionReport:
     decomposes: bool
 
 
-def decomposition_report(sys: GFusionSystem, tol: float = 1e-9) -> DecompositionReport:
+def decomposition_report(sys: GFusionSystem, tol: float = TOL_VERDICT) -> DecompositionReport:
     iso_dev = 0.0
     images = []
     for k_j in split_blocks(sys, analysis_matrix(sys)):

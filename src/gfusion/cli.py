@@ -18,7 +18,7 @@ from . import bases, induced, perturb
 from .errors import GFusionError
 from .generate import generate, generate_like, perturbed_copy
 from .io import dumps_canonical, load_system, read_system, save_system, system_to_dict, to_jsonable
-from .linalg import hpd_inverse
+from .linalg import TOL_PD, TOL_VERDICT, hpd_inverse
 from .sampling import random_unit_vectors
 from .system import (
     canonical_dual,
@@ -52,10 +52,9 @@ def _envelope(args, command: str, inputs: dict, tolerances: dict, seed=None) -> 
 def _cmd_analyze(args):
     inputs = {}
     sys_ = _load(inputs, "system", args.system)
-    tol_pd = args.tol if args.tol is not None else 1e-12
-    fb = frame_bounds(sys_, tol_pd=tol_pd)
+    fb = frame_bounds(sys_, tol_pd=args.tol)
     ext = spectral_extremes(sys_)
-    report = _envelope(args, "analyze", inputs, {"tol_pd": tol_pd})
+    report = _envelope(args, "analyze", inputs, {"tol_pd": args.tol})
     report.update(
         {
             "dim": sys_.dim,
@@ -64,7 +63,7 @@ def _cmd_analyze(args):
             "verdict": "frame" if fb is not None else "not_a_frame",
             "bounds": to_jsonable(fb),
             "spectral_extremes": {"min_eig": ext.min_eig, "max_eig": ext.max_eig},
-            "parseval": bool(fb is not None and abs(fb.lower - 1) <= 1e-9 and abs(fb.upper - 1) <= 1e-9),
+            "parseval": bool(fb is not None and abs(fb.lower - 1) <= TOL_VERDICT and abs(fb.upper - 1) <= TOL_VERDICT),
             "gf_complete": is_gf_complete(sys_),
         }
     )
@@ -74,15 +73,14 @@ def _cmd_analyze(args):
 def _cmd_dual(args):
     inputs = {}
     sys_ = _load(inputs, "system", args.system)
-    tol = args.tol if args.tol is not None else 1e-9
-    report = _envelope(args, "dual", inputs, {"residual_tol": tol}, args.seed)
+    report = _envelope(args, "dual", inputs, {"residual_tol": args.tol}, args.seed)
     if frame_bounds(sys_) is None:
         report.update({"verdict": "not_a_frame"})
         return 1, report
     dual = canonical_dual(sys_)
     rng = np.random.default_rng(args.seed)
     res = reconstruct(sys_, dual, random_unit_vectors(rng, sys_.dim, 100, sys_.field))
-    ok = res.primal_residual <= tol and res.swapped_residual <= tol
+    ok = res.primal_residual <= args.tol and res.swapped_residual <= args.tol
     report.update(
         {
             "verdict": "dual_ok" if ok else "dual_residual_too_large",
@@ -100,9 +98,8 @@ def _cmd_dual(args):
 def _cmd_riesz(args):
     inputs = {}
     sys_ = _load(inputs, "system", args.system)
-    tol = args.tol if args.tol is not None else 1e-9
-    rb = bases.riesz_bounds(sys_, tol)
-    report = _envelope(args, "riesz", inputs, {"tol": tol})
+    rb = bases.riesz_bounds(sys_, args.tol)
+    report = _envelope(args, "riesz", inputs, {"tol": args.tol})
     report.update({"verdict": "riesz" if rb is not None else "not_riesz", "riesz_bounds": to_jsonable(rb)})
     return (0 if rb is not None else 1), report
 
@@ -110,9 +107,8 @@ def _cmd_riesz(args):
 def _cmd_onb(args):
     inputs = {}
     sys_ = _load(inputs, "system", args.system)
-    tol = args.tol if args.tol is not None else 1e-9
-    verdict = bases.is_gf_orthonormal(sys_, tol)
-    report = _envelope(args, "onb", inputs, {"tol": tol})
+    verdict = bases.is_gf_orthonormal(sys_, args.tol)
+    report = _envelope(args, "onb", inputs, {"tol": args.tol})
     report.update({"verdict": to_jsonable(verdict)})
     return (0 if verdict.is_gf_orthonormal else 1), report
 
@@ -121,22 +117,19 @@ def _cmd_cross(args):
     inputs = {}
     theta = _load(inputs, "theta", args.theta)
     lam = _load(inputs, "lambda", args.system)
-    tol = args.tol if args.tol is not None else 1e-9
-    rep = bases.cross_operator(theta, lam, tol)
-    rep = bases.classify_cross_operator(rep, lam, tol)
-    report = _envelope(args, "cross", inputs, {"tol": tol})
+    rep = bases.cross_operator(theta, lam, args.tol)
+    report = _envelope(args, "cross", inputs, {"tol": args.tol})
     report.update({"report": to_jsonable(rep)})
-    ok = rep.intertwine_residual <= tol and rep.surjective
+    ok = rep.intertwine_residual <= args.tol and rep.surjective
     return (0 if ok else 1), report
 
 
 def _cmd_induce(args):
     inputs = {}
     sys_ = _load(inputs, "system", args.system)
-    tol = args.tol if args.tol is not None else 1e-9
     fam = induced.induce_vectors(sys_)
-    rep = induced.verify_correspondence(sys_, fam, tol)
-    report = _envelope(args, "induce", inputs, {"tol": tol})
+    rep = induced.verify_correspondence(sys_, fam, args.tol)
+    report = _envelope(args, "induce", inputs, {"tol": args.tol})
     report.update(
         {
             "family": {
@@ -147,7 +140,7 @@ def _cmd_induce(args):
             "report": to_jsonable(rep),
         }
     )
-    ok = rep.coincidence_residual <= tol and rep.bounds_agree
+    ok = rep.coincidence_residual <= args.tol and rep.bounds_agree
     return (0 if ok else 1), report
 
 
@@ -158,22 +151,16 @@ def _cmd_perturb(args):
     inputs = {}
     lam_sys = _load(inputs, "system", args.system)
     theta_sys = _load(inputs, "perturbed", args.perturbed)
-    tol = args.tol if args.tol is not None else 1e-9
     params = perturb.PerturbParams(args.lam, args.mu, args.gamma)
+    sampling = {"samples": args.samples, "seed": args.seed, "bracket_tol": args.tol}
     if args.theorem == "t52":
-        rep = perturb.certify_frame_operator_perturbation(
-            lam_sys, theta_sys, params, samples=args.samples, seed=args.seed, bracket_tol=tol
-        )
+        rep = perturb.certify_frame_operator_perturbation(lam_sys, theta_sys, params, **sampling)
     elif args.theorem == "cR":
-        rep = perturb.certify_R_condition(
-            lam_sys, theta_sys, samples=args.samples, seed=args.seed, bracket_tol=tol
-        )
+        rep = perturb.certify_R_condition(lam_sys, theta_sys, **sampling)
     elif args.theorem == "synth":
-        rep = perturb.certify_synthesis_perturbation(
-            lam_sys, theta_sys, params, samples=args.samples, seed=args.seed, bracket_tol=tol
-        )
+        rep = perturb.certify_synthesis_perturbation(lam_sys, theta_sys, params, **sampling)
     elif args.theorem == "analysis":
-        rep = perturb.certify_analysis_perturbation(lam_sys, theta_sys, bracket_tol=tol)
+        rep = perturb.certify_analysis_perturbation(lam_sys, theta_sys, bracket_tol=args.tol)
     else:  # lemma: U = S_theta S_lambda^-1, lam1 = lam + gamma/sqrt(A), lam2 = mu
         fb = frame_bounds(lam_sys)
         if fb is None:
@@ -182,7 +169,7 @@ def _cmd_perturb(args):
         lam1 = args.lam + args.gamma / np.sqrt(fb.lower)
         rep = perturb.check_invertibility_lemma(u, lam1, args.mu, samples=args.samples, seed=args.seed)
     ok = rep.hypothesis_holds and bool(rep.sandwich_ok if args.theorem == "lemma" else rep.bracket_ok)
-    report = _envelope(args, "perturb", inputs, {"bracket_tol": tol}, args.seed)
+    report = _envelope(args, "perturb", inputs, {"bracket_tol": args.tol}, args.seed)
     report.update(
         {
             "theorem": args.theorem,
@@ -214,15 +201,15 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="gfusion", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_seed=False):
-        p.add_argument("--tol", type=float, default=None, help="override the command's verdict tolerance")
+    def add_common(p, tol=TOL_VERDICT, with_seed=False):
+        p.add_argument("--tol", type=float, default=tol, help="the command's verdict tolerance (default: %(default)s)")
         p.add_argument("-o", "--output", default=None, help="also write the JSON payload to this file")
         if with_seed:
             p.add_argument("--seed", type=int, required=True, help="seed for the randomized parts")
 
     p = sub.add_parser("analyze", help="frame verdict, optimal bounds, completeness")
     p.add_argument("system")
-    add_common(p)
+    add_common(p, tol=TOL_PD)
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("dual", help="canonical dual and reconstruction residuals")

@@ -16,7 +16,7 @@ import numpy as np
 
 from .bases import BasisVerdict, is_gf_orthonormal
 from .errors import BadBasis, DimensionMismatch
-from .linalg import TOL_ORTHO, SpectralBounds, adjoint, gram_eigen_extremes, hermitian_eigenvalues
+from .linalg import TOL_ORTHO, TOL_VERDICT, SpectralBounds, adjoint, gram_eigen_extremes, hermitian_eigenvalues
 from .system import (
     FrameBounds, GFusionSystem, analysis_matrix, frame_bounds, frame_operator, spectral_extremes, split_blocks
 )
@@ -78,7 +78,7 @@ class CorrespondenceReport:
     riesz_agree: bool | None             # None unless the system is gf-Riesz
 
 
-def verify_correspondence(sys: GFusionSystem, fam: InducedFamily, tol: float = 1e-9) -> CorrespondenceReport:
+def verify_correspondence(sys: GFusionSystem, fam: InducedFamily, tol: float = TOL_VERDICT) -> CorrespondenceReport:
     """Compare the induced family's frame data with the system's.
 
     Checks (a) frame-bound agreement, (b) frame-operator coincidence, and

@@ -30,6 +30,10 @@ TOL_SUBSPACE = 1e-10
 # frame-operator hypothesis and sqrt(B) for the synthesis one, and 1 for the
 # invertibility lemma.
 TOL_SAMPLED_MARGIN = 1e-12
+# Default verdict tolerance of the basis tests, the cross operator, the
+# induced-frame correspondence, the certifiers' bracket checks and the
+# Parseval check.
+TOL_VERDICT = 1e-9
 # The lemma's four sandwich bounds are checked against the singular spectrum
 # with this absolute slack.
 TOL_LEMMA_SLACK = 1e-9

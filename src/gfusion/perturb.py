@@ -18,14 +18,17 @@ every report labels the guarantee it carries:
   exactly (analysis-side certifier);
 * ``none`` -- the hypothesis could not be established.
 
-Sampling evaluates the hypothesis's margin on ``samples`` random unit
-vectors per operator triple (one triple per block subset, or one in all for
-the radius condition), then runs projected-gradient ascent on the unit
-sphere from the ``ascent_top`` worst of them.  The starts of a triple ascend
-together: each takes at most ``ascent_steps`` steps, with its own step size
-and stopping rules, and every step evaluates the margin and its gradient
-once, on all the candidate columns.  Terms whose coefficient is 0 are not
-evaluated.
+The three sampled certifiers share one search, ``_sampled_max_margin``,
+whose shape is fixed by module constants.  Sampling evaluates the
+hypothesis's margin (the radius condition: its summed-norm functional) on
+``samples`` random unit vectors per search: one search per block subset, the
+full index set plus up to ``_EXTRA_SUBSETS`` (7) random ones, or one in all
+for the radius condition.  It then runs projected-gradient ascent on the
+unit sphere from the ``_ASCENT_TOP`` (5) worst of them.  The starts of a
+search ascend together: each takes at most ``_ASCENT_STEPS`` (50) steps,
+with its own step size and stopping rules, and every step evaluates the
+margin and its gradient once, on all the candidate columns.  Terms whose
+coefficient is 0 are not evaluated.
 
 A single vector whose margin exceeds the threshold refutes a hypothesis that
 quantifies over every vector and subset, so sampling stops at the first such
@@ -38,13 +41,13 @@ early, so its report is what the exhaustive search gives.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NotAFrameError
-from .linalg import TOL_LEMMA_SLACK, TOL_SAMPLED_MARGIN, adjoint, hermitian_eigen_extremes, operator_norm
+from .linalg import TOL_LEMMA_SLACK, TOL_SAMPLED_MARGIN, TOL_VERDICT, adjoint, hermitian_eigen_extremes, operator_norm
 from .sampling import random_unit_vectors
 from .system import (
     FrameBounds,
@@ -63,6 +66,11 @@ _TAG_R_CONDITION = "r_condition"
 _TAG_SYNTHESIS = "synthesis"
 _TAG_ANALYSIS = "analysis"
 _TAG_LEMMA = "invertibility_lemma"
+
+# Search shape of the sampled certifiers (see the module docstring).
+_EXTRA_SUBSETS = 7
+_ASCENT_TOP = 5
+_ASCENT_STEPS = 50
 
 
 @dataclass(frozen=True)
@@ -195,11 +203,15 @@ def check_invertibility_lemma(
     )
 
 
-def _reference_bounds(lam_sys: GFusionSystem) -> tuple[float, float]:
+def _setup(lam_sys: GFusionSystem, theta_sys: GFusionSystem, samples: int = 0) -> tuple[float, float, FrameBounds]:
+    """Check a certifier's inputs; the reference bounds A, B and the perturbed system's actual bounds."""
+    _require_samples(samples, 0)
+    require_same_structure(lam_sys, theta_sys)
     fb = frame_bounds(lam_sys)
     if fb is None:
         raise NotAFrameError("the reference system must be a g-fusion frame")
-    return fb.lower, fb.upper
+    ext = spectral_extremes(theta_sys)
+    return fb.lower, fb.upper, FrameBounds(ext.min_eig, ext.max_eig, "optimal-spectral")
 
 
 def _quadratic_terms(sys: GFusionSystem) -> list[np.ndarray]:
@@ -316,32 +328,43 @@ def _margin_objective(d_m, l_m, t_m, params: PerturbParams, quad_form: bool):
 
 
 def _sampled_max_margin(
-    matrices: Iterable[tuple[np.ndarray, np.ndarray, np.ndarray]],
-    params: PerturbParams,
-    rng: np.random.Generator,
-    field: str,
-    samples: int,
-    steps: int,
-    top: int,
-    quad_form: bool,
-    stop_above: float,
+    searches: Iterable[tuple[int, Callable]], rng: np.random.Generator, field: str, samples: int, stop_above: float
 ) -> float:
-    """Worst sampled hypothesis margin over the given (D, L, T) triples (see ``_margin_objective``).
+    """Worst sampled value over the given (dim, objective) searches (objectives as in ``_ascend``).
 
-    Stops at the first margin above ``stop_above``, which refutes the
-    hypothesis: the result is then the worst margin seen so far.  Triples
-    after that one are neither built nor sampled.
+    Each search draws ``samples`` random unit vectors in its dimension,
+    screens them with one objective call, and ascends from the
+    ``_ASCENT_TOP`` largest.  Stops at the first value above ``stop_above``,
+    which refutes the hypothesis: the result is then the worst value seen so
+    far.  Searches after that one are neither built nor drawn.
     """
     worst = -np.inf
-    for d_m, l_m, t_m in matrices:
-        f_batch = random_unit_vectors(rng, d_m.shape[1], samples, field)
-        objective = _margin_objective(d_m, l_m, t_m, params, quad_form)
-        margins, _ = objective(f_batch, grad=False)
-        order = np.argsort(margins)[::-1][:top]
-        worst = max(worst, _ascend(objective, f_batch[:, order], steps, stop_above).max(initial=-np.inf))
+    for dim, objective in searches:
+        f_batch = random_unit_vectors(rng, dim, samples, field)
+        values, _ = objective(f_batch, grad=False)
+        order = np.argsort(values)[::-1][:_ASCENT_TOP]
+        worst = max(worst, _ascend(objective, f_batch[:, order], _ASCENT_STEPS, stop_above).max(initial=-np.inf))
         if worst > stop_above:
             break
     return float(worst)
+
+
+def _decide(lam_sys: GFusionSystem, cert_margin: float, threshold: float, searches, samples: int, seed: int):
+    """Mode, margin, ``inequality_ok`` and sampled margin of a hypothesis over block subsets.
+
+    A ``cert_margin <= 0`` certifies it.  Otherwise, with samples, the full
+    index set and up to ``_EXTRA_SUBSETS`` random subsets are drawn as masks
+    and ``searches(masks)`` yields one (dim, objective) search per mask,
+    lazily; a sampled margin above ``threshold`` refutes the hypothesis.
+    """
+    if cert_margin <= 0.0:
+        return "certified_sufficient", cert_margin, True, None
+    if samples == 0:
+        return "none", cert_margin, False, None
+    rng = np.random.default_rng(seed)
+    masks = _subset_masks(rng, lam_sys.block_count, _EXTRA_SUBSETS)
+    sampled = _sampled_max_margin(searches(masks), rng, lam_sys.field, samples, threshold)
+    return "sampled", sampled, sampled <= threshold, sampled
 
 
 def _bracket(predicted: FrameBounds | None, actual: FrameBounds, tol: float) -> bool | None:
@@ -357,10 +380,7 @@ def certify_frame_operator_perturbation(
     *,
     samples: int = 2000,
     seed: int,
-    bracket_tol: float = 1e-9,
-    subset_count: int = 8,
-    ascent_steps: int = 50,
-    ascent_top: int = 5,
+    bracket_tol: float = TOL_VERDICT,
 ) -> PerturbationReport:
     """Certify the frame-operator comparison hypothesis.
 
@@ -374,50 +394,26 @@ def certify_frame_operator_perturbation(
     The sound certificate checks ``||S_lam - S_theta|| <= lam*A + gamma*sqrt(A)``
     (the mu = 0 sufficient condition) and covers the full index set only,
     which is all the predicted bounds need.  Otherwise the hypothesis is
-    sampled on the full index set plus up to ``subset_count - 1`` distinct
-    random nonempty subsets, stopping at the first margin above
+    sampled on the full index set plus up to 7 distinct random nonempty
+    subsets, stopping at the first margin above
     ``TOL_SAMPLED_MARGIN * max(1, B)``, which refutes it.
     """
-    _require_samples(samples, 0)
-    require_same_structure(lam_sys, theta_sys)
-    a, b = _reference_bounds(lam_sys)
+    a, b, actual = _setup(lam_sys, theta_sys, samples)
     sqrt_a, sqrt_b = np.sqrt(a), np.sqrt(b)
     admissible = bool(max(params.lam + params.gamma / sqrt_a, params.mu) < 1.0)
 
-    actual_ext = spectral_extremes(theta_sys)
-    actual = FrameBounds(actual_ext.min_eig, actual_ext.max_eig, "optimal-spectral")
-
     ds = operator_norm(frame_operator(lam_sys) - frame_operator(theta_sys))
     cert_margin = float(ds - (params.lam * a + params.gamma * sqrt_a))
-    sampled_margin = None
-    if cert_margin <= 0.0:
-        mode = "certified_sufficient"
-        margin = cert_margin
-        inequality_ok = True
-    elif samples > 0:
-        rng = np.random.default_rng(seed)
-        terms_l = _quadratic_terms(lam_sys)
-        terms_t = _quadratic_terms(theta_sys)
-        masks = _subset_masks(rng, lam_sys.block_count, subset_count - 1)
 
-        def triples():
-            for mask in masks:
-                l_m = sum(t for t, keep in zip(terms_l, mask) if keep)
-                t_m = sum(t for t, keep in zip(terms_t, mask) if keep)
-                yield l_m - t_m, l_m, t_m
+    def searches(masks):
+        terms_l, terms_t = _quadratic_terms(lam_sys), _quadratic_terms(theta_sys)
+        for mask in masks:
+            l_m = sum(t for t, keep in zip(terms_l, mask) if keep)
+            t_m = sum(t for t, keep in zip(terms_t, mask) if keep)
+            yield lam_sys.dim, _margin_objective(l_m - t_m, l_m, t_m, params, True)
 
-        threshold = TOL_SAMPLED_MARGIN * max(1.0, b)
-        sampled_margin = _sampled_max_margin(
-            triples(), params, rng, lam_sys.field, samples, ascent_steps, ascent_top, True, threshold
-        )
-        mode = "sampled"
-        margin = sampled_margin
-        inequality_ok = sampled_margin <= threshold
-    else:
-        mode = "none"
-        margin = cert_margin
-        inequality_ok = False
-
+    threshold = TOL_SAMPLED_MARGIN * max(1.0, b)
+    mode, margin, inequality_ok, sampled_margin = _decide(lam_sys, cert_margin, threshold, searches, samples, seed)
     holds = bool(inequality_ok and admissible)
     predicted = None
     if admissible:
@@ -449,9 +445,7 @@ def certify_R_condition(
     *,
     samples: int = 2000,
     seed: int,
-    bracket_tol: float = 1e-9,
-    ascent_steps: int = 50,
-    ascent_top: int = 5,
+    bracket_tol: float = TOL_VERDICT,
 ) -> PerturbationReport:
     """Certify the summed-norm radius condition.
 
@@ -467,12 +461,8 @@ def certify_R_condition(
     individual satisfaction flags; the bracket check uses the quadratic-form
     component, which is the one the frame-operator certificate yields.
     """
-    _require_samples(samples, 0)
-    require_same_structure(lam_sys, theta_sys)
-    a, b = _reference_bounds(lam_sys)
+    a, b, actual = _setup(lam_sys, theta_sys, samples)
     diffs = [l - t for l, t in zip(_quadratic_terms(lam_sys), _quadratic_terms(theta_sys))]
-    actual_ext = spectral_extremes(theta_sys)
-    actual = FrameBounds(actual_ext.min_eig, actual_ext.max_eig, "optimal-spectral")
 
     r_cert = float(sum(operator_norm(d) for d in diffs))
     r_sampled = None
@@ -481,8 +471,6 @@ def certify_R_condition(
         mode = "certified_sufficient"
         radius = r_cert
     elif samples > 0:
-        rng = np.random.default_rng(seed)
-        f_batch = random_unit_vectors(rng, lam_sys.dim, samples, lam_sys.field)
         diffs_h = [adjoint(d) for d in diffs]
 
         def objective(f, grad=True):
@@ -496,11 +484,10 @@ def certify_R_condition(
                     g = g + _over(d_h @ df, dn)
             return value, g if grad else None
 
-        values, _ = objective(f_batch, grad=False)
-        order = np.argsort(values)[::-1][:ascent_top]
         # stop once r_sampled >= a (the largest float below a is exceeded): the mode is then none
         stop = np.nextafter(a, -np.inf)
-        r_sampled = float(_ascend(objective, f_batch[:, order], ascent_steps, stop).max(initial=-np.inf))
+        rng = np.random.default_rng(seed)
+        r_sampled = _sampled_max_margin([(lam_sys.dim, objective)], rng, lam_sys.field, samples, stop)
         if r_sampled < a:
             mode = "sampled"
             radius = r_sampled
@@ -544,10 +531,7 @@ def certify_synthesis_perturbation(
     *,
     samples: int = 2000,
     seed: int,
-    bracket_tol: float = 1e-9,
-    subset_count: int = 8,
-    ascent_steps: int = 50,
-    ascent_top: int = 5,
+    bracket_tol: float = TOL_VERDICT,
 ) -> PerturbationReport:
     """Certify the synthesis-operator comparison hypothesis.
 
@@ -555,51 +539,32 @@ def certify_synthesis_perturbation(
     ``||(T_lam - T_theta) g|| <= lam*||T_lam g|| + mu*||T_theta g|| +
     gamma*||g||``.  Sound certificate: ``||T_lam - T_theta|| <= gamma``, which
     covers the full index set only, as the predicted bounds need.  Otherwise
-    the hypothesis is sampled on the full index set plus up to
-    ``subset_count - 1`` distinct random nonempty subsets, stopping at the
-    first margin above ``TOL_SAMPLED_MARGIN * max(1, sqrt(B))``, which
-    refutes it.
+    the hypothesis is sampled on the full index set plus up to 7 distinct
+    random nonempty subsets, stopping at the first margin above
+    ``TOL_SAMPLED_MARGIN * max(1, sqrt(B))``, which refutes it.
 
     The published lower bound ``A*(1-(lam+gamma/sqrt(A))^2)/(1+mu)`` and the
     proof-derived one ``A*((1-(lam+gamma/sqrt(A)))/(1+mu))^2`` disagree; both
     are emitted and bracketed separately, with ``predicted``/``bracket_ok``
     carrying the proof-derived pair.
     """
-    _require_samples(samples, 0)
-    require_same_structure(lam_sys, theta_sys)
-    a, b = _reference_bounds(lam_sys)
+    a, b, actual = _setup(lam_sys, theta_sys, samples)
     sqrt_a, sqrt_b = np.sqrt(a), np.sqrt(b)
     admissible = bool(max(params.lam + params.gamma / sqrt_a, params.mu) < 1.0)
 
     t_lam = synthesis_matrix(lam_sys)
     t_theta = synthesis_matrix(theta_sys)
-    actual_ext = spectral_extremes(theta_sys)
-    actual = FrameBounds(actual_ext.min_eig, actual_ext.max_eig, "optimal-spectral")
-
     d_t = t_lam - t_theta
     cert_margin = float(operator_norm(d_t) - params.gamma)
-    sampled_margin = None
-    if cert_margin <= 0.0:
-        mode = "certified_sufficient"
-        margin = cert_margin
-        inequality_ok = True
-    elif samples > 0:
-        rng = np.random.default_rng(seed)
-        col_blocks = np.repeat(np.arange(lam_sys.block_count), lam_sys.block_dims)
-        masks = _subset_masks(rng, lam_sys.block_count, subset_count - 1)
-        triples = ((d_t[:, cols], t_lam[:, cols], t_theta[:, cols]) for cols in (m[col_blocks] for m in masks))
-        threshold = TOL_SAMPLED_MARGIN * max(1.0, sqrt_b)
-        sampled_margin = _sampled_max_margin(
-            triples, params, rng, lam_sys.field, samples, ascent_steps, ascent_top, False, threshold
-        )
-        mode = "sampled"
-        margin = sampled_margin
-        inequality_ok = sampled_margin <= threshold
-    else:
-        mode = "none"
-        margin = cert_margin
-        inequality_ok = False
 
+    def searches(masks):
+        col_blocks = np.repeat(np.arange(lam_sys.block_count), lam_sys.block_dims)
+        for cols in (m[col_blocks] for m in masks):
+            d_m = d_t[:, cols]
+            yield d_m.shape[1], _margin_objective(d_m, t_lam[:, cols], t_theta[:, cols], params, False)
+
+    threshold = TOL_SAMPLED_MARGIN * max(1.0, sqrt_b)
+    mode, margin, inequality_ok, sampled_margin = _decide(lam_sys, cert_margin, threshold, searches, samples, seed)
     holds = bool(inequality_ok and admissible)
     predicted = None
     stated_lower = None
@@ -634,7 +599,7 @@ def certify_analysis_perturbation(
     lam_sys: GFusionSystem,
     theta_sys: GFusionSystem,
     *,
-    bracket_tol: float = 1e-9,
+    bracket_tol: float = TOL_VERDICT,
 ) -> PerturbationReport:
     """Certify the analysis-side quadratic hypothesis; needs no sampling.
 
@@ -645,12 +610,9 @@ def certify_analysis_perturbation(
     With R < A the perturbed system is a frame with bounds
     ``(sqrt(A) - sqrt(R))^2`` and ``(sqrt(R) + sqrt(B))^2``.
     """
-    require_same_structure(lam_sys, theta_sys)
-    a, b = _reference_bounds(lam_sys)
+    a, b, actual = _setup(lam_sys, theta_sys)
     d = analysis_matrix(lam_sys) - analysis_matrix(theta_sys)
     radius = max(hermitian_eigen_extremes(adjoint(d) @ d).max_eig, 0.0)
-    actual_ext = spectral_extremes(theta_sys)
-    actual = FrameBounds(actual_ext.min_eig, actual_ext.max_eig, "optimal-spectral")
     holds = bool(radius < a)
     predicted = None
     if holds:

@@ -200,4 +200,4 @@ class TestParseDiagnostics:
 
 def test_golden_files(tmp_path):
     names = replay_golden(tmp_path)
-    assert len(names) == 16
+    assert len(names) == 19
