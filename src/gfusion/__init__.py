@@ -22,8 +22,6 @@ from .errors import (
     GFusionError,
     NonFiniteInput,
     NotAFrameError,
-    NotHermitian,
-    NotPositiveDefinite,
     PreconditionFailed,
     SystemFileError,
     SystemMismatch,
@@ -35,8 +33,6 @@ from .linalg import (
     SpectralBounds,
     Subspace,
     adjoint,
-    hermitian_eigen_extremes,
-    hpd_inverse,
     operator_norm,
     orthonormalize,
 )
@@ -61,6 +57,7 @@ from .system import (
     canonical_dual,
     frame_bounds,
     frame_operator,
+    inverse_frame_operator,
     is_gf_complete,
     make_system,
     reconstruct,

@@ -18,12 +18,13 @@ from . import bases, induced, perturb
 from .errors import GFusionError
 from .generate import generate, generate_like, perturbed_copy
 from .io import dumps_canonical, load_system, read_system, save_system, system_to_dict, to_jsonable
-from .linalg import TOL_PD, TOL_VERDICT, hpd_inverse
+from .linalg import TOL_PD, TOL_VERDICT
 from .sampling import random_unit_vectors
 from .system import (
     canonical_dual,
     frame_bounds,
     frame_operator,
+    inverse_frame_operator,
     is_gf_complete,
     reconstruct,
     spectral_extremes,
@@ -165,7 +166,7 @@ def _cmd_perturb(args):
         fb = frame_bounds(lam_sys)
         if fb is None:
             raise GFusionError("lemma mode needs the reference system to be a frame")
-        u = frame_operator(theta_sys) @ hpd_inverse(frame_operator(lam_sys))
+        u = frame_operator(theta_sys) @ inverse_frame_operator(lam_sys)
         lam1 = args.lam + args.gamma / np.sqrt(fb.lower)
         rep = perturb.check_invertibility_lemma(u, lam1, args.mu, samples=args.samples, seed=args.seed)
     ok = rep.hypothesis_holds and bool(rep.sandwich_ok if args.theorem == "lemma" else rep.bracket_ok)
@@ -202,7 +203,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p, tol=TOL_VERDICT, with_seed=False):
-        p.add_argument("--tol", type=float, default=tol, help="the command's verdict tolerance (default: %(default)s)")
+        if tol is not None:
+            help_ = "the command's verdict tolerance (default: %(default)s)"
+            p.add_argument("--tol", type=float, default=tol, help=help_)
         p.add_argument("-o", "--output", default=None, help="also write the JSON payload to this file")
         if with_seed:
             p.add_argument("--seed", type=int, required=True, help="seed for the randomized parts")
@@ -257,7 +260,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--field", choices=("real", "complex"), default="real")
     p.add_argument("--base", default=None, help="existing system file providing the structure")
     p.add_argument("--noise", type=float, default=None, help="perturb --base by this exact analysis radius")
-    add_common(p, with_seed=True)
+    add_common(p, tol=None, with_seed=True)
     p.set_defaults(func=_cmd_gen)
 
     return parser

@@ -9,14 +9,6 @@ class NonFiniteInput(GFusionError):
     """A matrix or vector contains NaN or infinite entries."""
 
 
-class NotHermitian(GFusionError):
-    """An operator expected to be (numerically) Hermitian is not."""
-
-
-class NotPositiveDefinite(GFusionError):
-    """A Hermitian operator is not positive definite at the given tolerance."""
-
-
 class DimensionMismatch(GFusionError):
     """Shapes of the supplied objects are incompatible."""
 

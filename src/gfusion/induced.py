@@ -16,7 +16,9 @@ import numpy as np
 
 from .bases import BasisVerdict, is_gf_orthonormal
 from .errors import BadBasis, DimensionMismatch
-from .linalg import TOL_ORTHO, TOL_VERDICT, SpectralBounds, adjoint, gram_eigen_extremes, hermitian_eigenvalues
+from .linalg import (
+    TOL_ORTHO, TOL_VERDICT, SpectralBounds, adjoint, finite_product, gram_eigen_extremes, hermitian_part
+)
 from .system import (
     FrameBounds, GFusionSystem, analysis_matrix, frame_bounds, frame_operator, spectral_extremes, split_blocks
 )
@@ -27,7 +29,6 @@ class InducedFamily:
     """The induced vectors, kept with their (block, basis-index) labels."""
 
     entries: tuple[tuple[int, int, np.ndarray], ...]
-    onbs: tuple[np.ndarray, ...]  # columns of onbs[j] are the e_{j,k}
 
     @property
     def count(self) -> int:
@@ -60,7 +61,7 @@ def induce_vectors(sys: GFusionSystem, onbs=None) -> InducedFamily:
         u_block = adjoint(k_j) @ e  # v_j P_j L_j^H e
         for k in range(u_block.shape[1]):
             entries.append((j, k, u_block[:, k]))
-    return InducedFamily(tuple(entries), tuple(onbs))
+    return InducedFamily(tuple(entries))
 
 
 @dataclass(frozen=True)
@@ -91,9 +92,9 @@ def verify_correspondence(sys: GFusionSystem, fam: InducedFamily, tol: float = T
     """
     sys_ext = spectral_extremes(sys)
     u = fam.matrix()
-    induced_op = u @ adjoint(u)
+    induced_op = finite_product(u, adjoint(u), "induced frame operator U U^H")
     coincidence = float(np.linalg.norm(induced_op - frame_operator(sys), 2))
-    ind_eigs = hermitian_eigenvalues(induced_op)
+    ind_eigs = np.linalg.eigvalsh(hermitian_part(induced_op))
     ind_ext = SpectralBounds(float(ind_eigs[0]), float(ind_eigs[-1]))
     bounds_agree = bool(
         abs(ind_ext.min_eig - sys_ext.min_eig) <= tol and abs(ind_ext.max_eig - sys_ext.max_eig) <= tol

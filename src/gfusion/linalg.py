@@ -2,10 +2,11 @@
 
 Everything upstream (frames, bases, perturbation certificates) is built on
 the handful of primitives here: rank-revealing orthonormalization,
-orthogonal projectors, Hermitian eigenvalue extremes (also of a Gram X^H X,
-read off the outer operator X X^H), operator norms and positive-definite
-inverses.  All values are plain ``numpy`` arrays, treated as immutable once
-constructed.
+orthogonal projectors, the Hermitian part of an operator, the eigenvalue
+extremes of a Gram X^H X read off the outer operator X X^H, and operator
+norms.  Eigendecompositions are plain ``numpy.linalg`` calls on a Hermitian
+part at the call site.  All values are plain ``numpy`` arrays, treated as
+immutable once constructed.
 """
 
 from __future__ import annotations
@@ -14,12 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonFiniteInput, NotHermitian, NotPositiveDefinite
+from .errors import NonFiniteInput
 
 # Double-precision defaults with headroom; every operation accepts overrides.
 TOL_RANK = 1e-10
 TOL_ORTHO = 1e-10
-TOL_HERM = 1e-8
 TOL_PD = 1e-12
 TOL_INV = 1e-9
 # Structure match: weights within TOL_WEIGHT, subspace projectors within TOL_SUBSPACE.
@@ -49,6 +49,13 @@ def require_finite(x: np.ndarray, name: str = "matrix") -> np.ndarray:
     if x.size and not np.all(np.isfinite(x)):
         raise NonFiniteInput(f"{name} contains NaN or Inf entries")
     return x
+
+
+def finite_product(a: np.ndarray, b: np.ndarray, name: str) -> np.ndarray:
+    """a @ b; NonFiniteInput naming the product if it overflows, raised without a numpy warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = a @ b
+    return require_finite(out, name)
 
 
 def operator_norm(x: np.ndarray) -> float:
@@ -145,27 +152,9 @@ def orthonormalize(spanning: np.ndarray, tol_rank: float = TOL_RANK) -> Subspace
     return Subspace(u[:, :rank])
 
 
-def _check_hermitian(s: np.ndarray, tol_herm: float) -> np.ndarray:
-    s = np.asarray(s)
-    require_finite(s, "operator")
-    if s.ndim != 2 or s.shape[0] != s.shape[1] or s.shape[0] < 1:
-        raise NotHermitian(f"expected a square matrix, got shape {s.shape}")
-    scale = operator_norm(s)
-    if operator_norm(s - adjoint(s)) > tol_herm * max(scale, 1e-300):
-        raise NotHermitian("matrix deviates from its adjoint beyond tolerance")
-    # Kill accumulated round-off asymmetry before the decomposition.
-    return (s + adjoint(s)) / 2.0
-
-
-def hermitian_eigenvalues(s: np.ndarray, tol_herm: float = TOL_HERM) -> np.ndarray:
-    """Ascending eigenvalues of the symmetrized input."""
-    return np.linalg.eigvalsh(_check_hermitian(s, tol_herm))
-
-
-def hermitian_eigen_extremes(s: np.ndarray, tol_herm: float = TOL_HERM) -> SpectralBounds:
-    """Smallest and largest eigenvalue of the symmetrized input."""
-    w = hermitian_eigenvalues(s, tol_herm)
-    return SpectralBounds(float(w[0]), float(w[-1]))
+def hermitian_part(x: np.ndarray) -> np.ndarray:
+    """(x + x^H) / 2, formed by halves so that a finite x cannot overflow."""
+    return x / 2.0 + adjoint(x) / 2.0
 
 
 def gram_eigen_extremes(outer_eigenvalues: np.ndarray, count: int) -> SpectralBounds:
@@ -178,13 +167,3 @@ def gram_eigen_extremes(outer_eigenvalues: np.ndarray, count: int) -> SpectralBo
     w = outer_eigenvalues
     n = len(w)
     return SpectralBounds(0.0 if count > n else float(w[n - count]), float(w[-1]))
-
-
-def hpd_inverse(s: np.ndarray, tol_pd: float = TOL_PD, tol_herm: float = TOL_HERM) -> np.ndarray:
-    """Inverse of a Hermitian positive-definite operator, Hermitian by construction."""
-    sym = _check_hermitian(s, tol_herm)
-    w, v = np.linalg.eigh(sym)
-    if w[0] <= tol_pd:
-        raise NotPositiveDefinite(f"smallest eigenvalue {w[0]:.3e} is <= tol_pd={tol_pd:.1e}")
-    inv = (v / w) @ adjoint(v)
-    return (inv + adjoint(inv)) / 2.0

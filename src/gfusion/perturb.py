@@ -47,7 +47,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotAFrameError
-from .linalg import TOL_LEMMA_SLACK, TOL_SAMPLED_MARGIN, TOL_VERDICT, adjoint, hermitian_eigen_extremes, operator_norm
+from .linalg import (
+    TOL_LEMMA_SLACK, TOL_SAMPLED_MARGIN, TOL_VERDICT, adjoint, finite_product, hermitian_part, operator_norm
+)
 from .sampling import random_unit_vectors
 from .system import (
     FrameBounds,
@@ -612,7 +614,8 @@ def certify_analysis_perturbation(
     """
     a, b, actual = _setup(lam_sys, theta_sys)
     d = analysis_matrix(lam_sys) - analysis_matrix(theta_sys)
-    radius = max(hermitian_eigen_extremes(adjoint(d) @ d).max_eig, 0.0)
+    dd = finite_product(adjoint(d), d, "analysis perturbation D^H D")
+    radius = max(float(np.linalg.eigvalsh(hermitian_part(dd))[-1]), 0.0)
     holds = bool(radius < a)
     predicted = None
     if holds:

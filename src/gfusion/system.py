@@ -8,8 +8,11 @@ g-fusion frame when that form is bounded between A*||f||^2 and B*||f||^2
 with 0 < A <= B.
 
 Every operator derives from the stacked analysis matrix K (row blocks
-v_j L_j P_j), cached on the system at first use, as is the spectrum of
-S = K^H K: analysis is K, synthesis K^H, completeness is rank K = dim.
+v_j L_j P_j), cached on the system at first use: analysis is K, synthesis
+K^H, completeness is rank K = dim.  Beside K sits one cached
+eigendecomposition S = V diag(w) V^H of the frame operator S = K^H K; the
+frame bounds, the basis verdicts and S^-1 (hence the canonical dual) are all
+read from it.
 """
 
 from __future__ import annotations
@@ -19,13 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    FieldMismatch,
-    NotAFrameError,
-    NotPositiveDefinite,
-    SystemMismatch,
-)
+from .errors import DimensionMismatch, FieldMismatch, NotAFrameError, SystemMismatch
 from .linalg import (
     TOL_ORTHO,
     TOL_PD,
@@ -36,7 +33,8 @@ from .linalg import (
     Subspace,
     _readonly,
     adjoint,
-    hpd_inverse,
+    finite_product,
+    hermitian_part,
     orthonormalize,
     require_finite,
 )
@@ -140,10 +138,16 @@ class GFusionSystem:
         return k
 
     @cached_property
+    def eigh(self) -> tuple[np.ndarray, np.ndarray]:
+        """(w, V), read-only, with S = V diag(w) V^H: one ``eigh`` of the Hermitian part of S = K^H K."""
+        w, v = np.linalg.eigh(hermitian_part(frame_operator(self)))
+        w.flags.writeable = v.flags.writeable = False
+        return w, v
+
+    @property
     def spectrum(self) -> np.ndarray:
-        """Ascending eigenvalues of S = K^H K (read-only), its round-off asymmetry averaged out."""
-        s = frame_operator(self)
-        return _readonly(np.linalg.eigvalsh((s + adjoint(s)) / 2.0))
+        """Ascending eigenvalues w of S (read-only, from the cached ``eigh``)."""
+        return self.eigh[0]
 
 
 def require_same_structure(a: GFusionSystem, b: GFusionSystem, tol_subspace: float = TOL_SUBSPACE):
@@ -279,9 +283,7 @@ def synthesis_matrix(sys: GFusionSystem) -> np.ndarray:
 def frame_operator(sys: GFusionSystem) -> np.ndarray:
     """S = K^H K = sum_j v_j^2 P_j L_j^H L_j P_j; NonFiniteInput if it overflows."""
     k = sys.analysis_matrix
-    with np.errstate(over="ignore", invalid="ignore"):
-        s = adjoint(k) @ k
-    return require_finite(s, "frame operator K^H K")
+    return finite_product(adjoint(k), k, "frame operator K^H K")
 
 
 def frame_bounds(sys: GFusionSystem, tol_pd: float = TOL_PD) -> FrameBounds | None:
@@ -308,16 +310,24 @@ def is_gf_complete(sys: GFusionSystem, tol: float = TOL_RANK) -> bool:
     return int(np.count_nonzero(s > tol * s[0])) == sys.dim
 
 
+def inverse_frame_operator(sys: GFusionSystem, tol_pd: float = TOL_PD) -> np.ndarray:
+    """S^-1 = V diag(1/w) V^H from the cached ``eigh``, made exactly Hermitian.
+
+    NotAFrameError when the smallest eigenvalue of S is <= ``tol_pd``.
+    """
+    w, v = sys.eigh
+    if w[0] <= tol_pd:
+        raise NotAFrameError(f"frame operator is not invertible: smallest eigenvalue {w[0]:.3e} <= tol_pd={tol_pd:.1e}")
+    return hermitian_part((v / w) @ adjoint(v))
+
+
 def canonical_dual(sys: GFusionSystem, tol_pd: float = TOL_PD) -> GFusionSystem:
     """The canonical dual system (S^-1 W_j, L_j P_j S^-1, v_j).
 
     Dual subspaces are re-orthonormalized since S^-1 does not preserve
     orthonormality of the original bases.
     """
-    try:
-        s_inv = hpd_inverse(frame_operator(sys), tol_pd)
-    except NotPositiveDefinite as exc:
-        raise NotAFrameError("frame operator is not invertible at tol_pd") from exc
+    s_inv = inverse_frame_operator(sys, tol_pd)
     subs = []
     for sub, k_j in zip(sys.subsystems, split_blocks(sys, sys.analysis_matrix)):
         basis = orthonormalize(s_inv @ sub.subspace.basis).basis.astype(sys.dtype)

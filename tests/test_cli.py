@@ -92,6 +92,12 @@ class TestExitCodes:
         code, _ = run_cli(["analyze", frame_file, "--tol", "1e9"])
         assert code == 1
 
+    def test_gen_has_no_tol_option(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["gen", "--dim", "2", "--blocks", "1", "--seed", "1", "--tol", "1e-3"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --tol 1e-3" in capsys.readouterr().err
+
     def test_missing_file_exits_two(self, tmp_path):
         code, _ = run_cli(["analyze", str(tmp_path / "nope.json")])
         assert code == 2

@@ -5,7 +5,7 @@ import pytest
 
 import gfusion as gf
 from gfusion.errors import PreconditionFailed
-from gfusion.linalg import hermitian_eigen_extremes, adjoint
+from gfusion.linalg import adjoint
 
 
 @pytest.mark.parametrize("field", ["real", "complex"])
@@ -71,7 +71,7 @@ def test_perturbed_copy_radius_is_exact():
     for a, b in zip(sys.subsystems, theta.subsystems):
         k = a.weight * ((b.operator - a.operator) @ a.subspace.projector())
         d += adjoint(k) @ k
-    measured = np.sqrt(max(hermitian_eigen_extremes(d).max_eig, 0.0))
+    measured = np.sqrt(max(np.linalg.eigvalsh(d)[-1], 0.0))
     assert abs(measured - 0.03) <= 1e-10
 
 

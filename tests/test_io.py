@@ -368,6 +368,70 @@ def test_cli_exits_two_on_an_overflowing_product(tmp_path, capsys, command, subs
     assert json.loads(capsys.readouterr().err) == {"error": "NonFiniteInput", "message": message}
 
 
+def _one_entry_file(tmp_path, name, entry):
+    path = tmp_path / name
+    path.write_text(
+        '{"version": 1, "field": "real", "dim": 1, "subsystems": '
+        f'[{{"weight": 1, "subspace": [[1]], "lambda": [[{entry}]]}}]}}'
+    )
+    return str(path)
+
+
+def _all_finite(x):
+    if isinstance(x, dict):
+        return all(_all_finite(v) for v in x.values())
+    if isinstance(x, list):
+        return all(_all_finite(v) for v in x)
+    return not isinstance(x, float) or math.isfinite(x)
+
+
+NEAR_MAX = {"big": "1e154", "neg": "-1e154"}  # K = +-1e154, S = 1e308: finite, but S + S^H is not
+
+
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        (["analyze", "big"], 0),
+        (["analyze", "neg"], 0),
+        (["dual", "big", "--seed", "1"], 0),
+        (["riesz", "big"], 0),
+        (["onb", "big"], 1),
+        (["induce", "big"], 0),
+        (["perturb", "neg", "neg", "--theorem", "t52", "--seed", "1"], 0),
+        (["perturb", "big", "neg", "--theorem", "t52", "--seed", "1"], 0),
+        (["perturb", "neg", "neg", "--theorem", "synth", "--seed", "1"], 0),
+        (["perturb", "neg", "neg", "--theorem", "cR", "--seed", "1"], 0),
+        (["perturb", "neg", "neg", "--theorem", "analysis", "--seed", "1"], 0),
+        (["perturb", "neg", "neg", "--theorem", "lemma", "--seed", "1"], 0),
+    ],
+)
+def test_cli_reports_stay_finite_when_the_frame_operator_nears_the_float_maximum(tmp_path, argv, want):
+    files = {label: _one_entry_file(tmp_path, f"{label}.json", entry) for label, entry in NEAR_MAX.items()}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy RuntimeWarning on the way
+        code, out = run_cli([files.get(a, a) for a in argv])
+    report = json.loads(out)
+    assert code == want and _all_finite(report)
+    if argv[0] == "analyze":
+        assert report["verdict"] == "frame"
+        assert report["bounds"]["lower"] == report["bounds"]["upper"] == 1e308
+    if argv[0] == "perturb" and argv[4] == "t52":
+        assert report["report"]["cert_margin"] == 0.0  # ||S_lam - S_theta|| - (lam A + gamma sqrt(A)), all 0
+
+
+def test_cli_exits_two_when_the_analysis_perturbation_overflows(tmp_path, capsys):
+    # K_lam = 1e154 and K_theta = -1e154 have finite frame operators, but D^H D = 4e308 is not finite.
+    big, neg = (_one_entry_file(tmp_path, f"{label}.json", entry) for label, entry in NEAR_MAX.items())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = run_cli(["perturb", big, neg, "--theorem", "analysis", "--seed", "1"])
+    assert code == 2 and out == ""
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "NonFiniteInput",
+        "message": "analysis perturbation D^H D contains NaN or Inf entries",
+    }
+
+
 @pytest.mark.parametrize("weight", [INF, math.nan])
 def test_library_rejects_a_non_finite_weight(weight):
     with pytest.raises(ValueError, match="weight must be positive and finite"):

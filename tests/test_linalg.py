@@ -5,14 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gfusion.errors import NonFiniteInput, NotHermitian, NotPositiveDefinite
+from gfusion.errors import NonFiniteInput
 from gfusion.linalg import (
     Subspace,
     adjoint,
+    finite_product,
     gram_eigen_extremes,
-    hermitian_eigen_extremes,
-    hermitian_eigenvalues,
-    hpd_inverse,
+    hermitian_part,
     operator_norm,
     orthonormalize,
 )
@@ -90,42 +89,32 @@ class TestProjector:
             Subspace(np.array([[1.0, 1.0], [0.0, 1.0]]))
 
 
-class TestEigenExtremes:
-    def test_identity_is_exact_up_to_32(self):
-        for n in range(1, 33):
-            ext = hermitian_eigen_extremes(np.eye(n))
-            assert ext.min_eig == 1.0 and ext.max_eig == 1.0
-
-    def test_diagonal(self):
-        ext = hermitian_eigen_extremes(np.diag([4.0, 1.0]))
-        assert (ext.min_eig, ext.max_eig) == (1.0, 4.0)
-
-    def test_rayleigh_quotient_sampling_oracle(self):
-        # Every sampled Rayleigh quotient must sit inside the reported
-        # extremes, up to 1e-6 relative slack.
+class TestHermitianPart:
+    @pytest.mark.parametrize("complex_", [False, True])
+    def test_exactly_hermitian_and_bit_identical_to_the_plain_average(self, complex_):
         rng = np.random.default_rng(11)
-        a = rng.standard_normal((8, 8))
-        a = a + a.T
-        ext = hermitian_eigen_extremes(a)
-        x = rng.standard_normal((8, 10_000))
-        x /= np.linalg.norm(x, axis=0)
-        rq = np.einsum("is,is->s", x, a @ x)
-        slack = 1e-6 * max(abs(ext.min_eig), abs(ext.max_eig))
-        assert rq.min() >= ext.min_eig - slack
-        assert rq.max() <= ext.max_eig + slack
+        x = rng.standard_normal((7, 7))
+        if complex_:
+            x = x + 1j * rng.standard_normal((7, 7))
+        h = hermitian_part(x)
+        assert np.array_equal(h, adjoint(h))
+        assert np.array_equal(h, (x + adjoint(x)) / 2.0)
 
-    def test_rejects_nonhermitian(self):
-        with pytest.raises(NotHermitian):
-            hermitian_eigen_extremes(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    def test_finite_entries_near_the_float_maximum_do_not_overflow(self):
+        x = np.array([[1e308, -1.5e308], [-1.7e308, 1e308]])
+        np.testing.assert_array_equal(hermitian_part(x), [[1e308, -1.6e308], [-1.6e308, 1e308]])
 
-    def test_rejects_rectangular(self):
-        with pytest.raises(NotHermitian):
-            hermitian_eigen_extremes(np.zeros((2, 3)))
 
-    def test_complex_hermitian(self):
-        a = np.array([[2.0, 1j], [-1j, 2.0]])
-        ext = hermitian_eigen_extremes(a)
-        np.testing.assert_allclose([ext.min_eig, ext.max_eig], [1.0, 3.0], atol=1e-12)
+class TestFiniteProduct:
+    def test_matches_matmul(self):
+        rng = np.random.default_rng(4)
+        a, b = rng.standard_normal((3, 5)), rng.standard_normal((5, 2))
+        assert np.array_equal(finite_product(a, b, "a b"), a @ b)
+
+    def test_overflow_names_the_product_without_a_warning(self):
+        a = np.array([[1e200]])
+        with pytest.raises(NonFiniteInput, match=r"^the product contains NaN or Inf entries$"):
+            finite_product(a, a, "the product")
 
 
 class TestGramEigenExtremes:
@@ -137,7 +126,7 @@ class TestGramEigenExtremes:
         if complex_:
             x = x + 1j * rng.standard_normal((n, count))
         w = np.linalg.eigvalsh(adjoint(x) @ x)
-        ext = gram_eigen_extremes(hermitian_eigenvalues(x @ adjoint(x)), count)
+        ext = gram_eigen_extremes(np.linalg.eigvalsh(x @ adjoint(x)), count)
         scale = 1e-10 * max(1.0, w[-1])
         assert abs(ext.max_eig - w[-1]) <= scale
         assert abs(ext.min_eig - w[0]) <= scale
@@ -168,27 +157,3 @@ class TestOperatorNorm:
         x = rng.standard_normal((4, 6))
         y = rng.standard_normal((6, 3))
         assert operator_norm(x @ y) <= operator_norm(x) * operator_norm(y) + 1e-12
-
-
-class TestHpdInverse:
-    def test_identity(self):
-        np.testing.assert_allclose(hpd_inverse(np.eye(3)), np.eye(3), atol=1e-14)
-
-    def test_diagonal(self):
-        np.testing.assert_allclose(hpd_inverse(np.diag([2.0, 4.0])), np.diag([0.5, 0.25]), atol=1e-14)
-
-    def test_random_residual(self):
-        rng = np.random.default_rng(5)
-        m = rng.standard_normal((6, 6))
-        s = m.T @ m + np.eye(6)
-        inv = hpd_inverse(s)
-        assert operator_norm(s @ inv - np.eye(6)) <= 1e-10
-        assert operator_norm(inv - adjoint(inv)) == 0.0
-
-    def test_rejects_indefinite(self):
-        with pytest.raises(NotPositiveDefinite):
-            hpd_inverse(np.diag([1.0, -1.0]))
-
-    def test_rejects_singular_at_tolerance(self):
-        with pytest.raises(NotPositiveDefinite):
-            hpd_inverse(np.diag([1.0, 1e-13]), tol_pd=1e-12)

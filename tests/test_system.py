@@ -4,7 +4,9 @@ import dataclasses
 
 import numpy as np
 import pytest
-from helpers import coordinate_system
+from helpers import coordinate_system, full_space_system
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gfusion as gf
 from gfusion.errors import (
@@ -14,7 +16,7 @@ from gfusion.errors import (
     NotAFrameError,
     SystemMismatch,
 )
-from gfusion.linalg import adjoint, hermitian_eigenvalues, hpd_inverse, operator_norm
+from gfusion.linalg import adjoint, operator_norm
 from gfusion.sampling import random_unit_vectors
 
 
@@ -121,45 +123,136 @@ class TestFrameOperator:
 
 
 class TestSpectrumCache:
-    """The eigenvalues of S are computed once per system and every spectral verdict reads them."""
+    """S is eigendecomposed once per system and every spectral verdict and S^-1 read that decomposition."""
 
     def test_read_only_and_cached(self):
         sys = gf.generate("frame", 6, 3, seed=5)
         w = sys.spectrum
-        assert sys.spectrum is w
-        assert not w.flags.writeable
-        with pytest.raises(ValueError):
-            w[0] = 0.0
+        assert sys.spectrum is w and sys.eigh[0] is w
+        assert sys.eigh is sys.eigh
+        for x in sys.eigh:
+            assert not x.flags.writeable
+            with pytest.raises(ValueError):
+                x[0] = 0.0
         with pytest.raises(dataclasses.FrozenInstanceError):
             sys.spectrum = np.ones(6)
 
     @pytest.mark.parametrize("field", ["real", "complex"])
-    def test_bit_identical_to_the_checked_eigensolve(self, field):
+    def test_bit_identical_to_eigh_of_the_symmetrized_frame_operator(self, field):
         for seed in range(5):
             sys = gf.generate("frame", 7, 4, seed=seed, field=field)
-            assert np.array_equal(sys.spectrum, hermitian_eigenvalues(gf.frame_operator(sys)))
+            s = gf.frame_operator(sys)
+            w, v = np.linalg.eigh((s + adjoint(s)) / 2.0)
+            assert np.array_equal(sys.spectrum, w)
+            assert np.array_equal(sys.eigh[1], v)
             ext = gf.spectral_extremes(sys)
             assert (ext.min_eig, ext.max_eig) == (sys.spectrum[0], sys.spectrum[-1])
 
-    def test_one_eigensolve_of_s_per_system(self, monkeypatch):
-        drawn = gf.generate("frame", 6, 3, seed=5)  # the generator reads the spectrum itself
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_one_eigh_and_no_other_decomposition_of_s_per_system(self, monkeypatch, field):
+        drawn = gf.generate("frame", 6, 3, seed=5, field=field)  # the generator reads the spectrum itself
         sys = gf.GFusionSystem(drawn.dim, drawn.field, drawn.subsystems)
         fam = gf.induce_vectors(sys)
-        shapes = []
-        eigvalsh = np.linalg.eigvalsh
+        s = gf.frame_operator(sys)
+        calls = []
 
-        def counting(a, *args, **kwargs):
-            shapes.append(np.shape(a))
-            return eigvalsh(a, *args, **kwargs)
+        def counting(name, fn):
+            def wrapped(a, *args, **kwargs):
+                calls.append((name, np.shape(a), np.shape(a) == s.shape and np.allclose(a, s, rtol=1e-12)))
+                return fn(a, *args, **kwargs)
+            return wrapped
 
-        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        for name in ("eigh", "eigvalsh", "eig", "eigvals", "svd", "inv", "solve", "cholesky"):
+            monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
         gf.frame_bounds(sys)
         gf.riesz_bounds(sys)
         gf.is_gf_orthonormal(sys)
-        assert shapes == [(6, 6)]
-        # The correspondence check adds only the induced family's U U^H; S's spectrum is cached.
+        gf.canonical_dual(sys)
+        gf.inverse_frame_operator(sys)
+        assert calls[0] == ("eigh", (6, 6), True)
+        assert not any(on_s for _, _, on_s in calls[1:])
+        assert [name for name, _, _ in calls].count("eigh") == 1
+        # The correspondence check adds only the eigenvalues of the induced family's U U^H (which
+        # approximates S); S's decomposition is cached.
+        del calls[:]
         gf.verify_correspondence(sys, fam)
-        assert shapes == [(6, 6), (6, 6)]
+        assert [(name, shape) for name, shape, _ in calls if name.startswith("eig")] == [("eigvalsh", (6, 6))]
+
+
+class TestInverseFrameOperator:
+    """S^-1 read from the cached eigendecomposition."""
+
+    def test_identity_is_exact_up_to_32(self):
+        for n in range(1, 33):
+            sys = full_space_system(np.eye(n))
+            assert np.all(sys.spectrum == 1.0)
+            np.testing.assert_allclose(gf.inverse_frame_operator(sys), np.eye(n), rtol=0, atol=1e-14)
+
+    def test_diagonal(self):
+        sys = coordinate_system((2.0, 1.0))  # S = diag(4, 1)
+        assert (sys.spectrum[0], sys.spectrum[-1]) == (1.0, 4.0)
+        np.testing.assert_allclose(gf.inverse_frame_operator(sys), np.diag([0.25, 1.0]), rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_residual_and_exactly_hermitian(self, field):
+        sys = gf.generate("frame", 6, 3, seed=5, field=field)
+        inv = gf.inverse_frame_operator(sys)
+        assert operator_norm(gf.frame_operator(sys) @ inv - np.eye(6)) <= 1e-10
+        assert operator_norm(inv - adjoint(inv)) == 0.0
+
+    def test_rejects_an_incomplete_system(self):
+        sys = gf.make_system(2, "real", [(1.0, np.array([[1.0], [0.0]]), np.array([[1.0, 0.0]]))])
+        with pytest.raises(NotAFrameError, match="not invertible"):
+            gf.inverse_frame_operator(sys)
+
+    def test_rejects_below_tol_pd(self):
+        sys = coordinate_system((1.0, np.sqrt(1e-13)))  # S = diag(1, 1e-13)
+        with pytest.raises(NotAFrameError, match="tol_pd=1.0e-12"):
+            gf.inverse_frame_operator(sys, tol_pd=1e-12)
+        np.testing.assert_allclose(gf.inverse_frame_operator(sys, tol_pd=1e-14), np.diag([1.0, 1e13]), rtol=1e-12)
+
+    def test_complex_hermitian(self):
+        target = np.array([[2.0, 1j], [-1j, 2.0]])
+        sys = full_space_system(adjoint(np.linalg.cholesky(target)), field="complex")  # S = L L^H
+        np.testing.assert_allclose(sys.spectrum, [1.0, 3.0], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(gf.inverse_frame_operator(sys), np.linalg.inv(target), rtol=0, atol=1e-12)
+
+    def test_rayleigh_quotient_sampling_oracle(self):
+        # Every sampled Rayleigh quotient of S must sit inside the spectrum's
+        # extremes, up to 1e-6 relative slack.
+        sys = gf.generate("frame", 8, 4, seed=11)
+        s, w = gf.frame_operator(sys), sys.spectrum
+        x = random_unit_vectors(np.random.default_rng(11), 8, 10_000, "real")
+        rq = np.einsum("is,is->s", x, s @ x)
+        slack = 1e-6 * max(abs(w[0]), abs(w[-1]))
+        assert rq.min() >= w[0] - slack
+        assert rq.max() <= w[-1] + slack
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 7),
+        extra=st.integers(-3, 5),
+        field=st.sampled_from(["real", "complex"]),
+        seed=st.integers(0, 10_000),
+    )
+    def test_matches_numpy_inverse(self, n, extra, field, seed):
+        # One full-space block with an M x n operator: M < n, M = n and M > n rows.
+        rows = max(1, n + extra)
+        rng = np.random.default_rng(seed)
+        op = rng.standard_normal((rows, n))
+        if field == "complex":
+            op = op + 1j * rng.standard_normal((rows, n))
+        sys = full_space_system(op, field=field)
+        s = gf.frame_operator(sys)
+        w = np.linalg.eigvalsh(s)
+        if rows < n or w[0] <= 1e-9 * w[-1]:
+            if rows < n:
+                with pytest.raises(NotAFrameError):
+                    gf.inverse_frame_operator(sys)
+            return
+        ref = np.linalg.inv(s)
+        cond = w[-1] / w[0]
+        assert operator_norm(gf.inverse_frame_operator(sys) - ref) <= 1e-13 * cond * operator_norm(ref)
 
 
 class TestOverflow:
@@ -191,11 +284,11 @@ class TestFrameBounds:
         assert gf.frame_bounds(sys) is None
 
     def test_optimal_bounds_match_inverse_norms(self):
-        # A = 1/||S^-1||, B = ||S|| (independent route via hpd_inverse).
+        # A = 1/||S^-1||, B = ||S|| (independent route via numpy's inverse).
         sys = gf.generate("frame", 6, 3, seed=21)
         fb = gf.frame_bounds(sys)
         s = gf.frame_operator(sys)
-        assert abs(fb.lower - 1.0 / operator_norm(hpd_inverse(s))) <= 1e-9 * fb.lower
+        assert abs(fb.lower - 1.0 / operator_norm(np.linalg.inv(s))) <= 1e-9 * fb.lower
         assert abs(fb.upper - operator_norm(s)) <= 1e-12 * fb.upper
 
     def test_frame_inequality_on_random_unit_vectors(self):
@@ -317,7 +410,7 @@ class TestCanonicalDual:
         # frame-operator reconstruction.
         sys = gf.generate("frame", 6, 3, seed=23)
         s = gf.frame_operator(sys)
-        s_inv = hpd_inverse(s)
+        s_inv = gf.inverse_frame_operator(sys)
         f = np.random.default_rng(2).standard_normal(6)
         np.testing.assert_allclose(s @ (s_inv @ f), f, atol=1e-9)
         np.testing.assert_allclose(s_inv @ (s @ f), f, atol=1e-9)
