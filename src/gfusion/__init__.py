@@ -9,9 +9,7 @@ certified perturbation analysis.
 from .bases import (
     BasisVerdict,
     CrossOperatorReport,
-    DecompositionReport,
     cross_operator,
-    decomposition_report,
     is_gf_orthonormal,
     riesz_bounds,
 )

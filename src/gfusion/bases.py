@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionFailed
-from .linalg import TOL_VERDICT, adjoint, gram_eigen_extremes, operator_norm, orthonormalize
+from .linalg import TOL_VERDICT, adjoint, gram_eigen_extremes, operator_norm
 from .system import (
     FrameBounds,
     GFusionSystem,
@@ -124,34 +124,3 @@ def cross_operator(theta: GFusionSystem, lam: GFusionSystem, tol: float = TOL_VE
         invertible=invertible,
         unitary=adj_iso and invertible,
     )
-
-
-@dataclass(frozen=True)
-class DecompositionReport:
-    """Per-block isometry and orthogonal-decomposition diagnostics.
-
-    For a gf-orthonormal system every v_j P_j L_j^H is an isometry of the
-    block space into the ambient space, the images are mutually orthogonal,
-    and their dimensions sum to the ambient dimension.
-    """
-
-    isometry_deviation: float
-    image_overlap: float
-    image_dims: tuple[int, ...]
-    decomposes: bool
-
-
-def decomposition_report(sys: GFusionSystem, tol: float = TOL_VERDICT) -> DecompositionReport:
-    iso_dev = 0.0
-    images = []
-    for k_j in split_blocks(sys, analysis_matrix(sys)):
-        k = adjoint(k_j)  # v_j P_j L_j^H
-        iso_dev = max(iso_dev, operator_norm(adjoint(k) @ k - np.eye(k.shape[1])))
-        images.append(orthonormalize(k).basis)
-    overlap = 0.0
-    for i in range(len(images)):
-        for j in range(i + 1, len(images)):
-            overlap = max(overlap, operator_norm(adjoint(images[i]) @ images[j]))
-    dims = tuple(b.shape[1] for b in images)
-    decomposes = bool(sum(dims) == sys.dim and overlap <= tol and iso_dev <= tol)
-    return DecompositionReport(float(iso_dev), float(overlap), dims, decomposes)

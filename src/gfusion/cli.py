@@ -18,7 +18,7 @@ from . import bases, induced, perturb
 from .errors import GFusionError
 from .generate import generate, generate_like, perturbed_copy
 from .io import dumps_canonical, load_system, read_system, save_system, system_to_dict, to_jsonable
-from .linalg import TOL_PD, TOL_VERDICT
+from .linalg import TOL_PD, TOL_VERDICT, finite_product
 from .sampling import random_unit_vectors
 from .system import (
     canonical_dual,
@@ -40,9 +40,9 @@ def _load(inputs: dict, label: str, path: str):
     return sys_
 
 
-def _envelope(args, command: str, inputs: dict, tolerances: dict, seed=None) -> dict:
+def _envelope(args, inputs: dict, tolerances: dict, seed=None) -> dict:
     return {
-        "command": command,
+        "command": args.command,
         "argv": list(args._argv),
         "inputs": inputs,
         "seed": seed,
@@ -55,7 +55,7 @@ def _cmd_analyze(args):
     sys_ = _load(inputs, "system", args.system)
     fb = frame_bounds(sys_, tol_pd=args.tol)
     ext = spectral_extremes(sys_)
-    report = _envelope(args, "analyze", inputs, {"tol_pd": args.tol})
+    report = _envelope(args, inputs, {"tol_pd": args.tol})
     report.update(
         {
             "dim": sys_.dim,
@@ -74,7 +74,7 @@ def _cmd_analyze(args):
 def _cmd_dual(args):
     inputs = {}
     sys_ = _load(inputs, "system", args.system)
-    report = _envelope(args, "dual", inputs, {"residual_tol": args.tol}, args.seed)
+    report = _envelope(args, inputs, {"residual_tol": args.tol}, args.seed)
     if frame_bounds(sys_) is None:
         report.update({"verdict": "not_a_frame"})
         return 1, report
@@ -100,7 +100,7 @@ def _cmd_riesz(args):
     inputs = {}
     sys_ = _load(inputs, "system", args.system)
     rb = bases.riesz_bounds(sys_, args.tol)
-    report = _envelope(args, "riesz", inputs, {"tol": args.tol})
+    report = _envelope(args, inputs, {"tol": args.tol})
     report.update({"verdict": "riesz" if rb is not None else "not_riesz", "riesz_bounds": to_jsonable(rb)})
     return (0 if rb is not None else 1), report
 
@@ -109,7 +109,7 @@ def _cmd_onb(args):
     inputs = {}
     sys_ = _load(inputs, "system", args.system)
     verdict = bases.is_gf_orthonormal(sys_, args.tol)
-    report = _envelope(args, "onb", inputs, {"tol": args.tol})
+    report = _envelope(args, inputs, {"tol": args.tol})
     report.update({"verdict": to_jsonable(verdict)})
     return (0 if verdict.is_gf_orthonormal else 1), report
 
@@ -119,7 +119,7 @@ def _cmd_cross(args):
     theta = _load(inputs, "theta", args.theta)
     lam = _load(inputs, "lambda", args.system)
     rep = bases.cross_operator(theta, lam, args.tol)
-    report = _envelope(args, "cross", inputs, {"tol": args.tol})
+    report = _envelope(args, inputs, {"tol": args.tol})
     report.update({"report": to_jsonable(rep)})
     ok = rep.intertwine_residual <= args.tol and rep.surjective
     return (0 if ok else 1), report
@@ -130,7 +130,7 @@ def _cmd_induce(args):
     sys_ = _load(inputs, "system", args.system)
     fam = induced.induce_vectors(sys_)
     rep = induced.verify_correspondence(sys_, fam, args.tol)
-    report = _envelope(args, "induce", inputs, {"tol": args.tol})
+    report = _envelope(args, inputs, {"tol": args.tol})
     report.update(
         {
             "family": {
@@ -166,11 +166,12 @@ def _cmd_perturb(args):
         fb = frame_bounds(lam_sys)
         if fb is None:
             raise GFusionError("lemma mode needs the reference system to be a frame")
-        u = frame_operator(theta_sys) @ inverse_frame_operator(lam_sys)
+        s_inv = inverse_frame_operator(lam_sys)
+        u = finite_product(frame_operator(theta_sys), s_inv, "lemma operator U = S_theta S_lam^-1")
         lam1 = args.lam + args.gamma / np.sqrt(fb.lower)
         rep = perturb.check_invertibility_lemma(u, lam1, args.mu, samples=args.samples, seed=args.seed)
     ok = rep.hypothesis_holds and bool(rep.sandwich_ok if args.theorem == "lemma" else rep.bracket_ok)
-    report = _envelope(args, "perturb", inputs, {"bracket_tol": args.tol}, args.seed)
+    report = _envelope(args, inputs, {"bracket_tol": args.tol}, args.seed)
     report.update(
         {
             "theorem": args.theorem,

@@ -25,10 +25,10 @@ from .sampling import (
 from .system import GFusionSystem, Subsystem, frame_bounds, spectral_extremes
 
 KINDS = ("frame", "parseval", "onb", "riesz")
-
-
-def _dtype(field: str):
-    return np.complex128 if field == "complex" else np.float64
+# The frame kinds draw at most _MAX_TRIES times for a frame whose frame operator has condition number at
+# most _MAX_CONDITION (generate's default; generate_like always).
+_MAX_TRIES = 500
+_MAX_CONDITION = 1e6
 
 
 def _skeleton(rng: np.random.Generator, dim: int, blocks: int, field: str):
@@ -39,6 +39,16 @@ def _skeleton(rng: np.random.Generator, dim: int, blocks: int, field: str):
     return sizes, [q[:, offsets[j]:offsets[j + 1]] for j in range(blocks)]
 
 
+def _first_frame(draw, max_condition: float) -> GFusionSystem:
+    """The first of ``_MAX_TRIES`` ``draw()`` results that is a frame with condition at most ``max_condition``."""
+    for _ in range(_MAX_TRIES):
+        sys_ = draw()
+        fb = frame_bounds(sys_)
+        if fb is not None and fb.upper / fb.lower <= max_condition:
+            return sys_
+    raise RuntimeError(f"no frame with condition <= {max_condition:g} found in {_MAX_TRIES} tries")
+
+
 def generate(
     kind: str,
     dim: int,
@@ -46,8 +56,7 @@ def generate(
     seed: int,
     *,
     field: str = "real",
-    max_condition: float = 1e6,
-    max_tries: int = 500,
+    max_condition: float = _MAX_CONDITION,
 ) -> GFusionSystem:
     """Draw a random system of the requested kind.
 
@@ -62,72 +71,58 @@ def generate(
     if kind not in KINDS:
         raise ValueError(f"unknown kind {kind!r}; expected one of {KINDS}")
     rng = np.random.default_rng(seed)
-    dtype = _dtype(field)
 
     if kind == "frame":
-        for _ in range(max_tries):
+        def draw():
             subs = []
             for _ in range(blocks):
                 k = int(rng.integers(1, dim + 1))
                 m = int(rng.integers(1, dim + 1))
-                basis = orthonormalize(gaussian_matrix(rng, dim, k, field)).basis.astype(dtype)
-                op = (gaussian_matrix(rng, m, dim, field) / np.sqrt(dim)).astype(dtype)
-                weight = float(rng.uniform(0.5, 2.0))
-                subs.append(Subsystem(weight, Subspace(basis), op))
-            sys_ = GFusionSystem(dim, field, tuple(subs))
-            fb = frame_bounds(sys_)
-            if fb is not None and fb.upper / fb.lower <= max_condition:
-                return sys_
-        raise RuntimeError(f"no frame with condition <= {max_condition:g} found in {max_tries} tries")
+                subspace = orthonormalize(gaussian_matrix(rng, dim, k, field))
+                op = gaussian_matrix(rng, m, dim, field) / np.sqrt(dim)
+                subs.append(Subsystem(float(rng.uniform(0.5, 2.0)), subspace, op))
+            return GFusionSystem(dim, field, tuple(subs))
+
+        return _first_frame(draw, max_condition)
 
     sizes, q_blocks = _skeleton(rng, dim, blocks, field)
     subs = []
     if kind == "onb":
         for qb in q_blocks:
-            subs.append(Subsystem(1.0, Subspace(qb.astype(dtype)), adjoint(qb).astype(dtype)))
+            subs.append(Subsystem(1.0, Subspace(qb), adjoint(qb)))
     elif kind == "parseval":
         for d, qb in zip(sizes, q_blocks):
             u = haar_unitary(rng, d, field)
-            subs.append(Subsystem(1.0, Subspace(qb.astype(dtype)), (u @ adjoint(qb)).astype(dtype)))
+            subs.append(Subsystem(1.0, Subspace(qb), u @ adjoint(qb)))
     else:  # riesz
         m = well_conditioned_matrix(rng, dim, field)
         for qb in q_blocks:
-            image = orthonormalize(m @ qb).basis.astype(dtype)
-            subs.append(Subsystem(1.0, Subspace(image), adjoint(m @ qb).astype(dtype)))
+            subs.append(Subsystem(1.0, orthonormalize(m @ qb), adjoint(m @ qb)))
     return GFusionSystem(dim, field, tuple(subs))
 
 
-def generate_like(
-    base: GFusionSystem,
-    kind: str,
-    seed: int,
-    *,
-    max_condition: float = 1e6,
-    max_tries: int = 500,
-) -> GFusionSystem:
+def generate_like(base: GFusionSystem, kind: str, seed: int) -> GFusionSystem:
     """Draw a system of the requested kind on ``base``'s exact structure.
 
     The result shares (dim, field, subspaces, weights, block sizes) with
     ``base``, as the cross operator and the perturbation certifiers demand.
-    The structured kinds need ``base`` to be gf-orthonormal with block sizes
-    equal to the subspace dimensions.
+    The frame kind is resampled until the frame operator's condition number
+    is at most 1e6.  The structured kinds need ``base`` to be gf-orthonormal
+    with block sizes equal to the subspace dimensions.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown kind {kind!r}; expected one of {KINDS}")
     rng = np.random.default_rng(seed)
-    dtype = _dtype(base.field)
 
     if kind == "frame":
-        for _ in range(max_tries):
+        def draw():
             subs = []
             for sub in base.subsystems:
-                op = (gaussian_matrix(rng, sub.block_dim, base.dim, base.field) / np.sqrt(base.dim)).astype(dtype)
+                op = gaussian_matrix(rng, sub.block_dim, base.dim, base.field) / np.sqrt(base.dim)
                 subs.append(Subsystem(sub.weight, sub.subspace, op))
-            sys_ = GFusionSystem(base.dim, base.field, tuple(subs))
-            fb = frame_bounds(sys_)
-            if fb is not None and fb.upper / fb.lower <= max_condition:
-                return sys_
-        raise RuntimeError(f"no matched frame with condition <= {max_condition:g} in {max_tries} tries")
+            return GFusionSystem(base.dim, base.field, tuple(subs))
+
+        return _first_frame(draw, _MAX_CONDITION)
 
     if not is_gf_orthonormal(base).is_gf_orthonormal:
         raise PreconditionFailed("structured matched generation needs a gf-orthonormal base system")
@@ -140,7 +135,7 @@ def generate_like(
             c = haar_unitary(rng, sub.block_dim, base.field)
         else:  # riesz
             c = well_conditioned_matrix(rng, sub.block_dim, base.field)
-        subs.append(Subsystem(sub.weight, sub.subspace, ((c @ adjoint(b)) / sub.weight).astype(dtype)))
+        subs.append(Subsystem(sub.weight, sub.subspace, (c @ adjoint(b)) / sub.weight))
     return GFusionSystem(base.dim, base.field, tuple(subs))
 
 
@@ -177,7 +172,7 @@ def perturbed_copy(
     else:
         factor = scale
     subs = [
-        Subsystem(sub.weight, sub.subspace, (sub.operator + factor * e).astype(sys.dtype))
+        Subsystem(sub.weight, sub.subspace, sub.operator + factor * e)
         for sub, e in zip(sys.subsystems, bumps)
     ]
     return GFusionSystem(sys.dim, sys.field, tuple(subs))

@@ -17,7 +17,8 @@ import numpy as np
 from .bases import BasisVerdict, is_gf_orthonormal
 from .errors import BadBasis, DimensionMismatch
 from .linalg import (
-    TOL_ORTHO, TOL_VERDICT, SpectralBounds, adjoint, finite_product, gram_eigen_extremes, hermitian_part
+    TOL_ORTHO, TOL_VERDICT, SpectralBounds, adjoint, finite_product, gram_eigen_extremes, hermitian_part,
+    orthonormality_deviation,
 )
 from .system import (
     FrameBounds, GFusionSystem, analysis_matrix, frame_bounds, frame_operator, spectral_extremes, split_blocks
@@ -54,7 +55,7 @@ def induce_vectors(sys: GFusionSystem, onbs=None) -> InducedFamily:
         for j, (e, m) in enumerate(zip(onbs, sys.block_dims)):
             if e.shape != (m, m):
                 raise BadBasis(f"block {j}: basis must be {m}x{m}, got {e.shape}")
-            if np.abs(adjoint(e) @ e - np.eye(m)).max() > TOL_ORTHO:
+            if not orthonormality_deviation(e) <= TOL_ORTHO:  # NaN fails too
                 raise BadBasis(f"block {j}: basis columns are not orthonormal")
     entries = []
     for j, (k_j, e) in enumerate(zip(split_blocks(sys, analysis_matrix(sys)), onbs)):

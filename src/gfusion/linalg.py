@@ -1,12 +1,12 @@
 """Dense linear-algebra substrate with explicit tolerances.
 
 Everything upstream (frames, bases, perturbation certificates) is built on
-the handful of primitives here: rank-revealing orthonormalization,
-orthogonal projectors, the Hermitian part of an operator, the eigenvalue
-extremes of a Gram X^H X read off the outer operator X X^H, and operator
-norms.  Eigendecompositions are plain ``numpy.linalg`` calls on a Hermitian
-part at the call site.  All values are plain ``numpy`` arrays, treated as
-immutable once constructed.
+the handful of primitives here: rank-revealing orthonormalization, the
+orthonormality check, orthogonal projectors, the Hermitian part of an
+operator, the eigenvalue extremes of a Gram X^H X read off the outer
+operator X X^H, and operator norms.  Eigendecompositions are plain
+``numpy.linalg`` calls on a Hermitian part at the call site.  All values are
+plain ``numpy`` arrays, treated as immutable once constructed.
 """
 
 from __future__ import annotations
@@ -17,11 +17,12 @@ import numpy as np
 
 from .errors import NonFiniteInput
 
-# Double-precision defaults with headroom; every operation accepts overrides.
+# Double-precision defaults with headroom.  Verdict thresholds can be
+# overridden per call; orthonormalize's rank cut (TOL_RANK) and the
+# orthonormality check (TOL_ORTHO) are fixed.
 TOL_RANK = 1e-10
 TOL_ORTHO = 1e-10
 TOL_PD = 1e-12
-TOL_INV = 1e-9
 # Structure match: weights within TOL_WEIGHT, subspace projectors within TOL_SUBSPACE.
 TOL_WEIGHT = 1e-12
 TOL_SUBSPACE = 1e-10
@@ -56,6 +57,11 @@ def finite_product(a: np.ndarray, b: np.ndarray, name: str) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         out = a @ b
     return require_finite(out, name)
+
+
+def orthonormality_deviation(b: np.ndarray) -> float:
+    """max |B^H B - I| entrywise; 0.0 for a matrix without columns."""
+    return float(np.abs(adjoint(b) @ b - np.eye(b.shape[1])).max(initial=0.0))
 
 
 def operator_norm(x: np.ndarray) -> float:
@@ -94,11 +100,9 @@ class Subspace:
         if b.ndim != 2 or b.shape[0] < 1:
             raise ValueError(f"basis must be a 2-D matrix with at least one row, got shape {b.shape}")
         require_finite(b, "basis")
-        if b.shape[1]:
-            gram = adjoint(b) @ b
-            dev = np.abs(gram - np.eye(b.shape[1])).max()
-            if dev > TOL_ORTHO:
-                raise ValueError(f"basis columns are not orthonormal (deviation {dev:.3e})")
+        dev = orthonormality_deviation(b)
+        if dev > TOL_ORTHO:
+            raise ValueError(f"basis columns are not orthonormal (deviation {dev:.3e})")
         object.__setattr__(self, "basis", _readonly(b))
 
     @property
@@ -115,12 +119,6 @@ class Subspace:
             return np.zeros((self.ambient_dim, self.ambient_dim), dtype=self.basis.dtype)
         return self.basis @ adjoint(self.basis)
 
-    def project(self, f: np.ndarray) -> np.ndarray:
-        """Apply the projector without forming it."""
-        if self.dim == 0:
-            return np.zeros_like(np.asarray(f))
-        return self.basis @ (adjoint(self.basis) @ f)
-
     def agrees_with(self, other: "Subspace", tol: float = 1e-9) -> bool:
         """True if both describe the same subspace (projectors within tol)."""
         if self.ambient_dim != other.ambient_dim:
@@ -128,14 +126,12 @@ class Subspace:
         return operator_norm(self.projector() - other.projector()) <= tol
 
 
-def orthonormalize(spanning: np.ndarray, tol_rank: float = TOL_RANK) -> Subspace:
+def orthonormalize(spanning: np.ndarray) -> Subspace:
     """Orthonormal basis of the column space of ``spanning``.
 
-    Numerical rank is decided by singular values above ``tol_rank`` times the
+    Numerical rank is decided by singular values above ``TOL_RANK`` times the
     largest one.
     """
-    if tol_rank <= 0:
-        raise ValueError("tol_rank must be positive")
     a = np.asarray(spanning)
     if a.dtype.kind not in "fc":
         a = a.astype(np.float64)
@@ -148,7 +144,7 @@ def orthonormalize(spanning: np.ndarray, tol_rank: float = TOL_RANK) -> Subspace
     if s.size == 0 or s[0] == 0.0:
         rank = 0
     else:
-        rank = int(np.count_nonzero(s > tol_rank * s[0]))
+        rank = int(np.count_nonzero(s > TOL_RANK * s[0]))
     return Subspace(u[:, :rank])
 
 

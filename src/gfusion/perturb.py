@@ -42,13 +42,15 @@ early, so its report is what the exhaustive search gives.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterable
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotAFrameError
+from .errors import NonFiniteInput, NotAFrameError
 from .linalg import (
-    TOL_LEMMA_SLACK, TOL_SAMPLED_MARGIN, TOL_VERDICT, adjoint, finite_product, hermitian_part, operator_norm
+    TOL_LEMMA_SLACK, TOL_SAMPLED_MARGIN, TOL_VERDICT, adjoint, finite_product, hermitian_part, operator_norm,
+    require_finite,
 )
 from .sampling import random_unit_vectors
 from .system import (
@@ -153,6 +155,23 @@ class LemmaReport:
     samples: int
 
 
+def _finite_fields(values: dict[str, float]) -> None:
+    """NonFiniteInput naming the first of these report fields (bounds, radii) that overflowed a float."""
+    for name, value in values.items():
+        if not np.isfinite(value):
+            raise NonFiniteInput(f"{name} overflows a float")
+
+
+@contextmanager
+def _finite_margins():
+    """Evaluate sampled margins: arithmetic that overflows or turns invalid raises NonFiniteInput, without a warning."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise NonFiniteInput(f"the sampled hypothesis margin overflows a float ({exc})") from None
+
+
 def _require_samples(samples: int, least: int) -> None:
     if samples < least:
         raise ValueError(f"samples must be at least {least}, got {samples}")
@@ -164,14 +183,15 @@ def check_invertibility_lemma(
     _require_samples(samples, 1)
     if not (0.0 <= lam1 < 1.0 and 0.0 <= lam2 < 1.0):
         raise ValueError("lam1 and lam2 must lie in [0, 1)")
-    u = np.asarray(u)
+    u = require_finite(u, "U")
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise ValueError(f"U must be square, got shape {u.shape}")
     field = "complex" if np.iscomplexobj(u) else "real"
     rng = np.random.default_rng(seed)
     x = random_unit_vectors(rng, u.shape[0], samples, field)
-    ux = u @ x
-    margins = np.linalg.norm(x - ux, axis=0) - lam1 - lam2 * np.linalg.norm(ux, axis=0)
+    with _finite_margins():
+        ux = u @ x
+        margins = np.linalg.norm(x - ux, axis=0) - lam1 - lam2 * np.linalg.norm(ux, axis=0)
     margin = float(margins.max())
     # margin_tol absorbs round-off on exactly-tight instances
     holds = margin <= margin_tol
@@ -338,16 +358,19 @@ def _sampled_max_margin(
     screens them with one objective call, and ascends from the
     ``_ASCENT_TOP`` largest.  Stops at the first value above ``stop_above``,
     which refutes the hypothesis: the result is then the worst value seen so
-    far.  Searches after that one are neither built nor drawn.
+    far.  Searches after that one are neither built nor drawn.  A search whose
+    arithmetic overflows, at screening or at any ascent step, raises
+    NonFiniteInput rather than give or drop a non-finite margin.
     """
     worst = -np.inf
-    for dim, objective in searches:
-        f_batch = random_unit_vectors(rng, dim, samples, field)
-        values, _ = objective(f_batch, grad=False)
-        order = np.argsort(values)[::-1][:_ASCENT_TOP]
-        worst = max(worst, _ascend(objective, f_batch[:, order], _ASCENT_STEPS, stop_above).max(initial=-np.inf))
-        if worst > stop_above:
-            break
+    with _finite_margins():
+        for dim, objective in searches:
+            f_batch = random_unit_vectors(rng, dim, samples, field)
+            values, _ = objective(f_batch, grad=False)
+            order = np.argsort(values)[::-1][:_ASCENT_TOP]
+            worst = max(worst, _ascend(objective, f_batch[:, order], _ASCENT_STEPS, stop_above).max(initial=-np.inf))
+            if worst > stop_above:
+                break
     return float(worst)
 
 
@@ -419,11 +442,13 @@ def certify_frame_operator_perturbation(
     holds = bool(inequality_ok and admissible)
     predicted = None
     if admissible:
-        predicted = FrameBounds(
-            a * (1.0 - (params.lam + params.gamma / sqrt_a)) / (1.0 + params.mu),
-            b * (1.0 + params.lam + params.gamma / sqrt_b) / (1.0 - params.mu),
-            "certified",
-        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            predicted = FrameBounds(
+                a * (1.0 - (params.lam + params.gamma / sqrt_a)) / (1.0 + params.mu),
+                b * (1.0 + params.lam + params.gamma / sqrt_b) / (1.0 - params.mu),
+                "certified",
+            )
+        _finite_fields({"predicted.lower": predicted.lower, "predicted.upper": predicted.upper})
     return PerturbationReport(
         theorem=_TAG_FRAME_OPERATOR,
         mode=mode,
@@ -467,6 +492,7 @@ def certify_R_condition(
     diffs = [l - t for l, t in zip(_quadratic_terms(lam_sys), _quadratic_terms(theta_sys))]
 
     r_cert = float(sum(operator_norm(d) for d in diffs))
+    _finite_fields({"radius_certificate": r_cert})
     r_sampled = None
     warning = None
     if r_cert < a:
@@ -502,8 +528,10 @@ def certify_R_condition(
         radius = r_cert
 
     holds = bool(mode != "none" and radius < a)
-    upper_quadratic = b + radius * np.sqrt(b / a)
-    upper_mixed = radius + np.sqrt(b)
+    with np.errstate(over="ignore", invalid="ignore"):
+        upper_quadratic = b + radius * np.sqrt(b / a)
+        upper_mixed = radius + np.sqrt(b)
+    _finite_fields({"upper_quadratic": upper_quadratic, "upper_mixed": upper_mixed})
     predicted = FrameBounds(a - radius, float(upper_quadratic), "certified") if holds else None
     return PerturbationReport(
         theorem=_TAG_R_CONDITION,
@@ -572,10 +600,12 @@ def certify_synthesis_perturbation(
     stated_lower = None
     stated_ok = None
     if admissible:
-        contraction = params.lam + params.gamma / sqrt_a
-        proof_lower = a * ((1.0 - contraction) / (1.0 + params.mu)) ** 2
-        stated_lower = a * (1.0 - contraction**2) / (1.0 + params.mu)
-        upper = b * ((1.0 + params.lam + params.gamma / sqrt_b) / (1.0 - params.mu)) ** 2
+        with np.errstate(over="ignore", invalid="ignore"):
+            contraction = params.lam + params.gamma / sqrt_a
+            proof_lower = a * ((1.0 - contraction) / (1.0 + params.mu)) ** 2
+            stated_lower = a * (1.0 - contraction**2) / (1.0 + params.mu)
+            upper = b * ((1.0 + params.lam + params.gamma / sqrt_b) / (1.0 - params.mu)) ** 2
+        _finite_fields({"predicted.lower": proof_lower, "predicted.upper": upper, "stated_lower": stated_lower})
         predicted = FrameBounds(float(proof_lower), float(upper), "certified")
         stated_ok = bool(stated_lower <= actual.lower + bracket_tol)
     return PerturbationReport(
@@ -616,14 +646,17 @@ def certify_analysis_perturbation(
     d = analysis_matrix(lam_sys) - analysis_matrix(theta_sys)
     dd = finite_product(adjoint(d), d, "analysis perturbation D^H D")
     radius = max(float(np.linalg.eigvalsh(hermitian_part(dd))[-1]), 0.0)
+    _finite_fields({"radius": radius})
     holds = bool(radius < a)
     predicted = None
     if holds:
-        predicted = FrameBounds(
-            float((np.sqrt(a) - np.sqrt(radius)) ** 2),
-            float((np.sqrt(radius) + np.sqrt(b)) ** 2),
-            "certified",
-        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            predicted = FrameBounds(
+                float((np.sqrt(a) - np.sqrt(radius)) ** 2),
+                float((np.sqrt(radius) + np.sqrt(b)) ** 2),
+                "certified",
+            )
+        _finite_fields({"predicted.lower": predicted.lower, "predicted.upper": predicted.upper})
     return PerturbationReport(
         theorem=_TAG_ANALYSIS,
         mode="exact",

@@ -35,6 +35,7 @@ from .linalg import (
     adjoint,
     finite_product,
     hermitian_part,
+    orthonormality_deviation,
     orthonormalize,
     require_finite,
 )
@@ -139,8 +140,12 @@ class GFusionSystem:
 
     @cached_property
     def eigh(self) -> tuple[np.ndarray, np.ndarray]:
-        """(w, V), read-only, with S = V diag(w) V^H: one ``eigh`` of the Hermitian part of S = K^H K."""
+        """(w, V), read-only, with S = V diag(w) V^H: one ``eigh`` of the Hermitian part of S = K^H K.
+
+        A finite S can still have an eigenvalue beyond the float range: NonFiniteInput.
+        """
         w, v = np.linalg.eigh(hermitian_part(frame_operator(self)))
+        require_finite(w, "the spectrum of the frame operator K^H K")
         w.flags.writeable = v.flags.writeable = False
         return w, v
 
@@ -169,11 +174,12 @@ def require_same_structure(a: GFusionSystem, b: GFusionSystem, tol_subspace: flo
             raise SystemMismatch(f"subspace {i} differs between the systems")
 
 
-def make_system(dim, field, components, tol_rank: float = TOL_RANK) -> GFusionSystem:
+def make_system(dim, field, components) -> GFusionSystem:
     """Build a system from raw (weight, spanning-or-Subspace, operator) triples.
 
-    Spanning matrices whose columns are already orthonormal are kept verbatim
-    as the basis; anything else goes through rank-revealing orthonormalization.
+    Spanning matrices whose columns are already orthonormal (within
+    TOL_ORTHO) are kept verbatim as the basis; anything else goes through
+    rank-revealing orthonormalization.
     """
     dtype = _DTYPES[field]
     subs = []
@@ -184,11 +190,10 @@ def make_system(dim, field, components, tol_rank: float = TOL_RANK) -> GFusionSy
             span = _coerce(span, dtype, "subspace")
             if span.ndim != 2:
                 raise DimensionMismatch(f"subspace spanning set must be 2-D, got shape {span.shape}")
-            if span.shape[1] and _is_orthonormal(span):
+            if span.shape[1] and orthonormality_deviation(span) <= TOL_ORTHO:
                 sub_space = Subspace(span)
             else:
-                sub_space = orthonormalize(span, tol_rank)
-                sub_space = Subspace(sub_space.basis.astype(dtype))
+                sub_space = orthonormalize(span)
         subs.append(Subsystem(float(weight), sub_space, _coerce(op, dtype, "block operator")))
     return GFusionSystem(int(dim), field, tuple(subs))
 
@@ -198,11 +203,6 @@ def _coerce(a, dtype, name: str) -> np.ndarray:
     if np.iscomplexobj(a) and dtype == np.float64:
         raise FieldMismatch(f"{name}: complex data supplied to a real-field system")
     return np.asarray(a, dtype=dtype)
-
-
-def _is_orthonormal(b: np.ndarray) -> bool:
-    gram = adjoint(b) @ b
-    return np.abs(gram - np.eye(b.shape[1])).max() <= TOL_ORTHO
 
 
 @dataclass(frozen=True)
@@ -231,9 +231,6 @@ class DirectSumVector:
         if self.block_dims != other.block_dims:
             raise DimensionMismatch("direct-sum shapes differ")
         return complex(sum(np.vdot(o, s) for s, o in zip(self.blocks, other.blocks)))
-
-    def flatten(self) -> np.ndarray:
-        return np.concatenate(self.blocks) if self.blocks else np.zeros(0)
 
 
 def _as_vector(sys: GFusionSystem, f, batch: bool = False) -> np.ndarray:
@@ -330,8 +327,7 @@ def canonical_dual(sys: GFusionSystem, tol_pd: float = TOL_PD) -> GFusionSystem:
     s_inv = inverse_frame_operator(sys, tol_pd)
     subs = []
     for sub, k_j in zip(sys.subsystems, split_blocks(sys, sys.analysis_matrix)):
-        basis = orthonormalize(s_inv @ sub.subspace.basis).basis.astype(sys.dtype)
-        subs.append(Subsystem(sub.weight, Subspace(basis), (k_j @ s_inv) / sub.weight))
+        subs.append(Subsystem(sub.weight, orthonormalize(s_inv @ sub.subspace.basis), (k_j @ s_inv) / sub.weight))
     return GFusionSystem(sys.dim, sys.field, tuple(subs))
 
 

@@ -1,16 +1,19 @@
-"""Shared test utilities: tiny reference systems and the CLI golden runner."""
+"""Shared test utilities: tiny reference systems, the block-decomposition oracle and the CLI golden runner."""
 
 from __future__ import annotations
 
 import io
 import os
 from contextlib import redirect_stdout
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 import gfusion as gf
 from gfusion.cli import main as cli_main
+from gfusion.linalg import TOL_VERDICT, adjoint, operator_norm
+from gfusion.system import split_blocks
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 REGEN_ENV = "GFUSION_REGEN_GOLDEN"
@@ -44,6 +47,42 @@ def fitted_radius(sys: gf.GFusionSystem) -> float:
     """Perturbation radius small enough for the operator-norm certificates."""
     fb = gf.frame_bounds(sys)
     return 0.2 * fb.lower / (2.0 * np.sqrt(fb.upper) + 1.0)
+
+
+@dataclass(frozen=True)
+class DecompositionReport:
+    """Per-block isometry and orthogonal-decomposition diagnostics.
+
+    For a gf-orthonormal system every v_j P_j L_j^H is an isometry of the
+    block space into the ambient space, the images are mutually orthogonal,
+    and their dimensions sum to the ambient dimension.
+    """
+
+    isometry_deviation: float
+    image_overlap: float
+    image_dims: tuple[int, ...]
+    decomposes: bool
+
+
+def decomposition_report(sys: gf.GFusionSystem, tol: float = TOL_VERDICT) -> DecompositionReport:
+    """Decide the gf-orthonormal characterization block by block: an oracle for ``is_gf_orthonormal``.
+
+    It never reads S or its spectrum: each weighted block's isometry defect
+    and every pair of block images are checked directly (J^2 pairs).
+    """
+    iso_dev = 0.0
+    images = []
+    for k_j in split_blocks(sys, gf.analysis_matrix(sys)):
+        k = adjoint(k_j)  # v_j P_j L_j^H
+        iso_dev = max(iso_dev, operator_norm(adjoint(k) @ k - np.eye(k.shape[1])))
+        images.append(gf.orthonormalize(k).basis)
+    overlap = 0.0
+    for i in range(len(images)):
+        for j in range(i + 1, len(images)):
+            overlap = max(overlap, operator_norm(adjoint(images[i]) @ images[j]))
+    dims = tuple(b.shape[1] for b in images)
+    decomposes = bool(sum(dims) == sys.dim and overlap <= tol and iso_dev <= tol)
+    return DecompositionReport(float(iso_dev), float(overlap), dims, decomposes)
 
 
 def run_cli(argv: list[str]) -> tuple[int, str]:

@@ -8,7 +8,7 @@ before the print, so the line doubles as the per-criterion verdict under
 import time
 
 import numpy as np
-from helpers import fitted_radius, full_space_system, replay_golden, scale_blocks
+from helpers import decomposition_report, fitted_radius, full_space_system, replay_golden, scale_blocks
 
 import gfusion as gf
 from gfusion.linalg import adjoint, operator_norm
@@ -98,7 +98,7 @@ def test_criterion_4_basis_characterizations():
         rb = verdict.riesz_bounds
         assert rb is not None
         assert abs(rb.lower - 1.0) <= 1e-9 and abs(rb.upper - 1.0) <= 1e-9
-        dec = gf.decomposition_report(sys)
+        dec = decomposition_report(sys)
         assert dec.isometry_deviation <= 1e-9
         assert dec.image_overlap <= 1e-9
         assert sum(dec.image_dims) == n

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from helpers import coordinate_system, scale_blocks
+from helpers import coordinate_system, decomposition_report, scale_blocks
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -91,15 +91,37 @@ class TestGfOrthonormal:
 
     def test_decomposition_report_on_onb(self):
         sys = gf.generate("onb", 9, 4, seed=3)
-        rep = gf.decomposition_report(sys)
+        rep = decomposition_report(sys)
         assert rep.isometry_deviation <= 1e-9
         assert rep.image_overlap <= 1e-9
         assert sum(rep.image_dims) == 9
         assert rep.decomposes
 
     def test_decomposition_fails_for_weighted_system(self):
-        rep = gf.decomposition_report(coordinate_system((2.0, 1.0)))
+        rep = decomposition_report(coordinate_system((2.0, 1.0)))
         assert not rep.decomposes
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("kind", ["onb", "parseval", "riesz", "frame"])
+    def test_block_decomposition_oracle_agrees_with_the_spectral_verdict(self, kind, field):
+        # The J^2 block-pair oracle never reads S; the verdict reads only S's spectrum.  Scaling block k by
+        # 1 + 1e-3 k breaks the isometry of every block but the first.  Dropping the last block leaves a
+        # gf-orthonormal family that misses part of the space; two halves of the identity make a Parseval
+        # frame (S = I) that is not a basis.
+        rng = np.random.default_rng(77)
+        positives = 0
+        for seed in range(25):
+            n = int(rng.integers(1, 9))
+            sys = gf.generate(kind, n, int(rng.integers(1, n + 1)), seed=seed, field=field)
+            half = np.eye(n, dtype=sys.dtype) / np.sqrt(2.0)
+            halves = gf.make_system(n, field, [(1.0, np.eye(n, dtype=sys.dtype), half)] * 2)
+            scaled = scale_blocks(sys, 1.0 + 1e-3 * np.arange(sys.block_count))
+            partial = gf.GFusionSystem(n, field, sys.subsystems[:-1] or sys.subsystems)
+            for s in (sys, scaled, partial, halves):
+                verdict = gf.is_gf_orthonormal(s).is_gf_orthonormal
+                assert decomposition_report(s).decomposes == verdict
+                positives += verdict
+        assert positives >= (25 if kind in ("onb", "parseval") else 0)
 
     def test_oversized_block_dimension_fails_verdict_without_error(self):
         # m_j > n makes the diagonal Gram block rank deficient; the verdict

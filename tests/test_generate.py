@@ -100,3 +100,20 @@ def test_partition_rejects_too_many_blocks():
 def test_unknown_kind_rejected():
     with pytest.raises(ValueError):
         gf.generate("tight", 4, 2, seed=1)
+
+
+def test_frame_resampling_gives_up_after_its_fixed_number_of_tries():
+    # A condition number of exactly 1 is never drawn; a base whose subspaces miss e_2 never gives a frame.
+    with pytest.raises(RuntimeError, match=r"^no frame with condition <= 1 found in 500 tries$"):
+        gf.generate("frame", 3, 2, seed=0, max_condition=1.0)
+    base = gf.make_system(2, "real", [(1.0, np.array([[1.0], [0.0]]), np.eye(2))])
+    with pytest.raises(RuntimeError, match=r"^no frame with condition <= 1e\+06 found in 500 tries$"):
+        gf.generate_like(base, "frame", seed=0)
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_matched_frames_are_resampled_to_condition_at_most_1e6(field):
+    base = gf.generate("frame", 5, 3, seed=8, field=field)
+    for seed in range(5):
+        fb = gf.frame_bounds(gf.generate_like(base, "frame", seed=seed))
+        assert fb.upper / fb.lower <= 1e6

@@ -368,12 +368,13 @@ def test_cli_exits_two_on_an_overflowing_product(tmp_path, capsys, command, subs
     assert json.loads(capsys.readouterr().err) == {"error": "NonFiniteInput", "message": message}
 
 
-def _one_entry_file(tmp_path, name, entry):
+def _unit_weight_file(tmp_path, name, blocks):
+    """Real system file with one unit-weight block per ``lambda`` matrix in ``blocks``, each on the whole space."""
+    dim = len(blocks[0][0])
+    eye = np.eye(dim).tolist()
+    subs = ", ".join(json.dumps({"weight": 1.0, "subspace": eye, "lambda": lam}) for lam in blocks)
     path = tmp_path / name
-    path.write_text(
-        '{"version": 1, "field": "real", "dim": 1, "subsystems": '
-        f'[{{"weight": 1, "subspace": [[1]], "lambda": [[{entry}]]}}]}}'
-    )
+    path.write_text(f'{{"version": 1, "field": "real", "dim": {dim}, "subsystems": [{subs}]}}')
     return str(path)
 
 
@@ -385,7 +386,7 @@ def _all_finite(x):
     return not isinstance(x, float) or math.isfinite(x)
 
 
-NEAR_MAX = {"big": "1e154", "neg": "-1e154"}  # K = +-1e154, S = 1e308: finite, but S + S^H is not
+NEAR_MAX = {"big": [[[1e154]]], "neg": [[[-1e154]]]}  # K = +-1e154, S = 1e308: finite, but S + S^H is not
 
 
 @pytest.mark.parametrize(
@@ -406,7 +407,7 @@ NEAR_MAX = {"big": "1e154", "neg": "-1e154"}  # K = +-1e154, S = 1e308: finite, 
     ],
 )
 def test_cli_reports_stay_finite_when_the_frame_operator_nears_the_float_maximum(tmp_path, argv, want):
-    files = {label: _one_entry_file(tmp_path, f"{label}.json", entry) for label, entry in NEAR_MAX.items()}
+    files = {label: _unit_weight_file(tmp_path, f"{label}.json", blocks) for label, blocks in NEAR_MAX.items()}
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no numpy RuntimeWarning on the way
         code, out = run_cli([files.get(a, a) for a in argv])
@@ -421,7 +422,7 @@ def test_cli_reports_stay_finite_when_the_frame_operator_nears_the_float_maximum
 
 def test_cli_exits_two_when_the_analysis_perturbation_overflows(tmp_path, capsys):
     # K_lam = 1e154 and K_theta = -1e154 have finite frame operators, but D^H D = 4e308 is not finite.
-    big, neg = (_one_entry_file(tmp_path, f"{label}.json", entry) for label, entry in NEAR_MAX.items())
+    big, neg = (_unit_weight_file(tmp_path, f"{label}.json", blocks) for label, blocks in NEAR_MAX.items())
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, out = run_cli(["perturb", big, neg, "--theorem", "analysis", "--seed", "1"])
@@ -430,6 +431,57 @@ def test_cli_exits_two_when_the_analysis_perturbation_overflows(tmp_path, capsys
         "error": "NonFiniteInput",
         "message": "analysis perturbation D^H D contains NaN or Inf entries",
     }
+
+
+# Finite inputs whose reports would carry a number beyond the float range.
+SPECTRUM_OVERFLOW = "the spectrum of the frame operator K^H K contains NaN or Inf entries"
+OVERFLOW_FILES = {
+    "big": [[[1e154]]],                           # S = 1e308
+    "top": [[[1.3e154]]],                         # S = 1.69e308
+    "half": [[[0.65e154]]],
+    "wide": [[[0.99e154, 0.99e154], [1.0, -1.0]]],  # finite S with the eigenvalue 1.96e308
+    "unit": [[[1.0, 0.0], [0.0, 1.0]]],
+    "up": [[[0.5e154, 0.5e154], [1e150, -1e150]]],
+    "down": [[[-0.5e154, -0.5e154], [1e150, -1e150]]],  # D^H D finite, its eigenvalue 2e308 is not
+    "thin": [[[1.0, 0.0], [0.0, 1e-5]]],
+    "huge": [[[1e150, 0.0], [0.0, 1e150]]],       # U = S_huge S_thin^-1 has the entry 1e310
+    "first": [[[0.9487e154]], [[0.0]]],
+    "second": [[[0.0]], [[0.9487e154]]],          # two block differences of 0.9e308 each
+}
+SAMPLED_OVERFLOW = "the sampled hypothesis margin overflows a float"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["perturb", "big", "big", "--theorem", "t52", "--lam", "0.5", "--mu", "0.5", "--gamma", "1"],
+         "predicted.upper overflows a float"),
+        (["perturb", "big", "big", "--theorem", "synth", "--lam", "0.5", "--mu", "0.5", "--gamma", "1"],
+         "predicted.upper overflows a float"),
+        (["perturb", "top", "half", "--theorem", "analysis"], "predicted.upper overflows a float"),
+        (["perturb", "top", "half", "--theorem", "cR"], "upper_quadratic overflows a float"),
+        # The hypothesis is false (cert_margin 2.5e307); the sampled search overflowed and used to call it true.
+        (["perturb", "top", "half", "--theorem", "t52", "--lam", "0.6"], SAMPLED_OVERFLOW),
+        (["analyze", "wide"], SPECTRUM_OVERFLOW),
+        (["perturb", "unit", "wide", "--theorem", "t52"], SPECTRUM_OVERFLOW),
+        (["perturb", "up", "down", "--theorem", "analysis"], "radius overflows a float"),
+        (["perturb", "thin", "huge", "--theorem", "lemma"],
+         "lemma operator U = S_theta S_lam^-1 contains NaN or Inf entries"),
+        (["perturb", "first", "second", "--theorem", "cR", "--samples", "0"], "radius_certificate overflows a float"),
+    ],
+)
+def test_cli_exits_two_when_a_reported_number_overflows(tmp_path, capsys, argv, message):
+    files = {name: _unit_weight_file(tmp_path, f"{name}.json", blocks) for name, blocks in OVERFLOW_FILES.items()}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy RuntimeWarning on the way
+        code, out = run_cli([files.get(a, a) for a in argv] + (["--seed", "1"] if argv[0] == "perturb" else []))
+    assert code == 2 and out == ""
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "NonFiniteInput"
+    if message == SAMPLED_OVERFLOW:
+        assert err["message"].startswith(f"{message} (overflow encountered in ")
+    else:
+        assert err["message"] == message
 
 
 @pytest.mark.parametrize("weight", [INF, math.nan])

@@ -13,6 +13,7 @@ from gfusion.linalg import (
     gram_eigen_extremes,
     hermitian_part,
     operator_norm,
+    orthonormality_deviation,
     orthonormalize,
 )
 
@@ -87,6 +88,25 @@ class TestProjector:
     def test_rejects_non_orthonormal_basis(self):
         with pytest.raises(ValueError):
             Subspace(np.array([[1.0, 1.0], [0.0, 1.0]]))
+
+
+class TestOrthonormalityDeviation:
+    def test_orthonormal_columns_and_no_columns_give_zero(self):
+        assert orthonormality_deviation(np.eye(3)[:, :2]) == 0.0
+        assert orthonormality_deviation(np.zeros((3, 0))) == 0.0
+
+    def test_largest_entry_of_the_gram_defect(self):
+        b = np.eye(3)[:, :2] * [1.0, 1.5]
+        assert orthonormality_deviation(b) == 1.25
+
+    def test_complex_columns_use_the_conjugate_transpose(self):
+        b = np.array([[1.0], [1j]]) / np.sqrt(2.0)
+        assert orthonormality_deviation(b) <= 1e-15
+
+    def test_subspace_rejects_what_it_measures_above_tol_ortho(self):
+        b = np.eye(2) * [1.0, 1.0 + 1e-9]
+        with pytest.raises(ValueError, match=f"deviation {orthonormality_deviation(b):.3e}"):
+            Subspace(b)
 
 
 class TestHermitianPart:

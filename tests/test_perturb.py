@@ -6,7 +6,7 @@ from helpers import coordinate_system, fitted_radius, full_space_system, scale_b
 
 import gfusion as gf
 from gfusion import perturb
-from gfusion.errors import SystemMismatch
+from gfusion.errors import NonFiniteInput, SystemMismatch
 from gfusion.linalg import adjoint, operator_norm
 from gfusion.perturb import _ascend, _margin_objective, _subset_masks
 from gfusion.sampling import gaussian_matrix, haar_unitary, random_unit_vectors, well_conditioned_matrix
@@ -46,6 +46,13 @@ class TestInvertibilityLemma:
     def test_rejects_bad_lambdas(self):
         with pytest.raises(ValueError):
             gf.check_invertibility_lemma(np.eye(2), 1.0, 0.0, samples=10, seed=0)
+
+    def test_non_finite_u_or_margin_is_an_input_error_without_a_warning(self):
+        with pytest.raises(NonFiniteInput, match=r"^U contains NaN or Inf entries$"):
+            gf.check_invertibility_lemma(np.array([[np.nan]]), 0.1, 0.0, samples=10, seed=0)
+        # U is finite, but ||U x|| squares 1e200.
+        with pytest.raises(NonFiniteInput, match=r"^the sampled hypothesis margin overflows a float \(overflow"):
+            gf.check_invertibility_lemma(np.array([[1e200]]), 0.1, 0.0, samples=10, seed=0)
 
 
 class TestFrameOperatorCertifier:

@@ -16,7 +16,7 @@ from gfusion.errors import (
     NotAFrameError,
     SystemMismatch,
 )
-from gfusion.linalg import adjoint, operator_norm
+from gfusion.linalg import TOL_ORTHO, adjoint, operator_norm, orthonormality_deviation
 from gfusion.sampling import random_unit_vectors
 
 
@@ -432,6 +432,19 @@ class TestMakeSystem:
         q = np.linalg.qr(np.random.default_rng(0).standard_normal((5, 3)))[0]
         sys = gf.make_system(5, "real", [(1.0, q, np.zeros((2, 5)) + 1.0)])
         assert np.array_equal(sys.subsystems[0].subspace.basis, q)
+        # Either side of TOL_ORTHO, the threshold make_system shares with Subspace: scaling one column by
+        # 1 + d moves the Gram's corner to (1 + d)^2, a deviation of about 2d.
+        for field, scale in (("real", 1.0), ("complex", np.exp(0.3j))):
+            for factor, kept in ((0.3, True), (10.0, False)):
+                span = q * scale
+                span[:, 0] *= 1.0 + factor * TOL_ORTHO / 2.0
+                dev = orthonormality_deviation(span)
+                assert 0.8 * factor * TOL_ORTHO <= dev <= 1.2 * factor * TOL_ORTHO
+                basis = gf.make_system(5, field, [(1.0, span, np.ones((2, 5)))]).subsystems[0].subspace.basis
+                assert np.array_equal(basis, span) == kept
+                if not kept:
+                    assert gf.Subspace(basis).agrees_with(gf.Subspace(q), 1e-12)
+                    assert orthonormality_deviation(basis) <= TOL_ORTHO
 
     def test_general_spanning_is_orthonormalized(self):
         span = np.array([[1.0, 2.0], [1.0, 2.0], [0.0, 0.0]])
