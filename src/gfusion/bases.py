@@ -43,12 +43,12 @@ def riesz_bounds(sys: GFusionSystem, tol: float = TOL_VERDICT) -> FrameBounds | 
     equivalent to the two-sided inequality over every finite block subset.
     They are read off S = K^H K, which shares the Gram's nonzero spectrum
     (the lower bound is 0 when the direct sum is larger than the space).
-    The verdict requires gf-completeness and smallest singular value above
-    ``tol``.
+    The verdict requires a smallest singular value above ``tol`` and
+    gf-completeness; the SVD behind the latter runs only when the former holds.
     """
     ext = gram_eigen_extremes(sys.spectrum, sum(sys.block_dims))
     lower = max(ext.min_eig, 0.0)
-    if not is_gf_complete(sys) or np.sqrt(lower) <= tol:
+    if np.sqrt(lower) <= tol or not is_gf_complete(sys):
         return None
     return FrameBounds(lower, ext.max_eig, "optimal-spectral")
 

@@ -33,125 +33,98 @@ from .system import (
 _THEOREMS = ("t52", "cR", "synth", "analysis", "lemma")
 
 
-def _load(inputs: dict, label: str, path: str):
-    """Load a system file and stamp it into `inputs` with the sha256 of the bytes parsed."""
-    sys_, digest = read_system(path)
-    inputs[label] = {"path": path, "sha256": digest}
-    return sys_
+def _run_report(args):
+    """Run a report command: stamp the files it reads, wrap its fields in the envelope, map its verdict to 0/1."""
+    inputs = {}
 
+    def load(label: str, path: str):
+        sys_, digest = read_system(path)  # the sha256 of the very bytes parsed
+        inputs[label] = {"path": path, "sha256": digest}
+        return sys_
 
-def _envelope(args, inputs: dict, tolerances: dict, seed=None) -> dict:
-    return {
+    ok, fields = args.report(args, load)
+    report = {
         "command": args.command,
         "argv": list(args._argv),
         "inputs": inputs,
-        "seed": seed,
-        "tolerances": tolerances,
+        "seed": getattr(args, "seed", None),
+        "tolerances": {args.tol_name: args.tol},
+    }
+    report.update(fields)
+    return (0 if ok else 1), report
+
+
+def _cmd_analyze(args, load):
+    sys_ = load("system", args.system)
+    fb = frame_bounds(sys_, tol_pd=args.tol)
+    ext = spectral_extremes(sys_)
+    return fb is not None, {
+        "dim": sys_.dim,
+        "field": sys_.field,
+        "blocks": sys_.block_count,
+        "verdict": "frame" if fb is not None else "not_a_frame",
+        "bounds": to_jsonable(fb),
+        "spectral_extremes": {"min_eig": ext.min_eig, "max_eig": ext.max_eig},
+        "parseval": bool(fb is not None and abs(fb.lower - 1) <= TOL_VERDICT and abs(fb.upper - 1) <= TOL_VERDICT),
+        "gf_complete": is_gf_complete(sys_),
     }
 
 
-def _cmd_analyze(args):
-    inputs = {}
-    sys_ = _load(inputs, "system", args.system)
-    fb = frame_bounds(sys_, tol_pd=args.tol)
-    ext = spectral_extremes(sys_)
-    report = _envelope(args, inputs, {"tol_pd": args.tol})
-    report.update(
-        {
-            "dim": sys_.dim,
-            "field": sys_.field,
-            "blocks": sys_.block_count,
-            "verdict": "frame" if fb is not None else "not_a_frame",
-            "bounds": to_jsonable(fb),
-            "spectral_extremes": {"min_eig": ext.min_eig, "max_eig": ext.max_eig},
-            "parseval": bool(fb is not None and abs(fb.lower - 1) <= TOL_VERDICT and abs(fb.upper - 1) <= TOL_VERDICT),
-            "gf_complete": is_gf_complete(sys_),
-        }
-    )
-    return (0 if fb is not None else 1), report
-
-
-def _cmd_dual(args):
-    inputs = {}
-    sys_ = _load(inputs, "system", args.system)
-    report = _envelope(args, inputs, {"residual_tol": args.tol}, args.seed)
+def _cmd_dual(args, load):
+    sys_ = load("system", args.system)
     if frame_bounds(sys_) is None:
-        report.update({"verdict": "not_a_frame"})
-        return 1, report
+        return False, {"verdict": "not_a_frame"}
     dual = canonical_dual(sys_)
     rng = np.random.default_rng(args.seed)
     res = reconstruct(sys_, dual, random_unit_vectors(rng, sys_.dim, 100, sys_.field))
     ok = res.primal_residual <= args.tol and res.swapped_residual <= args.tol
-    report.update(
-        {
-            "verdict": "dual_ok" if ok else "dual_residual_too_large",
-            "max_primal_residual": res.primal_residual,
-            "max_swapped_residual": res.swapped_residual,
-            "vectors": 100,
-            "dual_system": system_to_dict(dual),
-        }
-    )
     if args.emit_dual:
         save_system(dual, args.emit_dual)
-    return (0 if ok else 1), report
+    return ok, {
+        "verdict": "dual_ok" if ok else "dual_residual_too_large",
+        "max_primal_residual": res.primal_residual,
+        "max_swapped_residual": res.swapped_residual,
+        "vectors": 100,
+        "dual_system": system_to_dict(dual),
+    }
 
 
-def _cmd_riesz(args):
-    inputs = {}
-    sys_ = _load(inputs, "system", args.system)
-    rb = bases.riesz_bounds(sys_, args.tol)
-    report = _envelope(args, inputs, {"tol": args.tol})
-    report.update({"verdict": "riesz" if rb is not None else "not_riesz", "riesz_bounds": to_jsonable(rb)})
-    return (0 if rb is not None else 1), report
+def _cmd_riesz(args, load):
+    rb = bases.riesz_bounds(load("system", args.system), args.tol)
+    return rb is not None, {"verdict": "riesz" if rb is not None else "not_riesz", "riesz_bounds": to_jsonable(rb)}
 
 
-def _cmd_onb(args):
-    inputs = {}
-    sys_ = _load(inputs, "system", args.system)
-    verdict = bases.is_gf_orthonormal(sys_, args.tol)
-    report = _envelope(args, inputs, {"tol": args.tol})
-    report.update({"verdict": to_jsonable(verdict)})
-    return (0 if verdict.is_gf_orthonormal else 1), report
+def _cmd_onb(args, load):
+    verdict = bases.is_gf_orthonormal(load("system", args.system), args.tol)
+    return verdict.is_gf_orthonormal, {"verdict": to_jsonable(verdict)}
 
 
-def _cmd_cross(args):
-    inputs = {}
-    theta = _load(inputs, "theta", args.theta)
-    lam = _load(inputs, "lambda", args.system)
-    rep = bases.cross_operator(theta, lam, args.tol)
-    report = _envelope(args, inputs, {"tol": args.tol})
-    report.update({"report": to_jsonable(rep)})
-    ok = rep.intertwine_residual <= args.tol and rep.surjective
-    return (0 if ok else 1), report
+def _cmd_cross(args, load):
+    theta = load("theta", args.theta)
+    rep = bases.cross_operator(theta, load("lambda", args.system), args.tol)
+    return rep.intertwine_residual <= args.tol and rep.surjective, {"report": to_jsonable(rep)}
 
 
-def _cmd_induce(args):
-    inputs = {}
-    sys_ = _load(inputs, "system", args.system)
+def _cmd_induce(args, load):
+    sys_ = load("system", args.system)
     fam = induced.induce_vectors(sys_)
     rep = induced.verify_correspondence(sys_, fam, args.tol)
-    report = _envelope(args, inputs, {"tol": args.tol})
-    report.update(
-        {
-            "family": {
-                "count": fam.count,
-                "labels": [[j, k] for j, k, _ in fam.entries],
-                "vectors": to_jsonable(fam.matrix()),
-            },
-            "report": to_jsonable(rep),
-        }
-    )
-    ok = rep.coincidence_residual <= args.tol and rep.bounds_agree
-    return (0 if ok else 1), report
+    return rep.coincidence_residual <= args.tol and rep.bounds_agree, {
+        "family": {
+            "count": fam.count,
+            "labels": [[j, k] for j, k, _ in fam.entries],
+            "vectors": to_jsonable(fam.matrix()),
+        },
+        "report": to_jsonable(rep),
+    }
 
 
-def _cmd_perturb(args):
+def _cmd_perturb(args, load):
     least = 1 if args.theorem == "lemma" else 0
     if args.samples < least:
         raise GFusionError(f"--samples must be at least {least} for --theorem {args.theorem}, got {args.samples}")
-    inputs = {}
-    lam_sys = _load(inputs, "system", args.system)
-    theta_sys = _load(inputs, "perturbed", args.perturbed)
+    lam_sys = load("system", args.system)
+    theta_sys = load("perturbed", args.perturbed)
     params = perturb.PerturbParams(args.lam, args.mu, args.gamma)
     sampling = {"samples": args.samples, "seed": args.seed, "bracket_tol": args.tol}
     if args.theorem == "t52":
@@ -171,16 +144,12 @@ def _cmd_perturb(args):
         lam1 = args.lam + args.gamma / np.sqrt(fb.lower)
         rep = perturb.check_invertibility_lemma(u, lam1, args.mu, samples=args.samples, seed=args.seed)
     ok = rep.hypothesis_holds and bool(rep.sandwich_ok if args.theorem == "lemma" else rep.bracket_ok)
-    report = _envelope(args, inputs, {"bracket_tol": args.tol}, args.seed)
-    report.update(
-        {
-            "theorem": args.theorem,
-            "params": {"lam": args.lam, "mu": args.mu, "gamma": args.gamma},
-            "samples": args.samples,
-            "report": to_jsonable(rep),
-        }
-    )
-    return (0 if ok else 1), report
+    return ok, {
+        "theorem": args.theorem,
+        "params": {"lam": args.lam, "mu": args.mu, "gamma": args.gamma},
+        "samples": args.samples,
+        "report": to_jsonable(rep),
+    }
 
 
 def _cmd_gen(args):
@@ -214,34 +183,34 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="frame verdict, optimal bounds, completeness")
     p.add_argument("system")
     add_common(p, tol=TOL_PD)
-    p.set_defaults(func=_cmd_analyze)
+    p.set_defaults(func=_run_report, report=_cmd_analyze, tol_name="tol_pd")
 
     p = sub.add_parser("dual", help="canonical dual and reconstruction residuals")
     p.add_argument("system")
     p.add_argument("--emit-dual", default=None, help="write the dual as a system file")
     add_common(p, with_seed=True)
-    p.set_defaults(func=_cmd_dual)
+    p.set_defaults(func=_run_report, report=_cmd_dual, tol_name="residual_tol")
 
     p = sub.add_parser("riesz", help="gf-Riesz verdict and bounds")
     p.add_argument("system")
     add_common(p)
-    p.set_defaults(func=_cmd_riesz)
+    p.set_defaults(func=_run_report, report=_cmd_riesz, tol_name="tol")
 
     p = sub.add_parser("onb", help="gf-orthonormal basis verdict")
     p.add_argument("system")
     add_common(p)
-    p.set_defaults(func=_cmd_onb)
+    p.set_defaults(func=_run_report, report=_cmd_onb, tol_name="tol")
 
     p = sub.add_parser("cross", help="cross operator between a gf-orthonormal system and a frame")
     p.add_argument("theta", help="gf-orthonormal system file")
     p.add_argument("system", help="g-fusion frame file")
     add_common(p)
-    p.set_defaults(func=_cmd_cross)
+    p.set_defaults(func=_run_report, report=_cmd_cross, tol_name="tol")
 
     p = sub.add_parser("induce", help="induced vector family and correspondence report")
     p.add_argument("system")
     add_common(p)
-    p.set_defaults(func=_cmd_induce)
+    p.set_defaults(func=_run_report, report=_cmd_induce, tol_name="tol")
 
     p = sub.add_parser("perturb", help="perturbation certificates")
     p.add_argument("system", help="reference system file")
@@ -252,7 +221,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma", type=float, default=0.0)
     p.add_argument("--samples", type=int, default=2000)
     add_common(p, with_seed=True)
-    p.set_defaults(func=_cmd_perturb)
+    p.set_defaults(func=_run_report, report=_cmd_perturb, tol_name="bracket_tol")
 
     p = sub.add_parser("gen", help="generate a random system file")
     p.add_argument("--dim", type=int, default=None)

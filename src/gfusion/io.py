@@ -32,7 +32,7 @@ from typing import Any
 import numpy as np
 
 from .errors import GFusionError, SystemFileError
-from .system import FrameBounds, GFusionSystem, make_system
+from .system import GFusionSystem, make_system
 
 SYSTEM_FILE_VERSION = 1
 
@@ -284,8 +284,6 @@ def to_jsonable(obj: Any) -> Any:
         if obj.ndim in (1, 2):
             return matrix_to_data(obj, "complex" if np.iscomplexobj(obj) else "real")
         return obj.tolist()
-    if isinstance(obj, FrameBounds):
-        return {"lower": obj.lower, "upper": obj.upper, "kind": obj.kind}
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {f.name: to_jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
     if isinstance(obj, dict):

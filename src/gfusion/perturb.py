@@ -144,7 +144,7 @@ class LemmaReport:
     lam1: float
     lam2: float
     norm: float            # ||U||
-    inverse_norm: float    # ||U^-1||
+    inverse_norm: float | None  # ||U^-1||; None when U is singular (sigma_min = 0)
     sigma_min: float
     forward_lower: float   # (1-lam1)/(1+lam2)
     forward_upper: float   # (1+lam1)/(1-lam2)
@@ -197,14 +197,17 @@ def check_invertibility_lemma(
     holds = margin <= margin_tol
     sv = np.linalg.svd(u, compute_uv=False)
     smin, smax = float(sv[-1]), float(sv[0])
+    inverse_norm = None if smin == 0.0 else 1.0 / smin
+    if inverse_norm is not None:
+        _finite_fields({"inverse_norm": inverse_norm})
     fl, fu = (1 - lam1) / (1 + lam2), (1 + lam1) / (1 - lam2)
     il, iu = (1 - lam2) / (1 + lam1), (1 + lam2) / (1 - lam1)
     slack = TOL_LEMMA_SLACK
     sandwich = bool(
-        smin > 0.0
+        inverse_norm is not None
         and smin >= fl - slack
         and smax <= fu + slack
-        and 1.0 / smin <= iu + slack
+        and inverse_norm <= iu + slack
         and 1.0 / smax >= il - slack
     )
     return LemmaReport(
@@ -213,7 +216,7 @@ def check_invertibility_lemma(
         lam1=lam1,
         lam2=lam2,
         norm=smax,
-        inverse_norm=float(np.inf) if smin == 0.0 else 1.0 / smin,
+        inverse_norm=inverse_norm,
         sigma_min=smin,
         forward_lower=fl,
         forward_upper=fu,

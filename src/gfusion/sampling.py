@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
+SV_MIN, SV_MAX = 0.6, 1.8  # singular value range of well_conditioned_matrix
+
 
 def gaussian_matrix(rng: np.random.Generator, rows: int, cols: int, field: str) -> np.ndarray:
     if field == "complex":
@@ -27,13 +29,11 @@ def haar_unitary(rng: np.random.Generator, n: int, field: str) -> np.ndarray:
     return q * (d / np.abs(d))
 
 
-def well_conditioned_matrix(
-    rng: np.random.Generator, n: int, field: str, sv_min: float = 0.6, sv_max: float = 1.8
-) -> np.ndarray:
-    """Invertible matrix with singular values drawn uniformly from [sv_min, sv_max]."""
+def well_conditioned_matrix(rng: np.random.Generator, n: int, field: str) -> np.ndarray:
+    """Invertible matrix with singular values drawn uniformly from [SV_MIN, SV_MAX]."""
     u = haar_unitary(rng, n, field)
     v = haar_unitary(rng, n, field)
-    s = rng.uniform(sv_min, sv_max, n)
+    s = rng.uniform(SV_MIN, SV_MAX, n)
     return (u * s) @ v.conj().T
 
 

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 import gfusion as gf
 from gfusion.errors import PreconditionFailed
 from gfusion.linalg import adjoint, operator_norm
-from gfusion.sampling import gaussian_matrix, random_partition, well_conditioned_matrix
+from gfusion import bases
+from gfusion.sampling import gaussian_matrix, haar_unitary, random_partition, well_conditioned_matrix
 from gfusion.system import split_blocks
 
 
@@ -35,7 +36,7 @@ class TestRieszBounds:
         # extreme squared singular values of M.
         rng = np.random.default_rng(8)
         theta = gf.generate("onb", 8, 3, seed=14)
-        m = well_conditioned_matrix(rng, 8, "real", 0.5, 2.0)
+        m = well_conditioned_matrix(rng, 8, "real")
         comps = [
             (sub.weight, m @ sub.subspace.basis, adjoint(m @ sub.subspace.basis))
             for sub in theta.subsystems
@@ -45,6 +46,18 @@ class TestRieszBounds:
         sv = np.linalg.svd(m, compute_uv=False)
         assert abs(rb.lower - sv[-1] ** 2) <= 1e-9
         assert abs(rb.upper - sv[0] ** 2) <= 1e-9
+
+    def test_lower_bound_is_tested_before_completeness(self, monkeypatch):
+        # M > n: the lower Riesz bound is exactly 0, so the completeness SVD is never needed.
+        def fail(sys):
+            raise AssertionError("is_gf_complete called")
+
+        monkeypatch.setattr(bases, "is_gf_complete", fail)
+        frame = gf.generate("frame", 6, 4, seed=3)
+        assert sum(frame.block_dims) > frame.dim
+        assert gf.riesz_bounds(frame) is None
+        with pytest.raises(AssertionError, match="is_gf_complete called"):
+            gf.riesz_bounds(gf.generate("riesz", 6, 3, seed=3))
 
     def test_riesz_implies_injective_and_complete(self):
         sys = gf.generate("riesz", 6, 3, seed=4)
@@ -189,7 +202,7 @@ class TestCrossOperator:
 
     def test_rejects_mismatched_subspaces(self):
         theta = gf.generate("onb", 6, 3, seed=9)
-        rot = well_conditioned_matrix(np.random.default_rng(0), 6, "real", 1.0, 1.0)  # orthogonal
+        rot = haar_unitary(np.random.default_rng(0), 6, "real")
         comps = [
             (sub.weight, rot @ sub.subspace.basis, adjoint(rot @ sub.subspace.basis))
             for sub in theta.subsystems

@@ -152,6 +152,79 @@ class TestExitCodes:
         assert "--samples" in json.loads(capsys.readouterr().err)["message"]
 
 
+ENVELOPE = {"command", "argv", "inputs", "seed", "tolerances"}
+
+
+def _strict_json(text):
+    """json.loads that rejects the non-JSON tokens Infinity, -Infinity and NaN."""
+    def reject(token):
+        raise ValueError(f"non-JSON token {token}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+class TestEnvelope:
+    @pytest.mark.parametrize(
+        "argv, tol_name, seed, fields",
+        [
+            (["analyze", "frame"], "tol_pd", None,
+             {"dim", "field", "blocks", "verdict", "bounds", "spectral_extremes", "parseval", "gf_complete"}),
+            (["dual", "frame", "--seed", "3"], "residual_tol", 3,
+             {"verdict", "max_primal_residual", "max_swapped_residual", "vectors", "dual_system"}),
+            (["riesz", "riesz"], "tol", None, {"verdict", "riesz_bounds"}),
+            (["onb", "onb"], "tol", None, {"verdict"}),
+            (["cross", "onb", "riesz"], "tol", None, {"report"}),
+            (["induce", "riesz"], "tol", None, {"family", "report"}),
+            (["perturb", "frame", "frame", "--theorem", "analysis", "--seed", "4"], "bracket_tol", 4,
+             {"theorem", "params", "samples", "report"}),
+        ],
+    )
+    def test_every_report_echoes_a_non_default_tolerance(self, tmp_path, argv, tol_name, seed, fields):
+        onb = gf.generate("onb", 4, 2, seed=2)
+        systems = {"frame": gf.generate("frame", 5, 2, seed=101), "onb": onb, "riesz": gf.generate_like(onb, "riesz", 3)}
+        files = {}
+        for name, sys_ in systems.items():
+            files[name] = str(tmp_path / f"{name}.json")
+            save_system(sys_, files[name])
+        full = argv[:1] + [files.get(a, a) for a in argv[1:]] + ["--tol", "1e-7"]
+        code, out = run_cli(full)
+        report = _strict_json(out)
+        assert code in (0, 1)
+        assert set(report) == ENVELOPE | fields
+        assert report["command"] == argv[0] and report["argv"] == full
+        assert report["seed"] == seed
+        assert report["tolerances"] == {tol_name: 1e-7}
+
+
+class TestLemmaReportIsStrictJson:
+    def _files(self, tmp_path, second):
+        paths = []
+        for name, lam in (("eye.json", [[1.0, 0.0], [0.0, 1.0]]), ("other.json", second)):
+            path = tmp_path / name
+            path.write_text(json.dumps({
+                "version": 1, "field": "real", "dim": 2,
+                "subsystems": [{"weight": 1.0, "subspace": [[1.0, 0.0], [0.0, 1.0]], "lambda": lam}],
+            }))
+            paths.append(str(path))
+        return paths
+
+    def test_singular_u_reports_a_null_inverse_norm(self, tmp_path):
+        ref, zero = self._files(tmp_path, [[0.0, 0.0], [0.0, 0.0]])
+        code, out = run_cli(["perturb", ref, zero, "--theorem", "lemma", "--seed", "1"])
+        rep = _strict_json(out)["report"]
+        assert code == 1
+        assert rep["sigma_min"] == 0.0 and rep["inverse_norm"] is None and rep["sandwich_ok"] is False
+
+    def test_inverse_norm_beyond_the_float_range_is_an_input_error(self, tmp_path, capsys):
+        ref, tiny = self._files(tmp_path, [[1.0, 0.0], [0.0, 1e-160]])  # sigma_min(U) = 1e-320
+        code, out = run_cli(["perturb", ref, tiny, "--theorem", "lemma", "--seed", "1"])
+        assert (code, out) == (2, "")
+        assert _strict_json(capsys.readouterr().err) == {
+            "error": "NonFiniteInput",
+            "message": "inverse_norm overflows a float",
+        }
+
+
 class TestParseDiagnostics:
     def test_bad_field_value(self, tmp_path):
         path = tmp_path / "bad.json"
