@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionFailed
-from .linalg import TOL_VERDICT, adjoint, gram_eigen_extremes, operator_norm
+from .linalg import TOL_RANK, TOL_VERDICT, adjoint, gram_eigen_extremes, operator_norm
 from .system import (
     FrameBounds,
     GFusionSystem,
@@ -119,7 +119,7 @@ def cross_operator(theta: GFusionSystem, lam: GFusionSystem, tol: float = TOL_VE
         intertwine_residual=float(residual),
         norm=float(sv[0]),
         bessel_norm_bound=float(np.sqrt(fb.upper)),
-        surjective=bool(sv[0] > 0 and sv[-1] > 1e-10 * sv[0]),
+        surjective=bool(sv[0] > 0 and sv[-1] > TOL_RANK * sv[0]),
         adjoint_isometric=adj_iso,
         invertible=invertible,
         unitary=adj_iso and invertible,

@@ -10,6 +10,7 @@ verdict, 2 = input error.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys as _sys
 
 import numpy as np
@@ -17,7 +18,7 @@ import numpy as np
 from . import bases, induced, perturb
 from .errors import GFusionError
 from .generate import generate, generate_like, perturbed_copy
-from .io import dumps_canonical, load_system, read_system, save_system, system_to_dict, to_jsonable
+from .io import dumps_canonical, load_system, read_system, system_to_dict, to_jsonable
 from .linalg import TOL_PD, TOL_VERDICT, finite_product
 from .sampling import random_unit_vectors
 from .system import (
@@ -78,14 +79,15 @@ def _cmd_dual(args, load):
     rng = np.random.default_rng(args.seed)
     res = reconstruct(sys_, dual, random_unit_vectors(rng, sys_.dim, 100, sys_.field))
     ok = res.primal_residual <= args.tol and res.swapped_residual <= args.tol
+    dual_dict = system_to_dict(dual)
     if args.emit_dual:
-        save_system(dual, args.emit_dual)
+        _write_file(args.emit_dual, dumps_canonical(dual_dict))
     return ok, {
         "verdict": "dual_ok" if ok else "dual_residual_too_large",
         "max_primal_residual": res.primal_residual,
         "max_swapped_residual": res.swapped_residual,
         "vectors": 100,
-        "dual_system": system_to_dict(dual),
+        "dual_system": dual_dict,
     }
 
 
@@ -168,7 +170,22 @@ def _cmd_gen(args):
     return 0, system_to_dict(sys_)
 
 
+def _write_file(path: str, text: str):
+    """Write an output file; a path that cannot be written is an input error (exit 2)."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise GFusionError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """Built on the first call and shared by every later `main` call, so nothing may mutate it.
+
+    `parse_args` returns a fresh Namespace and leaves the parser as it is; argparse
+    reads the terminal width and sys.stdout / sys.stderr anew on each call.
+    """
     parser = argparse.ArgumentParser(prog="gfusion", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -238,19 +255,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = list(_sys.argv[1:]) if argv is None else list(argv)
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     args._argv = argv
     try:
         code, payload = args.func(args)
+        text = dumps_canonical(payload)
+        if args.output:
+            _write_file(args.output, text)
     except (GFusionError, ValueError, RuntimeError) as exc:
         _sys.stderr.write(dumps_canonical({"error": type(exc).__name__, "message": str(exc)}))
         return 2
-    text = dumps_canonical(payload)
     _sys.stdout.write(text)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
     return code
 
 

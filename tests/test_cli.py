@@ -7,6 +7,7 @@ import pytest
 from helpers import replay_golden, run_cli
 
 import gfusion as gf
+from gfusion import cli
 from gfusion.errors import SystemFileError
 from gfusion.io import load_system, save_system, system_from_dict, system_to_dict
 
@@ -150,6 +151,56 @@ class TestExitCodes:
         code, out = run_cli(["perturb", frame_file, frame_file, "--theorem", "lemma", "--seed", "1", "--samples", "0"])
         assert (code, out) == (2, "")
         assert "--samples" in json.loads(capsys.readouterr().err)["message"]
+
+    @pytest.mark.parametrize("argv", [["analyze", "F", "-o", "OUT"], ["dual", "F", "--seed", "1", "--emit-dual", "OUT"]])
+    def test_unwritable_output_file_is_an_input_error(self, frame_file, tmp_path, argv, capsys):
+        target = str(tmp_path / "missing" / "x.json")
+        code, out = run_cli([{"F": frame_file, "OUT": target}.get(a, a) for a in argv])
+        assert (code, out) == (2, "")
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "GFusionError" and target in err["message"]
+
+
+def _run_main(argv, capsys):
+    """cli.main in this process: (exit code, stdout, stderr), an argparse exit included."""
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+class TestParserReuse:
+    def test_repeated_calls_repeat_every_outcome(self, frame_file, tmp_path, capsys):
+        sequence = [
+            (["analyze", frame_file], 0),
+            (["perturb", frame_file, frame_file, "--theorem", "lemma", "--seed", "1"], 0),
+            (["gen", "--dim", "2", "--blocks", "1", "--seed", "1", "--tol", "1e-3"], 2),
+            (["--help"], 0),
+            (["analyze", str(tmp_path / "nope.json")], 2),
+        ]
+        cli._build_parser.cache_clear()
+        first = [_run_main(argv, capsys) for argv, _ in sequence]
+        again = [_run_main(argv, capsys) for argv, _ in sequence]
+        assert again == first
+        assert [code for code, _, _ in first] == [code for _, code in sequence]
+        assert "unrecognized arguments: --tol 1e-3" in first[2][2]
+        assert first[3][1].startswith("usage: gfusion")
+        assert json.loads(first[4][2])["error"] == "SystemFileError" and first[4][1] == ""
+        info = cli._build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, 2 * len(sequence) - 1)
+
+    def test_help_is_wrapped_at_the_width_of_each_call(self, monkeypatch, capsys):
+        outputs = []
+        for columns in ("50", "150"):
+            monkeypatch.setenv("COLUMNS", columns)
+            code, out, _ = _run_main(["perturb", "--help"], capsys)
+            with pytest.raises(SystemExit):
+                cli._build_parser.__wrapped__().parse_args(["perturb", "--help"])
+            assert code == 0 and out == capsys.readouterr().out
+            outputs.append(out)
+        assert outputs[0] != outputs[1]
 
 
 ENVELOPE = {"command", "argv", "inputs", "seed", "tolerances"}
