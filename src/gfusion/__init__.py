@@ -41,6 +41,7 @@ from .perturb import (
     certify_R_condition,
     certify_analysis_perturbation,
     certify_frame_operator_perturbation,
+    certify_invertibility_lemma,
     certify_synthesis_perturbation,
     check_invertibility_lemma,
 )

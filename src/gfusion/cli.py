@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys as _sys
 
 import numpy as np
@@ -19,13 +20,11 @@ from . import bases, induced, perturb
 from .errors import GFusionError
 from .generate import generate, generate_like, perturbed_copy
 from .io import dumps_canonical, load_system, read_system, system_to_dict, to_jsonable
-from .linalg import TOL_PD, TOL_VERDICT, finite_product
+from .linalg import TOL_PD, TOL_VERDICT
 from .sampling import random_unit_vectors
 from .system import (
     canonical_dual,
     frame_bounds,
-    frame_operator,
-    inverse_frame_operator,
     is_gf_complete,
     reconstruct,
     spectral_extremes,
@@ -137,14 +136,8 @@ def _cmd_perturb(args, load):
         rep = perturb.certify_synthesis_perturbation(lam_sys, theta_sys, params, **sampling)
     elif args.theorem == "analysis":
         rep = perturb.certify_analysis_perturbation(lam_sys, theta_sys, bracket_tol=args.tol)
-    else:  # lemma: U = S_theta S_lambda^-1, lam1 = lam + gamma/sqrt(A), lam2 = mu
-        fb = frame_bounds(lam_sys)
-        if fb is None:
-            raise GFusionError("lemma mode needs the reference system to be a frame")
-        s_inv = inverse_frame_operator(lam_sys)
-        u = finite_product(frame_operator(theta_sys), s_inv, "lemma operator U = S_theta S_lam^-1")
-        lam1 = args.lam + args.gamma / np.sqrt(fb.lower)
-        rep = perturb.check_invertibility_lemma(u, lam1, args.mu, samples=args.samples, seed=args.seed)
+    else:
+        rep = perturb.certify_invertibility_lemma(lam_sys, theta_sys, params, samples=args.samples, seed=args.seed)
     ok = rep.hypothesis_holds and bool(rep.sandwich_ok if args.theorem == "lemma" else rep.bracket_ok)
     return ok, {
         "theorem": args.theorem,
@@ -179,6 +172,25 @@ def _write_file(path: str, text: str):
         raise GFusionError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
+def _finite(text: str) -> float:
+    """argparse type of the float options: a finite number."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text!r}")
+    return value
+
+
+def _tolerance(text: str) -> float:
+    """argparse type of --tol: a finite number >= 0."""
+    value = _finite(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {text!r}")
+    return value
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """Built on the first call and shared by every later `main` call, so nothing may mutate it.
@@ -192,7 +204,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_common(p, tol=TOL_VERDICT, with_seed=False):
         if tol is not None:
             help_ = "the command's verdict tolerance (default: %(default)s)"
-            p.add_argument("--tol", type=float, default=tol, help=help_)
+            p.add_argument("--tol", type=_tolerance, default=tol, help=help_)
         p.add_argument("-o", "--output", default=None, help="also write the JSON payload to this file")
         if with_seed:
             p.add_argument("--seed", type=int, required=True, help="seed for the randomized parts")
@@ -233,9 +245,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("system", help="reference system file")
     p.add_argument("perturbed", help="perturbed system file")
     p.add_argument("--theorem", choices=_THEOREMS, required=True)
-    p.add_argument("--lam", type=float, default=0.0)
-    p.add_argument("--mu", type=float, default=0.0)
-    p.add_argument("--gamma", type=float, default=0.0)
+    p.add_argument("--lam", type=_finite, default=0.0)
+    p.add_argument("--mu", type=_finite, default=0.0)
+    p.add_argument("--gamma", type=_finite, default=0.0)
     p.add_argument("--samples", type=int, default=2000)
     add_common(p, with_seed=True)
     p.set_defaults(func=_run_report, report=_cmd_perturb, tol_name="bracket_tol")
@@ -246,7 +258,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=("frame", "parseval", "onb", "riesz"), default="frame")
     p.add_argument("--field", choices=("real", "complex"), default="real")
     p.add_argument("--base", default=None, help="existing system file providing the structure")
-    p.add_argument("--noise", type=float, default=None, help="perturb --base by this exact analysis radius")
+    p.add_argument("--noise", type=_finite, default=None, help="perturb --base by this exact analysis radius")
     add_common(p, tol=None, with_seed=True)
     p.set_defaults(func=_cmd_gen)
 

@@ -70,6 +70,8 @@ def generate(
     """
     if kind not in KINDS:
         raise ValueError(f"unknown kind {kind!r}; expected one of {KINDS}")
+    if dim < 1 or blocks < 1:
+        raise ValueError(f"dim and blocks must be at least 1, got dim={dim}, blocks={blocks}")
     rng = np.random.default_rng(seed)
 
     if kind == "frame":
@@ -155,6 +157,8 @@ def perturbed_copy(
     """
     if (radius is None) == (scale is None):
         raise ValueError("specify exactly one of radius= or scale=")
+    if radius is not None and not radius >= 0.0:
+        raise ValueError(f"radius must be at least 0, got {radius}")
     rng = np.random.default_rng(seed)
     bumps = []
     for sub in sys.subsystems:

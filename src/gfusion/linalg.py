@@ -119,7 +119,7 @@ class Subspace:
             return np.zeros((self.ambient_dim, self.ambient_dim), dtype=self.basis.dtype)
         return self.basis @ adjoint(self.basis)
 
-    def agrees_with(self, other: "Subspace", tol: float = 1e-9) -> bool:
+    def agrees_with(self, other: "Subspace", tol: float) -> bool:
         """True if both describe the same subspace (projectors within tol)."""
         if self.ambient_dim != other.ambient_dim:
             return False

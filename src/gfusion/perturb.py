@@ -1,11 +1,11 @@
 """Perturbation certificates for g-fusion frames.
 
 Each certifier takes a reference frame and a candidate perturbed system
-sharing its structure (dimension, field, subspaces, weights, block sizes),
-checks the hypothesis of the corresponding stability statement, emits the
-frame bounds that statement predicts for the perturbed system, and verifies
-them against the actual spectrum of the perturbed frame operator
-(``bracket_ok``).
+sharing its structure (dimension, field, subspaces, weights, block sizes;
+the lemma's only dimension and field), checks the hypothesis of the
+corresponding stability statement, emits the frame bounds that statement
+predicts for the perturbed system, and verifies them against the actual
+spectrum of the perturbed frame operator (``bracket_ok``).
 
 The hypotheses quantify over all vectors, which sampling cannot prove, so
 every report labels the guarantee it carries:
@@ -47,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonFiniteInput, NotAFrameError
+from .errors import NonFiniteInput, NotAFrameError, SystemMismatch
 from .linalg import (
     TOL_LEMMA_SLACK, TOL_SAMPLED_MARGIN, TOL_VERDICT, adjoint, finite_product, hermitian_part, operator_norm,
     require_finite,
@@ -59,6 +59,7 @@ from .system import (
     analysis_matrix,
     frame_bounds,
     frame_operator,
+    inverse_frame_operator,
     require_same_structure,
     spectral_extremes,
     split_blocks,
@@ -69,7 +70,6 @@ _TAG_FRAME_OPERATOR = "frame_operator"
 _TAG_R_CONDITION = "r_condition"
 _TAG_SYNTHESIS = "synthesis"
 _TAG_ANALYSIS = "analysis"
-_TAG_LEMMA = "invertibility_lemma"
 
 # Search shape of the sampled certifiers (see the module docstring).
 _EXTRA_SUBSETS = 7
@@ -496,11 +496,9 @@ def certify_R_condition(
 
     r_cert = float(sum(operator_norm(d) for d in diffs))
     _finite_fields({"radius_certificate": r_cert})
-    r_sampled = None
-    warning = None
+    mode, radius, r_sampled, warning = "none", r_cert, None, None
     if r_cert < a:
         mode = "certified_sufficient"
-        radius = r_cert
     elif samples > 0:
         diffs_h = [adjoint(d) for d in diffs]
 
@@ -519,18 +517,12 @@ def certify_R_condition(
         stop = np.nextafter(a, -np.inf)
         rng = np.random.default_rng(seed)
         r_sampled = _sampled_max_margin([(lam_sys.dim, objective)], rng, lam_sys.field, samples, stop)
+        radius = min(r_cert, r_sampled)
         if r_sampled < a:
             mode = "sampled"
-            radius = r_sampled
             warning = "triangle-inequality radius exceeded the lower frame bound; using the sampled radius"
-        else:
-            mode = "none"
-            radius = min(r_cert, r_sampled)
-    else:
-        mode = "none"
-        radius = r_cert
 
-    holds = bool(mode != "none" and radius < a)
+    holds = mode != "none"  # both other modes already have radius < A
     with np.errstate(over="ignore", invalid="ignore"):
         upper_quadratic = b + radius * np.sqrt(b / a)
         upper_mixed = radius + np.sqrt(b)
@@ -671,3 +663,18 @@ def certify_analysis_perturbation(
         radius=float(radius),
         radius_certificate=float(radius),
     )
+
+
+def certify_invertibility_lemma(
+    lam_sys: GFusionSystem, theta_sys: GFusionSystem, params: PerturbParams, *, samples: int = 2000, seed: int
+) -> LemmaReport:
+    """The invertibility lemma on U = S_theta S_lam^-1 with lam1 = lam + gamma/sqrt(A) and lam2 = mu.
+
+    The lemma concerns U alone: the systems share field and dimension (else SystemMismatch), not subspaces.
+    """
+    if lam_sys.field != theta_sys.field or lam_sys.dim != theta_sys.dim:
+        raise SystemMismatch("the lemma needs two systems of one scalar field and one ambient dimension")
+    s_inv = inverse_frame_operator(lam_sys)
+    u = finite_product(frame_operator(theta_sys), s_inv, "lemma operator U = S_theta S_lam^-1")
+    lam1 = params.lam + params.gamma / np.sqrt(lam_sys.spectrum[0])
+    return check_invertibility_lemma(u, lam1, params.mu, samples=samples, seed=seed)

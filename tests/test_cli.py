@@ -9,7 +9,7 @@ from helpers import replay_golden, run_cli
 import gfusion as gf
 from gfusion import cli
 from gfusion.errors import SystemFileError
-from gfusion.io import load_system, save_system, system_from_dict, system_to_dict
+from gfusion.io import load_system, save_system, system_from_dict, system_to_dict, to_jsonable
 
 
 @pytest.fixture()
@@ -274,6 +274,70 @@ class TestLemmaReportIsStrictJson:
             "error": "NonFiniteInput",
             "message": "inverse_norm overflows a float",
         }
+
+
+class TestLemmaArm:
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_report_is_the_certifier_report(self, tmp_path, field):
+        paths = []
+        for name, seed, blocks in (("lam", 81, 3), ("theta", 82, 4)):
+            paths.append(str(tmp_path / f"{name}.json"))
+            save_system(gf.generate("frame", 6, blocks, seed=seed, field=field, max_condition=50), paths[-1])
+        flags = ["--lam", "0.2", "--mu", "0.1", "--gamma", "0.05", "--samples", "300", "--seed", "7"]
+        code, out = run_cli(["perturb", *paths, "--theorem", "lemma", *flags])
+        rep = gf.certify_invertibility_lemma(
+            load_system(paths[0]), load_system(paths[1]), gf.PerturbParams(0.2, 0.1, 0.05), samples=300, seed=7
+        )
+        assert code == (0 if rep.hypothesis_holds and rep.sandwich_ok else 1)
+        assert _strict_json(out)["report"] == to_jsonable(rep)
+
+    @pytest.mark.parametrize(
+        "other, error",
+        [
+            (gf.generate("frame", 5, 2, seed=101, field="complex"), "SystemMismatch"),
+            (gf.generate("frame", 4, 2, seed=101), "SystemMismatch"),
+            (None, "NotAFrameError"),
+        ],
+        ids=["mixed_field", "other_dimension", "non_frame_reference"],
+    )
+    def test_input_errors(self, frame_file, degenerate_file, tmp_path, other, error, capsys):
+        ref, perturbed = frame_file, str(tmp_path / "other.json")
+        if other is None:
+            ref, perturbed = degenerate_file, degenerate_file
+        else:
+            save_system(other, perturbed)
+        code, out = run_cli(["perturb", ref, perturbed, "--theorem", "lemma", "--seed", "1"])
+        assert (code, out) == (2, "")
+        assert json.loads(capsys.readouterr().err)["error"] == error
+
+
+class TestNumericOptions:
+    @pytest.mark.parametrize(
+        "flag, value",
+        [(f, v) for f in ("--tol", "--lam", "--mu", "--gamma", "--noise") for v in ("nan", "inf", "-inf")]
+        + [("--tol", "-1")],
+    )
+    def test_non_finite_or_negative_tolerance_is_a_usage_error(self, frame_file, flag, value, capsys):
+        argv = {
+            "--tol": ["analyze", frame_file],
+            "--noise": ["gen", "--base", frame_file, "--seed", "1"],
+        }.get(flag, ["perturb", frame_file, frame_file, "--theorem", "t52", "--seed", "1"])
+        code, out, err = _run_main([*argv, f"{flag}={value}"], capsys)  # "=": argparse reads a bare -inf as an option
+        assert (code, out) == (2, "")
+        assert f"argument {flag}: " in err and repr(value) in err
+
+    def test_zero_tolerance_is_accepted(self, frame_file):
+        assert run_cli(["analyze", frame_file, "--tol", "0"])[0] == 0
+
+    @pytest.mark.parametrize(
+        "argv, target",
+        [(["gen", "--base", "F", "--noise", "-0.05"], "radius"), (["gen", "--dim", "0", "--blocks", "1"], "dim")],
+    )
+    def test_gen_rejects_a_negative_noise_or_an_empty_shape(self, frame_file, argv, target, capsys):
+        code, out = run_cli([frame_file if a == "F" else a for a in argv] + ["--seed", "1"])
+        assert (code, out) == (2, "")
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError" and target in err["message"]
 
 
 class TestParseDiagnostics:

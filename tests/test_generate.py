@@ -117,3 +117,17 @@ def test_matched_frames_are_resampled_to_condition_at_most_1e6(field):
     for seed in range(5):
         fb = gf.frame_bounds(gf.generate_like(base, "frame", seed=seed))
         assert fb.upper / fb.lower <= 1e6
+
+
+def test_perturbed_copy_rejects_a_negative_radius():
+    lam = gf.generate("frame", 4, 2, seed=1)
+    with pytest.raises(ValueError, match="radius"):
+        gf.perturbed_copy(lam, seed=2, radius=-0.05)
+    assert gf.perturbed_copy(lam, seed=2, scale=-0.05).dim == 4  # scale stays unrestricted
+
+
+@pytest.mark.parametrize("dim, blocks", [(0, 1), (3, 0)])
+def test_generate_rejects_an_empty_shape(dim, blocks):
+    with pytest.raises(ValueError, match=f"dim and blocks must be at least 1, got dim={dim}, blocks={blocks}"):
+        gf.generate("frame", dim, blocks, seed=1)
+

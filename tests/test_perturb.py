@@ -6,7 +6,7 @@ from helpers import coordinate_system, fitted_radius, full_space_system, scale_b
 
 import gfusion as gf
 from gfusion import perturb
-from gfusion.errors import NonFiniteInput, SystemMismatch
+from gfusion.errors import NonFiniteInput, NotAFrameError, SystemMismatch
 from gfusion.linalg import adjoint, operator_norm
 from gfusion.perturb import _ascend, _margin_objective, _subset_masks
 from gfusion.sampling import gaussian_matrix, haar_unitary, random_unit_vectors, well_conditioned_matrix
@@ -53,6 +53,35 @@ class TestInvertibilityLemma:
         # U is finite, but ||U x|| squares 1e200.
         with pytest.raises(NonFiniteInput, match=r"^the sampled hypothesis margin overflows a float \(overflow"):
             gf.check_invertibility_lemma(np.array([[1e200]]), 0.1, 0.0, samples=10, seed=0)
+
+
+class TestInvertibilityLemmaOnSystems:
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_equals_the_lemma_on_the_hand_built_operator(self, field):
+        # The two frames differ in block count and subspaces: the lemma needs neither to match.
+        lam = gf.generate("frame", 6, 3, seed=81, field=field, max_condition=50)
+        theta = gf.generate("frame", 6, 4, seed=82, field=field, max_condition=50)
+        p = gf.PerturbParams(lam=0.2, mu=0.1, gamma=0.05)
+        u = gf.frame_operator(theta) @ gf.inverse_frame_operator(lam)
+        lam1 = p.lam + p.gamma / np.sqrt(gf.frame_bounds(lam).lower)
+        want = gf.check_invertibility_lemma(u, lam1, p.mu, samples=300, seed=7)
+        got = gf.certify_invertibility_lemma(lam, theta, p, samples=300, seed=7)
+        assert got == want
+        assert [repr(v) for v in vars(got).values()] == [repr(v) for v in vars(want).values()]
+
+    @pytest.mark.parametrize(
+        "theta",
+        [gf.generate("frame", 6, 3, seed=81, field="complex"), gf.generate("frame", 5, 3, seed=81)],
+        ids=["mixed_field", "other_dimension"],
+    )
+    def test_needs_one_field_and_one_dimension(self, theta):
+        with pytest.raises(SystemMismatch, match="one scalar field and one ambient dimension"):
+            gf.certify_invertibility_lemma(small_frame(81), theta, gf.PerturbParams(), seed=0)
+
+    def test_non_frame_reference(self):
+        lam = gf.make_system(2, "real", [(1.0, np.array([[1.0], [0.0]]), np.array([[1.0, 0.0]]))])  # S = diag(1, 0)
+        with pytest.raises(NotAFrameError):
+            gf.certify_invertibility_lemma(lam, coordinate_system((1.0, 1.0)), gf.PerturbParams(), seed=0)
 
 
 class TestFrameOperatorCertifier:
@@ -187,6 +216,26 @@ class TestRConditionCertifier:
         assert rep.hypothesis_holds
         assert rep.radius <= 0.4 * np.sqrt(n) + 1e-9
         assert rep.bracket_ok
+
+    @staticmethod
+    def _disjoint_blocks(n, u):
+        """Coordinate frame (A = 1) and a copy whose block differences u e_j e_j^T give R_cert = n*u, max u*sqrt(n)."""
+        eye = np.eye(n)
+        lam = gf.make_system(n, "real", [(1.0, eye, eye[[j], :]) for j in range(n)])
+        theta = gf.make_system(n, "real", [(1.0, eye, np.sqrt(1 - u) * eye[[j], :]) for j in range(n)])
+        return lam, theta
+
+    def test_sampled_radius_reaching_a_gives_mode_none(self):
+        rep = gf.certify_R_condition(*self._disjoint_blocks(4, 0.6), samples=800, seed=9)  # max 1.2 >= A = 1
+        assert (rep.mode, rep.hypothesis_holds, rep.predicted, rep.warning) == ("none", False, None, None)
+        assert 1.0 <= rep.radius_sampled <= 1.2 + 1e-12
+        assert rep.radius == min(rep.radius_certificate, rep.radius_sampled) == rep.radius_sampled
+
+    def test_no_samples_and_a_certificate_at_or_above_a_gives_mode_none(self):
+        rep = gf.certify_R_condition(*self._disjoint_blocks(4, 0.4), samples=0, seed=9)
+        assert (rep.mode, rep.hypothesis_holds, rep.predicted, rep.warning) == ("none", False, None, None)
+        assert rep.radius_sampled is None
+        assert rep.radius == rep.radius_certificate == pytest.approx(1.6, rel=1e-12)
 
 
 class TestSynthesisCertifier:
