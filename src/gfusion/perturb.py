@@ -79,7 +79,7 @@ _ASCENT_STEPS = 50
 
 @dataclass(frozen=True)
 class PerturbParams:
-    """Perturbation hypothesis parameters: lam, mu in [0,1), gamma >= 0.
+    """Perturbation hypothesis parameters: lam, mu in [0,1), gamma finite and >= 0.
 
     Certification additionally requires max(lam + gamma/sqrt(A), mu) < 1,
     which depends on the reference frame's lower bound A and is checked by
@@ -93,8 +93,8 @@ class PerturbParams:
     def __post_init__(self):
         if not (0.0 <= self.lam < 1.0 and 0.0 <= self.mu < 1.0):
             raise ValueError("lam and mu must lie in [0, 1)")
-        if self.gamma < 0.0:
-            raise ValueError("gamma must be nonnegative")
+        if not 0.0 <= self.gamma < np.inf:
+            raise ValueError("gamma must be finite and nonnegative")
 
 
 @dataclass(frozen=True)
@@ -359,9 +359,10 @@ def _sampled_max_margin(
 
     Each search draws ``samples`` random unit vectors in its dimension,
     screens them with one objective call, and ascends from the
-    ``_ASCENT_TOP`` largest.  Stops at the first value above ``stop_above``,
-    which refutes the hypothesis: the result is then the worst value seen so
-    far.  Searches after that one are neither built nor drawn.  A search whose
+    ``_ASCENT_TOP`` largest; one search's batch is freed before the next is
+    drawn.  Stops at the first value above ``stop_above``, which refutes the
+    hypothesis: the result is then the worst value seen so far.  Searches
+    after that one are neither built nor drawn.  A search whose
     arithmetic overflows, at screening or at any ascent step, raises
     NonFiniteInput rather than give or drop a non-finite margin.
     """
@@ -370,8 +371,9 @@ def _sampled_max_margin(
         for dim, objective in searches:
             f_batch = random_unit_vectors(rng, dim, samples, field)
             values, _ = objective(f_batch, grad=False)
-            order = np.argsort(values)[::-1][:_ASCENT_TOP]
-            worst = max(worst, _ascend(objective, f_batch[:, order], _ASCENT_STEPS, stop_above).max(initial=-np.inf))
+            starts = f_batch[:, np.argsort(values)[::-1][:_ASCENT_TOP]]
+            del f_batch, values  # free the batch before the ascent and the next search's draw
+            worst = max(worst, _ascend(objective, starts, _ASCENT_STEPS, stop_above).max(initial=-np.inf))
             if worst > stop_above:
                 break
     return float(worst)

@@ -13,6 +13,7 @@ import numpy as np
 import gfusion as gf
 from gfusion.cli import main as cli_main
 from gfusion.linalg import TOL_VERDICT, adjoint, operator_norm
+from gfusion.sampling import gaussian_matrix
 from gfusion.system import split_blocks
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -41,6 +42,14 @@ def scale_blocks(sys: gf.GFusionSystem, factors) -> gf.GFusionSystem:
         for sub, c in zip(sys.subsystems, np.broadcast_to(factors, (sys.block_count,)))
     ]
     return gf.GFusionSystem(sys.dim, sys.field, tuple(subs))
+
+
+def reference_unit_vectors(rng: np.random.Generator, dim: int, count: int, field: str) -> np.ndarray:
+    """The direct formula for ``random_unit_vectors``: a Gaussian draw over its column norms."""
+    g = gaussian_matrix(rng, dim, count, field)
+    norms = np.linalg.norm(g, axis=0)
+    norms[norms == 0.0] = 1.0
+    return g / norms
 
 
 def fitted_radius(sys: gf.GFusionSystem) -> float:

@@ -1,5 +1,7 @@
 """Tests for the perturbation certifiers and the invertibility lemma check."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from helpers import coordinate_system, fitted_radius, full_space_system, scale_blocks
@@ -666,6 +668,40 @@ def test_holding_hypothesis_draws_once_per_subset(monkeypatch, theorem, field):
     rep = _CERTIFIERS[theorem](lam, theta, gf.PerturbParams(lam=0.6 * d, mu=0.4 * d), samples=200, seed=6)
     assert (rep.mode, rep.hypothesis_holds) == ("sampled", True)
     assert len(calls) == len(_subset_masks(np.random.default_rng(6), 4, 7)) > 1
+
+
+def test_sampled_search_holds_one_batch_at_a_time(monkeypatch):
+    # n = 4 and M' = 300 direct-sum coordinates: each batch (M'_I x 2000
+    # complex) dwarfs the screening products (4 x 2000) and the matrices.
+    rng = np.random.default_rng(9)
+    eye = np.eye(4, dtype=complex)
+    lam = gf.make_system(4, "complex", [(1.0, eye, gaussian_matrix(rng, 100, 4, "complex")) for _ in range(3)])
+    theta = scale_blocks(lam, 1.2)
+    batches = []
+
+    def recorded(*args):
+        f = random_unit_vectors(*args)
+        batches.append(f.nbytes)
+        return f
+
+    monkeypatch.setattr(perturb, "random_unit_vectors", recorded)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        rep = gf.certify_synthesis_perturbation(lam, theta, gf.PerturbParams(lam=0.12, mu=0.08), samples=2000, seed=6)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert (rep.mode, rep.hypothesis_holds) == ("sampled", True)
+    assert len(batches) > 1 and batches[0] == max(batches) == 300 * 2000 * 16
+    # the full set's batch is freed before any subset's is drawn
+    assert peak < max(batches) + min(batches), (peak, batches)
+
+
+def test_gamma_must_be_finite_and_nonnegative():
+    for gamma in (float("nan"), float("inf"), -1.0):
+        with pytest.raises(ValueError, match="gamma"):
+            gf.PerturbParams(gamma=gamma)
 
 
 @pytest.mark.parametrize("theorem", ["t52", "synth", "cR"])
