@@ -120,10 +120,20 @@ class Subspace:
         return self.basis @ adjoint(self.basis)
 
     def agrees_with(self, other: "Subspace", tol: float) -> bool:
-        """True if both describe the same subspace (projectors within tol)."""
+        """True if both describe the same subspace (projectors within tol).
+
+        For equal dimensions ||P_a - P_b|| = ||(I - P_a) P_b|| = ||B_b - B_a (B_a^H B_b)||,
+        an n x k residual; subspaces of unequal dimension are at distance 1.
+        The residual's Frobenius norm bounds its 2-norm, so when it is within
+        tol (as for a shared basis, whose residual is round-off) no SVD is taken.
+        """
         if self.ambient_dim != other.ambient_dim:
             return False
-        return operator_norm(self.projector() - other.projector()) <= tol
+        if self.dim != other.dim:
+            return 1.0 <= tol
+        a, b = self.basis, other.basis
+        residual = b - a @ (adjoint(a) @ b)
+        return bool(np.linalg.norm(residual) <= tol or operator_norm(residual) <= tol)
 
 
 def orthonormalize(spanning: np.ndarray) -> Subspace:

@@ -12,31 +12,41 @@ every report labels the guarantee it carries:
 
 * ``certified_sufficient`` -- a sound operator-norm certificate implies the
   pointwise hypothesis everywhere;
-* ``sampled`` -- the hypothesis held on random unit vectors plus
-  projected-gradient ascent from the worst samples (evidence, not proof);
+* ``sampled`` -- a search decided: a deterministic witness, then random
+  unit vectors plus projected-gradient ascent from the worst samples.  A
+  vector above the threshold refutes the hypothesis; a hypothesis that holds
+  on every vector tried is evidence, not proof;
 * ``exact`` -- the hypothesis reduces to a spectral quantity computed
   exactly (analysis-side certifier);
 * ``none`` -- the hypothesis could not be established.
 
 The three sampled certifiers share one search, ``_sampled_max_margin``,
-whose shape is fixed by module constants.  Sampling evaluates the
-hypothesis's margin (the radius condition: its summed-norm functional) on
-``samples`` random unit vectors per search: one search per block subset, the
-full index set plus up to ``_EXTRA_SUBSETS`` (7) random ones, or one in all
-for the radius condition.  It then runs projected-gradient ascent on the
-unit sphere from the ``_ASCENT_TOP`` (5) worst of them.  The starts of a
+whose shape is fixed by module constants.  A search may carry a
+deterministic witness, scored first: for ``t52`` and ``synth`` on the full
+index set, the top right singular vector of D = L - T (the reference operator
+L the hypothesis compares with, minus its perturbed counterpart T), and,
+when L has more columns than rows, also that of D restricted to ker L, where
+the terms in L vanish (``_spectral_witness``).  Only then does sampling
+evaluate the hypothesis's margin (the radius condition: its summed-norm
+functional) on ``samples`` random unit vectors per search: one search per
+block subset, the full index set plus up to ``_EXTRA_SUBSETS`` (7) random
+ones, or one in all for the radius condition.  It then runs
+projected-gradient ascent on the unit sphere from the ``_ASCENT_TOP`` (5)
+worst of them.  The starts of a
 search ascend together: each takes at most ``_ASCENT_STEPS`` (50) steps,
 with its own step size and stopping rules, and every step evaluates the
 margin and its gradient once, on all the candidate columns.  Terms whose
 coefficient is 0 are not evaluated.
 
 A single vector whose margin exceeds the threshold refutes a hypothesis that
-quantifies over every vector and subset, so sampling stops at the first such
-margin: at the starts or after any ascent step, and before later subsets are
-built or drawn.  A refuted report's sampled margin (or radius) is then the
-worst seen up to that point: still a witness, and a lower bound on the worst
-over all subsets after full ascent.  A hypothesis that holds never stops
-early, so its report is what the exhaustive search gives.
+quantifies over every vector and subset, so the search stops at the first
+such margin: at the witness, before any draw, or at the starts or after any
+ascent step, and before later subsets are built or drawn.  A ``sampled``
+refutation may therefore come without a single random draw.  A refuted
+report's sampled margin (or radius) is then the worst seen up to that point:
+still a witness, and a lower bound on the worst over all subsets after full
+ascent.  A hypothesis that holds never stops early, so its report is what
+the exhaustive search gives, the witness's margin included.
 """
 
 from __future__ import annotations
@@ -104,7 +114,7 @@ class PerturbationReport:
     hypothesis_holds: bool
     hypothesis_margin: float          # max observed violation; <= 0 when the
                                       # hypothesis holds (round-off ties excepted);
-                                      # sampled and refuted: the worst seen when sampling
+                                      # sampled and refuted: the worst seen when the search
                                       # stopped, at the first margin above the threshold
     actual: FrameBounds               # eigenvalue extremes of the perturbed frame operator
     predicted: FrameBounds | None     # certified bounds; None when nothing is certified
@@ -115,8 +125,10 @@ class PerturbationReport:
     radius_certificate: float | None = None
     radius_sampled: float | None = None          # the ascent stops once it reaches A
     cert_margin: float | None = None
-    sampled_margin: float | None = None          # worst seen; sampling stops at the first margin
-                                                 # above the threshold (a refutation)
+    sampled_margin: float | None = None          # worst seen, the witness's first and then the
+                                                 # samples'; the search stops at the first margin
+                                                 # above the threshold (a refutation), if that is
+                                                 # the witness's, before any draw
     stated_lower: float | None = None            # synthesis: published lower-bound formula
     stated_lower_bracket_ok: bool | None = None
     upper_quadratic: float | None = None         # r-condition: B + R*sqrt(B/A)
@@ -135,7 +147,9 @@ class LemmaReport:
     If ||x - Ux|| <= lam1*||x|| + lam2*||Ux|| for all x (lam1, lam2 < 1),
     then U is invertible with
     (1-lam1)/(1+lam2) <= ||Ux||/||x|| <= (1+lam1)/(1-lam2) and the mirrored
-    pair for U^-1.  The hypothesis is verified on random unit vectors; the
+    pair for U^-1.  The hypothesis is scored on random unit vectors and on
+    the top right singular vector of I - U, where ||x - Ux|| peaks (so with
+    lam2 = 0 it is decided exactly); the margin is the worst of them.  The
     four sandwich bounds are then checked against the singular spectrum.
     """
 
@@ -189,10 +203,16 @@ def check_invertibility_lemma(
     field = "complex" if np.iscomplexobj(u) else "real"
     rng = np.random.default_rng(seed)
     x = random_unit_vectors(rng, u.shape[0], samples, field)
-    with _finite_margins():
+
+    def margins(x):
         ux = u @ x
-        margins = np.linalg.norm(x - ux, axis=0) - lam1 - lam2 * np.linalg.norm(ux, axis=0)
-    margin = float(margins.max())
+        return np.linalg.norm(x - ux, axis=0) - lam1 - lam2 * np.linalg.norm(ux, axis=0)
+
+    with _finite_margins():
+        margin = float(margins(x).max())
+        witness = _top_right_singular_vector(np.eye(u.shape[0]) - u)
+        if witness is not None:
+            margin = max(margin, float(margins(witness[:, None])[0]))
     # margin_tol absorbs round-off on exactly-tight instances
     holds = margin <= margin_tol
     sv = np.linalg.svd(u, compute_uv=False)
@@ -260,6 +280,41 @@ def _subset_masks(rng: np.random.Generator, count: int, extra: int) -> list[np.n
         mask[list(members)] = True
         masks.append(mask)
     return masks
+
+
+def _top_right_singular_vector(d: np.ndarray) -> np.ndarray | None:
+    """A unit g with ||D g|| = ||D||, read off the rows x rows D D^H; None when D = 0.
+
+    With u the top eigenvector of D D^H, g = D^H u / ||D^H u||.  D is first
+    divided by its largest entry, so that D D^H cannot overflow; g does not
+    depend on that scale.
+    """
+    scale = np.abs(d).max(initial=0.0)
+    if scale == 0.0:
+        return None
+    d = d / scale
+    _, vecs = np.linalg.eigh(d @ adjoint(d))
+    g = adjoint(d) @ vecs[:, -1]
+    return g / np.linalg.norm(g)
+
+
+def _spectral_witness(d: np.ndarray, l: np.ndarray) -> np.ndarray | None:
+    """Unit columns scored before a full-index-set search draws: where ||D g|| peaks, on the sphere and on ker L.
+
+    The first is D's top right singular vector.  When L has more columns than
+    rows it has a kernel, on which every L term of the margin vanishes; the
+    second column is then D's top right singular vector on ker L: that of
+    D_k = D - (D Q) Q^H, with Q from a reduced QR of L^H (range Q contains
+    L's row space).  Neither needs a rank tolerance, since the objective
+    decides: any unit vector is a valid start.  A zero D (or D_k) gives no
+    column; None when neither gives one.
+    """
+    cols = [_top_right_singular_vector(d)]
+    if l.shape[1] > l.shape[0]:
+        q = np.linalg.qr(adjoint(l))[0]
+        cols.append(_top_right_singular_vector(d - (d @ q) @ adjoint(q)))
+    cols = [g for g in cols if g is not None]
+    return np.stack(cols, axis=1) if cols else None
 
 
 def _ascend(objective, starts: np.ndarray, steps: int, stop_above: float = np.inf) -> np.ndarray:
@@ -353,22 +408,32 @@ def _margin_objective(d_m, l_m, t_m, params: PerturbParams, quad_form: bool):
 
 
 def _sampled_max_margin(
-    searches: Iterable[tuple[int, Callable]], rng: np.random.Generator, field: str, samples: int, stop_above: float
+    searches: Iterable[tuple[int, Callable, np.ndarray | None]],
+    rng: np.random.Generator,
+    field: str,
+    samples: int,
+    stop_above: float,
 ) -> float:
-    """Worst sampled value over the given (dim, objective) searches (objectives as in ``_ascend``).
+    """Worst value over the given (dim, objective, witness) searches (objectives as in ``_ascend``).
 
-    Each search draws ``samples`` random unit vectors in its dimension,
-    screens them with one objective call, and ascends from the
+    Each search first scores its witness columns, if any, with one objective
+    call and no draw.  It then draws ``samples`` random unit vectors in its
+    dimension, screens them with one objective call, and ascends from the
     ``_ASCENT_TOP`` largest; one search's batch is freed before the next is
     drawn.  Stops at the first value above ``stop_above``, which refutes the
-    hypothesis: the result is then the worst value seen so far.  Searches
-    after that one are neither built nor drawn.  A search whose
-    arithmetic overflows, at screening or at any ascent step, raises
+    hypothesis: the result is then the worst value seen so far.  A witness
+    that refutes leaves its search's batch undrawn, and searches after the
+    refuting one are neither built nor drawn.  A search whose arithmetic
+    overflows, at the witness, the screening or any ascent step, raises
     NonFiniteInput rather than give or drop a non-finite margin.
     """
     worst = -np.inf
     with _finite_margins():
-        for dim, objective in searches:
+        for dim, objective, witness in searches:
+            if witness is not None:
+                worst = max(worst, objective(witness, grad=False)[0].max())
+                if worst > stop_above:
+                    break
             f_batch = random_unit_vectors(rng, dim, samples, field)
             values, _ = objective(f_batch, grad=False)
             starts = f_batch[:, np.argsort(values)[::-1][:_ASCENT_TOP]]
@@ -384,8 +449,8 @@ def _decide(lam_sys: GFusionSystem, cert_margin: float, threshold: float, search
 
     A ``cert_margin <= 0`` certifies it.  Otherwise, with samples, the full
     index set and up to ``_EXTRA_SUBSETS`` random subsets are drawn as masks
-    and ``searches(masks)`` yields one (dim, objective) search per mask,
-    lazily; a sampled margin above ``threshold`` refutes the hypothesis.
+    and ``searches(masks)`` yields one (dim, objective, witness) search per
+    mask, lazily; a margin above ``threshold`` refutes the hypothesis.
     """
     if cert_margin <= 0.0:
         return "certified_sufficient", cert_margin, True, None
@@ -424,8 +489,9 @@ def certify_frame_operator_perturbation(
     The sound certificate checks ``||S_lam - S_theta|| <= lam*A + gamma*sqrt(A)``
     (the mu = 0 sufficient condition) and covers the full index set only,
     which is all the predicted bounds need.  Otherwise the hypothesis is
-    sampled on the full index set plus up to 7 distinct random nonempty
-    subsets, stopping at the first margin above
+    tested on the full index set (the top right singular vector of
+    S_lam - S_theta first, then samples) plus up to 7 distinct random
+    nonempty subsets, stopping at the first margin above
     ``TOL_SAMPLED_MARGIN * max(1, B)``, which refutes it.
     """
     a, b, actual = _setup(lam_sys, theta_sys, samples)
@@ -440,7 +506,8 @@ def certify_frame_operator_perturbation(
         for mask in masks:
             l_m = sum(t for t, keep in zip(terms_l, mask) if keep)
             t_m = sum(t for t, keep in zip(terms_t, mask) if keep)
-            yield lam_sys.dim, _margin_objective(l_m - t_m, l_m, t_m, params, True)
+            witness = _spectral_witness(l_m - t_m, l_m) if mask.all() else None
+            yield lam_sys.dim, _margin_objective(l_m - t_m, l_m, t_m, params, True), witness
 
     threshold = TOL_SAMPLED_MARGIN * max(1.0, b)
     mode, margin, inequality_ok, sampled_margin = _decide(lam_sys, cert_margin, threshold, searches, samples, seed)
@@ -518,7 +585,7 @@ def certify_R_condition(
         # stop once r_sampled >= a (the largest float below a is exceeded): the mode is then none
         stop = np.nextafter(a, -np.inf)
         rng = np.random.default_rng(seed)
-        r_sampled = _sampled_max_margin([(lam_sys.dim, objective)], rng, lam_sys.field, samples, stop)
+        r_sampled = _sampled_max_margin([(lam_sys.dim, objective, None)], rng, lam_sys.field, samples, stop)
         radius = min(r_cert, r_sampled)
         if r_sampled < a:
             mode = "sampled"
@@ -566,9 +633,11 @@ def certify_synthesis_perturbation(
     ``||(T_lam - T_theta) g|| <= lam*||T_lam g|| + mu*||T_theta g|| +
     gamma*||g||``.  Sound certificate: ``||T_lam - T_theta|| <= gamma``, which
     covers the full index set only, as the predicted bounds need.  Otherwise
-    the hypothesis is sampled on the full index set plus up to 7 distinct
-    random nonempty subsets, stopping at the first margin above
-    ``TOL_SAMPLED_MARGIN * max(1, sqrt(B))``, which refutes it.
+    the hypothesis is tested on the full index set (the spectral witness
+    first: where ||D g|| peaks, and where it peaks on ker T_lam when
+    M > n, then samples) plus up to 7 distinct random nonempty subsets,
+    stopping at the first margin above ``TOL_SAMPLED_MARGIN * max(1, sqrt(B))``,
+    which refutes it.
 
     The published lower bound ``A*(1-(lam+gamma/sqrt(A))^2)/(1+mu)`` and the
     proof-derived one ``A*((1-(lam+gamma/sqrt(A)))/(1+mu))^2`` disagree; both
@@ -587,8 +656,9 @@ def certify_synthesis_perturbation(
     def searches(masks):
         col_blocks = np.repeat(np.arange(lam_sys.block_count), lam_sys.block_dims)
         for cols in (m[col_blocks] for m in masks):
-            d_m = d_t[:, cols]
-            yield d_m.shape[1], _margin_objective(d_m, t_lam[:, cols], t_theta[:, cols], params, False)
+            d_m, l_m = d_t[:, cols], t_lam[:, cols]
+            witness = _spectral_witness(d_m, l_m) if cols.all() else None
+            yield d_m.shape[1], _margin_objective(d_m, l_m, t_theta[:, cols], params, False), witness
 
     threshold = TOL_SAMPLED_MARGIN * max(1.0, sqrt_b)
     mode, margin, inequality_ok, sampled_margin = _decide(lam_sys, cert_margin, threshold, searches, samples, seed)

@@ -126,7 +126,7 @@ def golden_scenarios(ws: Path) -> list[tuple[str, list[str], int]]:
         ("perturb_cr", ["perturb", f"{w}/sys_frame.json", f"{w}/sys_pert_small.json", "--theorem", "cR", "--seed", "8", "--samples", "300"], 0),
         ("perturb_lemma", ["perturb", f"{w}/sys_frame.json", f"{w}/sys_pert_small.json", "--theorem", "lemma", "--lam", "0.5", "--seed", "8", "--samples", "300"], 0),
         ("perturb_t52", ["perturb", f"{w}/sys_frame.json", f"{w}/sys_pert_small.json", "--theorem", "t52", "--lam", "0.3", "--seed", "8", "--samples", "300"], 0),
-        ("perturb_synth", ["perturb", f"{w}/sys_frame.json", f"{w}/sys_pert.json", "--theorem", "synth", "--lam", "0.3", "--seed", "8", "--samples", "300"], 0),
+        ("perturb_synth", ["perturb", f"{w}/sys_frame.json", f"{w}/sys_pert.json", "--theorem", "synth", "--lam", "0.3", "--seed", "8", "--samples", "300"], 1),
         ("perturb_cr_sampled", ["perturb", f"{w}/sys_frame.json", f"{w}/sys_pert.json", "--theorem", "cR", "--seed", "8", "--samples", "300"], 1),
     ]
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from gfusion.errors import NonFiniteInput
 from gfusion.linalg import (
+    TOL_SUBSPACE,
     Subspace,
     adjoint,
     finite_product,
@@ -135,6 +136,51 @@ class TestFiniteProduct:
         a = np.array([[1e200]])
         with pytest.raises(NonFiniteInput, match=r"^the product contains NaN or Inf entries$"):
             finite_product(a, a, "the product")
+
+
+class TestAgreesWith:
+    """The n x k structure check against the projector formula ||P_a - P_b||_2 <= tol."""
+
+    @staticmethod
+    def _pair(rng, n, k_a, k_b, angle, complex_):
+        """Two subspaces of C^n (or R^n) sharing min(k_a, k_b) - 1 columns; the last shared one turned by angle."""
+        x = rng.standard_normal((n, n))
+        if complex_:
+            x = x + 1j * rng.standard_normal((n, n))
+        q = np.linalg.qr(x)[0]
+        a, b = q[:, :k_a].copy(), q[:, :k_b].copy()
+        if 0 < k_b <= k_a < n:
+            b[:, k_b - 1] = np.cos(angle) * q[:, k_b - 1] + np.sin(angle) * q[:, k_a]
+        return Subspace(a), Subspace(b)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n=st.integers(1, 9),
+        k_a=st.integers(0, 9),
+        k_b=st.integers(0, 9),
+        angle=st.sampled_from([0.0, 0.3e-10, 0.9e-10, 1.1e-10, 3e-10, 1e-3, 0.7, np.pi / 2]),
+        seed=st.integers(0, 10_000),
+        complex_=st.booleans(),
+    )
+    def test_matches_the_projector_formula(self, n, k_a, k_b, angle, seed, complex_):
+        k_a, k_b = min(k_a, n), min(k_b, n)
+        k_a, k_b = max(k_a, k_b), min(k_a, k_b)
+        a, b = self._pair(np.random.default_rng(seed), n, k_a, k_b, angle, complex_)
+        dist = operator_norm(a.projector() - b.projector())
+        if k_a != k_b:
+            assert abs(dist - 1.0) <= 1e-12
+        for x, y in ((a, b), (b, a)):
+            # the verdict at TOL_SUBSPACE, and the distance itself to within round-off
+            assert x.agrees_with(y, TOL_SUBSPACE) == (dist <= TOL_SUBSPACE)
+            assert x.agrees_with(y, dist + 1e-14)
+            assert not x.agrees_with(y, dist - 1e-14)
+
+    def test_empty_and_unequal_dimensions(self):
+        e3 = np.eye(3)
+        assert Subspace(e3[:, :0]).agrees_with(Subspace(e3[:, :0]), 0.0)
+        assert not Subspace(e3[:, :0]).agrees_with(Subspace(e3[:, :1]), 0.99)
+        assert Subspace(e3[:, :2]).agrees_with(Subspace(e3[:, :1]), 1.0)
+        assert not Subspace(e3[:, :1]).agrees_with(Subspace(np.eye(2)[:, :1]), 1.0)
 
 
 class TestGramEigenExtremes:

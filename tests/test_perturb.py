@@ -40,6 +40,16 @@ class TestInvertibilityLemma:
         assert rep.hypothesis_margin <= 0.0
         assert rep.sandwich_ok
 
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_witness_decides_a_single_weak_direction(self, field):
+        # ||x - Ux|| <= 0.3 fails only near e_n, where it is 0.5: random
+        # samples in 50 dimensions stay below 0.3, the top right singular
+        # vector of I - U does not.
+        u = np.diag([1.0] * 49 + [0.5]).astype(np.complex128 if field == "complex" else np.float64)
+        rep = gf.check_invertibility_lemma(u, 0.3, 0.0, samples=2000, seed=1)
+        assert not rep.hypothesis_holds
+        assert rep.hypothesis_margin == pytest.approx(0.2, abs=1e-12)
+
     def test_detects_violation(self):
         rep = gf.check_invertibility_lemma(2.0 * np.eye(3), 0.1, 0.0, samples=200, seed=5)
         assert not rep.hypothesis_holds
@@ -533,11 +543,27 @@ def test_pinned_sampled_frame_operator_margin():
     assert rep.sampled_margin == pytest.approx(0.004481375797139753, rel=1e-6)
 
 
+def _kernel_margin(lam, theta):
+    """sigma_max(D N) for D = T_lam - T_theta and N an orthonormal basis of ker T_lam, from a full SVD.
+
+    With lam the only nonzero parameter, the synthesis margin on ker T_lam is
+    ||D g||, so this is the largest margin any g in the kernel attains.
+    """
+    t_lam = gf.synthesis_matrix(lam)
+    _, s, vh = np.linalg.svd(t_lam)
+    assert s.size == t_lam.shape[0] < t_lam.shape[1] and s[-1] > 0.0
+    null = adjoint(vh[s.size:])
+    return np.linalg.norm((t_lam - gf.synthesis_matrix(theta)) @ null, 2)
+
+
 def test_pinned_sampled_synthesis_margin():
+    # T_lam has a kernel (M = 16 > n = 6) on which D does not vanish: the
+    # witness refutes before any draw, with the kernel's largest margin.
     lam, theta = _sampled_pair("complex", 4)
     rep = gf.certify_synthesis_perturbation(lam, theta, gf.PerturbParams(lam=0.3), samples=400, seed=12)
     assert (rep.mode, rep.hypothesis_holds) == ("sampled", False)
-    assert rep.sampled_margin == pytest.approx(0.00805968847883845, rel=1e-6)
+    assert rep.sampled_margin == pytest.approx(_kernel_margin(lam, theta), rel=1e-9)
+    assert rep.sampled_margin == pytest.approx(0.1515922220949974, rel=1e-6)
 
 
 def test_pinned_sampled_radius():
@@ -595,7 +621,9 @@ def _exhaustive_report(monkeypatch, certify, args, samples, seed):
 
     def full_search(searches, rng, field, samples, stop_above):
         worst, count = -np.inf, 0
-        for count, (dim, objective) in enumerate(searches, 1):
+        for count, (dim, objective, witness) in enumerate(searches, 1):
+            if witness is not None:
+                worst = max(worst, objective(witness, grad=False)[0].max())
             f_batch = random_unit_vectors(rng, dim, samples, field)
             margins, _ = objective(f_batch, grad=False)
             order = np.argsort(margins)[::-1][:5]
@@ -647,15 +675,55 @@ def _count_draws(monkeypatch):
 
 @pytest.mark.parametrize("field", ["real", "complex"])
 @pytest.mark.parametrize("theorem", ["t52", "synth"])
-def test_refutation_on_the_full_set_draws_once(monkeypatch, theorem, field):
-    # A uniform scale c with lam, mu, gamma = 0: every nonzero direction
-    # violates ||(c - 1) X f|| <= 0, so the first screening refutes.
+def test_refutation_on_the_full_set_draws_nothing(monkeypatch, theorem, field):
+    # A uniform scale c with lam, mu, gamma = 0: every direction outside ker X
+    # violates ||(c - 1) X f|| <= 0, D's top right singular vector among them,
+    # so the witness refutes before any draw.  (For synth, ker T_lam = ker D
+    # here, so the kernel column alone would not.)
     lam = gf.generate("frame", 5, 4, seed=31, field=field, max_condition=20)
     theta = scale_blocks(lam, 1.2)
     calls = _count_draws(monkeypatch)
     rep = _CERTIFIERS[theorem](lam, theta, gf.PerturbParams(), samples=200, seed=5)
     assert (rep.mode, rep.hypothesis_holds) == ("sampled", False)
-    assert len(calls) == 1
+    assert calls == []
+
+
+@pytest.mark.parametrize("seed", range(100, 120))
+def test_kernel_witness_refutes_the_synthesis_hypothesis_without_a_draw(monkeypatch, seed):
+    # M = 8..16 > n = 6: T_lam has a kernel, on which D = T_lam - T_theta has norm
+    # sigma_max(D N) > 0 while lam * ||T_lam g|| = 0.  Random samples said
+    # "holds" on 11 of these 20 seeds.
+    lam = gf.generate("frame", 6, 3, seed=seed, max_condition=100)
+    theta = gf.perturbed_copy(lam, seed=seed + 100, radius=0.02)
+    calls = _count_draws(monkeypatch)
+    rep = gf.certify_synthesis_perturbation(lam, theta, gf.PerturbParams(lam=0.9), seed=2)
+    assert (rep.mode, rep.hypothesis_holds) == ("sampled", False)
+    assert rep.sampled_margin == rep.hypothesis_margin == pytest.approx(_kernel_margin(lam, theta), rel=1e-9)
+    assert calls == []
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_spectral_witness_columns_attain_the_norm_and_the_kernel_norm(field):
+    rng = np.random.default_rng(field == "complex")
+    l_m, d_m = gaussian_matrix(rng, 4, 7, field), gaussian_matrix(rng, 4, 7, field)
+    w = perturb._spectral_witness(d_m, l_m)
+    assert w.shape == (7, 2)
+    np.testing.assert_allclose(np.linalg.norm(w, axis=0), 1.0, rtol=1e-14)
+    _, _, vh = np.linalg.svd(l_m)
+    null = adjoint(vh[4:])
+    assert np.linalg.norm(d_m @ w[:, 0]) == pytest.approx(operator_norm(d_m), rel=1e-12)
+    assert np.linalg.norm(d_m @ w[:, 1]) == pytest.approx(operator_norm(d_m @ null), rel=1e-12)
+    assert operator_norm(l_m @ w[:, 1]) <= 1e-14 * operator_norm(l_m)
+    # a square L has no kernel column, and a zero D gives no column at all
+    assert perturb._spectral_witness(d_m[:, :4], l_m[:, :4]).shape == (4, 1)
+    assert perturb._spectral_witness(np.zeros((4, 7)), l_m) is None
+
+
+def test_witness_does_not_overflow_on_huge_entries():
+    d = np.diag([1e200, 3e199])
+    g = perturb._top_right_singular_vector(d)
+    np.testing.assert_allclose(np.abs(g), [1.0, 0.0], atol=1e-15)
+    assert perturb._top_right_singular_vector(np.zeros((2, 3))) is None
 
 
 @pytest.mark.parametrize("field", ["real", "complex"])
