@@ -4,9 +4,10 @@ Everything upstream (frames, bases, perturbation certificates) is built on
 the handful of primitives here: rank-revealing orthonormalization, the
 orthonormality check, orthogonal projectors, the Hermitian part of an
 operator, the eigenvalue extremes of a Gram X^H X read off the outer
-operator X X^H, and operator norms.  Eigendecompositions are plain
-``numpy.linalg`` calls on a Hermitian part at the call site.  All values are
-plain ``numpy`` arrays, treated as immutable once constructed.
+operator X X^H, operator norms, and the t52/cR norm ||K^H K - K~^H K~|| off
+herm(F^H E), E = K - K~, F = K + K~, with no Gram formed.  Eigendecompositions
+are plain ``numpy.linalg`` calls on a Hermitian part at the call site.  All
+values are plain ``numpy`` arrays, treated as immutable once constructed.
 """
 
 from __future__ import annotations
@@ -173,3 +174,18 @@ def gram_eigen_extremes(outer_eigenvalues: np.ndarray, count: int) -> SpectralBo
     w = outer_eigenvalues
     n = len(w)
     return SpectralBounds(0.0 if count > n else float(w[n - count]), float(w[-1]))
+
+
+def gram_difference_norm(k: np.ndarray, k_t: np.ndarray) -> float:
+    """||K^H K - K~^H K~|| for m x n K, K~: the largest |eigenvalue| of herm(F^H E), E = K - K~, F = K + K~.
+
+    For 2m < n, herm(R1 R2^H) from the QR [F; E]^H = Q [R1 R2] has the same nonzero spectrum.  E / 4 (exact)
+    keeps F^H E finite wherever both Grams are; the result is 0.0 for K~ = K and inf past the float range.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        f, e = k + k_t, k - k_t
+        if 2 * len(f) < f.shape[1]:
+            r = np.linalg.qr(adjoint(np.vstack((f, e))), mode="r")
+            f, e = adjoint(r[:, : len(f)]), adjoint(r[:, len(f) :])
+    h = hermitian_part(finite_product(adjoint(f), e / 4.0, "the Gram difference factor F^H E / 4"))
+    return 4.0 * float(np.abs(np.linalg.eigvalsh(h)).max(initial=0.0))

@@ -59,8 +59,8 @@ import numpy as np
 
 from .errors import NonFiniteInput, NotAFrameError, SystemMismatch
 from .linalg import (
-    TOL_LEMMA_SLACK, TOL_SAMPLED_MARGIN, TOL_VERDICT, adjoint, finite_product, hermitian_part, operator_norm,
-    require_finite,
+    TOL_LEMMA_SLACK, TOL_SAMPLED_MARGIN, TOL_VERDICT, adjoint, finite_product, gram_difference_norm, hermitian_part,
+    operator_norm, require_finite,
 )
 from .sampling import random_unit_vectors
 from .system import (
@@ -487,18 +487,18 @@ def certify_frame_operator_perturbation(
     B*(1+lam+gamma/sqrt(B))/(1-mu).
 
     The sound certificate checks ``||S_lam - S_theta|| <= lam*A + gamma*sqrt(A)``
-    (the mu = 0 sufficient condition) and covers the full index set only,
-    which is all the predicted bounds need.  Otherwise the hypothesis is
-    tested on the full index set (the top right singular vector of
-    S_lam - S_theta first, then samples) plus up to 7 distinct random
-    nonempty subsets, stopping at the first margin above
-    ``TOL_SAMPLED_MARGIN * max(1, B)``, which refutes it.
+    (mu = 0), with the norm read off herm(F^H E), E = K_lam - K_theta and
+    F = K_lam + K_theta (``gram_difference_norm``), and covers the full index
+    set only, all the predicted bounds need.  Else the full set (the top right
+    singular vector of S_lam - S_theta first, then samples) and up to 7
+    distinct random nonempty subsets are searched, stopping at the first
+    margin above ``TOL_SAMPLED_MARGIN * max(1, B)``, which refutes it.
     """
     a, b, actual = _setup(lam_sys, theta_sys, samples)
     sqrt_a, sqrt_b = np.sqrt(a), np.sqrt(b)
     admissible = bool(max(params.lam + params.gamma / sqrt_a, params.mu) < 1.0)
 
-    ds = operator_norm(frame_operator(lam_sys) - frame_operator(theta_sys))
+    ds = gram_difference_norm(analysis_matrix(lam_sys), analysis_matrix(theta_sys))
     cert_margin = float(ds - (params.lam * a + params.gamma * sqrt_a))
 
     def searches(masks):
@@ -550,10 +550,11 @@ def certify_R_condition(
 
     Hypothesis: ``sum_j v_j^2 ||P_j(L_j^H L_j - T_j^H T_j)P_j f|| <= R*||f||``
     for some R < A.  The sound radius is the triangle-inequality certificate
-    ``R_cert = sum_j`` of the per-block operator norms; when that exceeds A a
-    sampled estimate of the functional's maximum is tried instead (reported
-    with a warning, since a sampled radius is not a proof).  Its ascent stops
-    once the sampled radius reaches A, which already means mode ``none``.
+    ``R_cert = sum_j ||herm(F_j^H E_j)||`` with E_j = K_j - K~_j, F_j = K_j + K~_j
+    over the analysis matrices' row blocks (``gram_difference_norm``: no SVD);
+    when it exceeds A a sampled estimate of the functional's maximum is tried
+    instead (reported with a warning, since a sampled radius is not a proof).
+    Its ascent stops once the sampled radius reaches A, which means mode ``none``.
 
     Predicted lower bound: A - R.  The two published upper-bound components
     ``B + R*sqrt(B/A)`` and ``R + sqrt(B)`` are emitted separately with
@@ -561,25 +562,24 @@ def certify_R_condition(
     component, which is the one the frame-operator certificate yields.
     """
     a, b, actual = _setup(lam_sys, theta_sys, samples)
-    diffs = [l - t for l, t in zip(_quadratic_terms(lam_sys), _quadratic_terms(theta_sys))]
-
-    r_cert = float(sum(operator_norm(d) for d in diffs))
+    blocks = list(zip(*(split_blocks(s, analysis_matrix(s)) for s in (lam_sys, theta_sys))))
+    r_cert = float(sum(gram_difference_norm(k, k_t) for k, k_t in blocks))
     _finite_fields({"radius_certificate": r_cert})
     mode, radius, r_sampled, warning = "none", r_cert, None, None
     if r_cert < a:
         mode = "certified_sufficient"
     elif samples > 0:
-        diffs_h = [adjoint(d) for d in diffs]
+        diffs = [hermitian_part(finite_product(adjoint(k + k_t), k - k_t, "F_j^H E_j")) for k, k_t in blocks]
 
         def objective(f, grad=True):
-            """sum_j ||D_j f|| per column of f, with its gradient when ``grad``."""
+            """sum_j ||D_j f|| per column of f, D_j = herm(F_j^H E_j), with its gradient when ``grad``."""
             value, g = 0, 0
-            for d, d_h in zip(diffs, diffs_h):
+            for d in diffs:
                 df = d @ f
                 dn = np.linalg.norm(df, axis=0)
                 value = value + dn
                 if grad:
-                    g = g + _over(d_h @ df, dn)
+                    g = g + _over(d @ df, dn)
             return value, g if grad else None
 
         # stop once r_sampled >= a (the largest float below a is exceeded): the mode is then none

@@ -5,12 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gfusion as gf
 from gfusion.errors import NonFiniteInput
 from gfusion.linalg import (
     TOL_SUBSPACE,
     Subspace,
     adjoint,
     finite_product,
+    gram_difference_norm,
     gram_eigen_extremes,
     hermitian_part,
     operator_norm,
@@ -223,3 +225,67 @@ class TestOperatorNorm:
         x = rng.standard_normal((4, 6))
         y = rng.standard_normal((6, 3))
         assert operator_norm(x @ y) <= operator_norm(x) * operator_norm(y) + 1e-12
+
+
+def _gram_difference_pair(m, n, seed, complex_, scale=1.0):
+    rng = np.random.default_rng(seed)
+    k, k_t = rng.standard_normal((2, m, n))
+    if complex_:
+        k, k_t = k + 1j * rng.standard_normal((m, n)), k_t + 1j * rng.standard_normal((m, n))
+    return scale * k, k_t
+
+
+class TestGramDifferenceNorm:
+    # (m, n): 2m < n (the QR-compressed route), 2m = n and 2m > n, m = 1 and n = 1 among them
+    SHAPES = [(1, 1), (1, 2), (1, 5), (2, 4), (2, 7), (3, 2), (3, 6), (4, 9), (5, 1), (6, 3)]
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        shape=st.sampled_from(SHAPES),
+        seed=st.integers(0, 10_000),
+        complex_=st.booleans(),
+        scale=st.sampled_from([1e-3, 1.0, 30.0]),
+    )
+    def test_matches_dense_svd(self, shape, seed, complex_, scale):
+        k, k_t = _gram_difference_pair(*shape, seed, complex_, scale)
+        oracle = np.linalg.svd(adjoint(k) @ k - adjoint(k_t) @ k_t, compute_uv=False)[0]
+        bound = 1e-12 * max(1.0, operator_norm(k) ** 2, operator_norm(k_t) ** 2)
+        assert abs(gram_difference_norm(k, k_t) - oracle) <= bound
+
+    @settings(max_examples=100, deadline=None)
+    @given(shape=st.sampled_from(SHAPES), seed=st.integers(0, 10_000), complex_=st.booleans())
+    def test_exactly_zero_for_equal_matrices_and_symmetric_in_its_arguments(self, shape, seed, complex_):
+        k, k_t = _gram_difference_pair(*shape, seed, complex_)
+        assert gram_difference_norm(k, k.copy()) == 0.0
+        assert gram_difference_norm(k, k_t) == gram_difference_norm(k_t, k)
+
+    def test_product_stays_finite_at_the_float_edge(self):
+        # Both Grams are 2x^2 I = 1e308 I and equal, but F^H E has entries +-4x^2 = 2e308:
+        # only the exact scaling E / 4 keeps the product, and the certificates, finite.
+        x = np.sqrt(5e307)
+        k, k_t = x * np.array([[1.0, 1.0], [1.0, -1.0]]), x * np.array([[1.0, -1.0], [-1.0, -1.0]])
+        assert gram_difference_norm(k, k_t) == 0.0
+        lam, theta = (gf.make_system(2, "real", [(1.0, np.eye(2), op)]) for op in (k, k_t))
+        assert gf.certify_R_condition(lam, theta, samples=0, seed=0).radius_certificate == 0.0
+        t52 = gf.certify_frame_operator_perturbation(lam, theta, gf.PerturbParams(), samples=0, seed=0)
+        assert t52.cert_margin == 0.0
+
+    @staticmethod
+    def _dyadic_pair(rows):
+        # K with entries in Z/8 and K~ = (1 + t) K, t = 2^-30, are exact in floats, and
+        # K^H K - K~^H K~ = -(2t + t^2) K^H K: forming the two Grams cancels 30 bits.
+        k = (2.0 * np.eye(4) + np.random.default_rng(7).integers(-4, 5, (4, 4)) / 8.0)[:rows]
+        t = 2.0**-30
+        return k, (1.0 + t) * k, (2 * t + t * t) * operator_norm(k) ** 2
+
+    @pytest.mark.parametrize("rows", [1, 2, 4])  # 2m < n (compressed), 2m = n, and a square K
+    def test_closed_form_difference_is_accurate(self, rows):
+        k, k_t, exact = self._dyadic_pair(rows)
+        assert abs(gram_difference_norm(k, k_t) - exact) <= 1e-13 * exact
+
+    def test_closed_form_radius_certificate(self):
+        k, k_t, exact = self._dyadic_pair(4)
+        lam, theta = (gf.make_system(4, "real", [(1.0, np.eye(4), op)]) for op in (k, k_t))
+        rep = gf.certify_R_condition(lam, theta, samples=0, seed=0)
+        assert rep.mode == "certified_sufficient"
+        assert abs(rep.radius_certificate - exact) <= 1e-13 * exact

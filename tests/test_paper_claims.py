@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from helpers import scale_blocks
 
 import gfusion as gf
 
@@ -32,3 +33,20 @@ def test_published_synthesis_lower_bound_fails_where_the_proof_bound_is_attained
     assert rep.actual.lower == pytest.approx((np.sqrt(a) - gamma) ** 2, abs=1e-9)
     assert rep.actual.lower == pytest.approx(rep.predicted.lower, abs=1e-9)
     assert rep.stated_lower == pytest.approx(a - gamma**2, abs=1e-9)
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("c", [0.9, 1.1])
+def test_r_condition_bounds_are_attained_by_a_scaled_full_space_block(field, c):
+    # One full-space block of an orthonormal basis, so S_lam = A I with A = B, and
+    # theta = c L gives S_theta = c^2 A I and R = |1 - c^2| A < A.  Shrinking (c < 1)
+    # attains the lower bound A - R = c^2 A; growing (c > 1) attains the quadratic
+    # upper bound B + R sqrt(B/A) = c^2 B.
+    lam_sys = gf.generate("onb", 5, 1, seed=3, field=field)
+    assert lam_sys.subsystems[0].subspace.dim == lam_sys.dim
+    rep = gf.certify_R_condition(lam_sys, scale_blocks(lam_sys, c), samples=0, seed=0)
+    assert rep.mode == "certified_sufficient"
+    if c < 1:
+        assert abs(rep.predicted.lower - rep.actual.lower) <= 1e-12
+    else:
+        assert abs(rep.upper_quadratic - rep.actual.upper) <= 1e-12

@@ -212,6 +212,25 @@ class TestRConditionCertifier:
             assert rep.hypothesis_holds and rep.bracket_ok
             assert rep.upper_quadratic_ok
 
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_certified_radius_takes_no_svd_and_forms_no_gram(self, monkeypatch, field):
+        # R_cert comes from the factored block differences: no n x n D_j, no SVD (np.linalg.norm's
+        # 2-norm calls the svd of its own module, so that one is counted too).
+        lam = gf.generate("riesz", 16, 4, seed=5, field=field)
+        theta = gf.perturbed_copy(lam, seed=6, radius=0.01)
+        calls = []
+
+        def counted(name, real):
+            return lambda *args, **kwargs: calls.append(name) or real(*args, **kwargs)
+
+        svd = counted("svd", np.linalg.svd)
+        monkeypatch.setattr(np.linalg, "svd", svd)
+        monkeypatch.setitem(np.linalg.norm.__wrapped__.__globals__, "svd", svd)
+        monkeypatch.setattr(perturb, "_quadratic_terms", counted("_quadratic_terms", perturb._quadratic_terms))
+        rep = gf.certify_R_condition(lam, theta, samples=100, seed=0)
+        assert rep.mode == "certified_sufficient"
+        assert calls == []
+
     def test_sampled_fallback_on_disjoint_blocks(self):
         # Block differences supported on disjoint coordinates: the sum of the
         # per-block norms exceeds A but the actual functional maximum stays
