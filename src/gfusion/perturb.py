@@ -22,17 +22,23 @@ every report labels the guarantee it carries:
 
 The three sampled certifiers share one search, ``_sampled_max_margin``,
 whose shape is fixed by module constants.  A search may carry a
-deterministic witness, scored first: for ``t52`` and ``synth`` on the full
-index set, the top right singular vector of D = L - T (the reference operator
-L the hypothesis compares with, minus its perturbed counterpart T), and,
-when L has more columns than rows, also that of D restricted to ker L, where
-the terms in L vanish (``_spectral_witness``).  Only then does sampling
-evaluate the hypothesis's margin (the radius condition: its summed-norm
-functional) on ``samples`` random unit vectors per search: one search per
-block subset, the full index set plus up to ``_EXTRA_SUBSETS`` (7) random
-ones, or one in all for the radius condition.  It then runs
-projected-gradient ascent on the unit sphere from the ``_ASCENT_TOP`` (5)
-worst of them.  The starts of a
+deterministic witness, scored first, block by block (``_spectral_witness``):
+for ``t52`` and ``synth`` on the full index set, the top right singular
+vector of D = L - T (the reference operator L the hypothesis compares with,
+minus its perturbed counterpart T), and, when L has more columns than rows,
+also that of D restricted to ker L, where the terms in L vanish; then, only
+if those do not refute, the ratio witness L^+ y / ||L^+ y||, y the top right
+singular vector of D L^+, where ||D g|| / ||L g|| reaches ||D L^+||.  L^+ is
+S^-1 for ``t52`` and K S^-1 for ``synth``, from the cached S^-1, so every
+matrix involved is n x n.  With only the lam term (mu = gamma = 0) these
+witnesses refute exactly when the full-set hypothesis is false.  For the
+radius condition the witness is the top eigenvector of sum_j D_j^H D_j.
+Only then does sampling evaluate the hypothesis's margin (the radius
+condition: its summed-norm functional) on ``samples`` random unit vectors
+per search: one search per block subset, the full index set plus up to
+``_EXTRA_SUBSETS`` (7) random ones, or one in all for the radius condition.
+It then runs projected-gradient ascent on the unit sphere from the
+``_ASCENT_TOP`` (5) worst of them.  The starts of a
 search ascend together: each takes at most ``_ASCENT_STEPS`` (50) steps,
 with its own step size and stopping rules, and every step evaluates the
 margin and its gradient once, on all the candidate columns.  Terms whose
@@ -60,7 +66,7 @@ import numpy as np
 from .errors import NonFiniteInput, NotAFrameError, SystemMismatch
 from .linalg import (
     TOL_LEMMA_SLACK, TOL_SAMPLED_MARGIN, TOL_VERDICT, adjoint, finite_product, gram_difference_norm, hermitian_part,
-    operator_norm, require_finite,
+    require_finite,
 )
 from .sampling import random_unit_vectors
 from .system import (
@@ -264,6 +270,16 @@ def _quadratic_terms(sys: GFusionSystem) -> list[np.ndarray]:
     return [adjoint(k) @ k for k in split_blocks(sys, analysis_matrix(sys))]
 
 
+def _row_block_pairs(lam_sys: GFusionSystem, theta_sys: GFusionSystem) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The row blocks (K_j, K~_j) of the two cached analysis matrices, block by block."""
+    return list(zip(*(split_blocks(s, analysis_matrix(s)) for s in (lam_sys, theta_sys))))
+
+
+def _gram_differences(pairs) -> list[np.ndarray]:
+    """Per-block D_j = K_j^H K_j - K~_j^H K~_j as herm(F_j^H E_j), E_j = K_j - K~_j, F_j = K_j + K~_j: no Gram."""
+    return [hermitian_part(finite_product(adjoint(k + k_t), k - k_t, "F_j^H E_j")) for k, k_t in pairs]
+
+
 def _subset_masks(rng: np.random.Generator, count: int, extra: int) -> list[np.ndarray]:
     """The full index set plus up to ``extra`` distinct random nonempty subsets."""
     masks = [np.ones(count, dtype=bool)]
@@ -282,39 +298,71 @@ def _subset_masks(rng: np.random.Generator, count: int, extra: int) -> list[np.n
     return masks
 
 
-def _top_right_singular_vector(d: np.ndarray) -> np.ndarray | None:
-    """A unit g with ||D g|| = ||D||, read off the rows x rows D D^H; None when D = 0.
+def _top_singular(d: np.ndarray) -> tuple[float, np.ndarray | None]:
+    """||D|| and a unit g with ||D g|| = ||D||, from the smaller of D D^H and D^H D; (0.0, None) when D = 0.
 
-    With u the top eigenvector of D D^H, g = D^H u / ||D^H u||.  D is first
-    divided by its largest entry, so that D D^H cannot overflow; g does not
-    depend on that scale.
+    D is first divided by its largest entry, so that neither product can
+    overflow; g does not depend on that scale.  With u the top eigenvector of
+    D D^H, g = D^H u / ||D^H u||; a D with more rows than columns takes g as
+    the top eigenvector of D^H D.  The norm is ||D g|| times the scale.
     """
     scale = np.abs(d).max(initial=0.0)
     if scale == 0.0:
-        return None
+        return 0.0, None
     d = d / scale
-    _, vecs = np.linalg.eigh(d @ adjoint(d))
-    g = adjoint(d) @ vecs[:, -1]
-    return g / np.linalg.norm(g)
+    if d.shape[0] > d.shape[1]:
+        g = np.linalg.eigh(adjoint(d) @ d)[1][:, -1]
+        return float(scale * np.linalg.norm(d @ g)), g
+    g = adjoint(d) @ np.linalg.eigh(d @ adjoint(d))[1][:, -1]
+    norm = np.linalg.norm(g)
+    return float(scale * norm), g / norm
 
 
-def _spectral_witness(d: np.ndarray, l: np.ndarray) -> np.ndarray | None:
-    """Unit columns scored before a full-index-set search draws: where ||D g|| peaks, on the sphere and on ker L.
+def _top_right_singular_vector(d: np.ndarray) -> np.ndarray | None:
+    """A unit g with ||D g|| = ||D|| (``_top_singular``); None when D = 0."""
+    return _top_singular(d)[1]
 
-    The first is D's top right singular vector.  When L has more columns than
-    rows it has a kernel, on which every L term of the margin vanishes; the
-    second column is then D's top right singular vector on ker L: that of
-    D_k = D - (D Q) Q^H, with Q from a reduced QR of L^H (range Q contains
-    L's row space).  Neither needs a rank tolerance, since the objective
-    decides: any unit vector is a valid start.  A zero D (or D_k) gives no
-    column; None when neither gives one.
+
+def _unit(v: np.ndarray) -> np.ndarray | None:
+    """v / ||v||, scaled by its largest entry first so that the norm cannot underflow or overflow; None for v = 0."""
+    scale = np.abs(v).max(initial=0.0)
+    if scale == 0.0:
+        return None
+    v = v / scale
+    return v / np.linalg.norm(v)
+
+
+def _columns(cols) -> list[np.ndarray]:
+    """The unit columns that exist (not None) as one (dim, k) block in a list; an empty list when none does."""
+    cols = [g for g in cols if g is not None]
+    return [np.stack(cols, axis=1)] if cols else []
+
+
+def _spectral_witness(d: np.ndarray, l: np.ndarray, top: np.ndarray | None, l_pinv: Callable[[], np.ndarray]):
+    """Blocks of unit columns scored before a full-index-set search draws, one block at a time.
+
+    The first block holds ``top``, D's top right singular vector (where
+    ||D g|| peaks on the sphere), and, when L has more columns than rows, D's
+    top right singular vector on ker L, where every L term of the margin
+    vanishes: that of D_k = D - (D Q) Q^H, with Q from a reduced QR of L^H
+    (range Q contains L's row space).  The second block, built only if the
+    first does not refute, is the ratio witness g = L^+ y / ||L^+ y||, with
+    y the top right singular vector of D L^+ (``l_pinv()``, called only
+    then; L has full row rank, so L L^+ = I): ||D g|| / ||L g|| is
+    ||D L^+||, the largest ratio off ker L.  With mu = gamma = 0 the two
+    blocks decide the full-set hypothesis: it fails iff D does not vanish
+    on ker L or ||D L^+|| > lam.  No column needs a rank tolerance, since
+    the objective decides; a zero D (or D_k, or D L^+) gives no column.
     """
-    cols = [_top_right_singular_vector(d)]
+    cols = [top]
     if l.shape[1] > l.shape[0]:
         q = np.linalg.qr(adjoint(l))[0]
         cols.append(_top_right_singular_vector(d - (d @ q) @ adjoint(q)))
-    cols = [g for g in cols if g is not None]
-    return np.stack(cols, axis=1) if cols else None
+    yield from _columns(cols)
+    l_pinv = l_pinv()
+    y = _top_right_singular_vector(d @ l_pinv)
+    if y is not None:
+        yield from _columns([_unit(l_pinv @ y)])
 
 
 def _ascend(objective, starts: np.ndarray, steps: int, stop_above: float = np.inf) -> np.ndarray:
@@ -408,7 +456,7 @@ def _margin_objective(d_m, l_m, t_m, params: PerturbParams, quad_form: bool):
 
 
 def _sampled_max_margin(
-    searches: Iterable[tuple[int, Callable, np.ndarray | None]],
+    searches: Iterable[tuple[int, Callable, Iterable[np.ndarray]]],
     rng: np.random.Generator,
     field: str,
     samples: int,
@@ -416,24 +464,26 @@ def _sampled_max_margin(
 ) -> float:
     """Worst value over the given (dim, objective, witness) searches (objectives as in ``_ascend``).
 
-    Each search first scores its witness columns, if any, with one objective
-    call and no draw.  It then draws ``samples`` random unit vectors in its
-    dimension, screens them with one objective call, and ascends from the
-    ``_ASCENT_TOP`` largest; one search's batch is freed before the next is
-    drawn.  Stops at the first value above ``stop_above``, which refutes the
-    hypothesis: the result is then the worst value seen so far.  A witness
-    that refutes leaves its search's batch undrawn, and searches after the
+    Each search first scores its witness blocks of unit columns in order,
+    one objective call per block and no draw; a block is built only after
+    the one before it is scored.  It then draws ``samples`` random unit
+    vectors in its dimension, screens them with one objective call, and
+    ascends from the ``_ASCENT_TOP`` largest; one search's batch is freed
+    before the next is drawn.  Stops at the first value above
+    ``stop_above``, which refutes the hypothesis: the result is then the
+    worst value seen so far.  A witness block that refutes leaves the later
+    blocks unbuilt and its search's batch undrawn, and searches after the
     refuting one are neither built nor drawn.  A search whose arithmetic
-    overflows, at the witness, the screening or any ascent step, raises
+    overflows, at a witness, the screening or any ascent step, raises
     NonFiniteInput rather than give or drop a non-finite margin.
     """
     worst = -np.inf
     with _finite_margins():
         for dim, objective, witness in searches:
-            if witness is not None:
-                worst = max(worst, objective(witness, grad=False)[0].max())
+            for cols in witness:
+                worst = max(worst, objective(cols, grad=False)[0].max())
                 if worst > stop_above:
-                    break
+                    return float(worst)
             f_batch = random_unit_vectors(rng, dim, samples, field)
             values, _ = objective(f_batch, grad=False)
             starts = f_batch[:, np.argsort(values)[::-1][:_ASCENT_TOP]]
@@ -489,10 +539,13 @@ def certify_frame_operator_perturbation(
     The sound certificate checks ``||S_lam - S_theta|| <= lam*A + gamma*sqrt(A)``
     (mu = 0), with the norm read off herm(F^H E), E = K_lam - K_theta and
     F = K_lam + K_theta (``gram_difference_norm``), and covers the full index
-    set only, all the predicted bounds need.  Else the full set (the top right
-    singular vector of S_lam - S_theta first, then samples) and up to 7
+    set only, all the predicted bounds need.  Else the full set and up to 7
     distinct random nonempty subsets are searched, stopping at the first
-    margin above ``TOL_SAMPLED_MARGIN * max(1, B)``, which refutes it.
+    margin above ``TOL_SAMPLED_MARGIN * max(1, B)``, which refutes it.  Each
+    subset's D is the sum of its per-block herm(F_j^H E_j), with no Gram
+    subtracted.  The full set scores the witness first: the top right
+    singular vector of D, then the ratio witness S^-1 y / ||S^-1 y|| with y
+    that of D S^-1, which decides the lam-only hypothesis before any draw.
     """
     a, b, actual = _setup(lam_sys, theta_sys, samples)
     sqrt_a, sqrt_b = np.sqrt(a), np.sqrt(b)
@@ -502,12 +555,17 @@ def certify_frame_operator_perturbation(
     cert_margin = float(ds - (params.lam * a + params.gamma * sqrt_a))
 
     def searches(masks):
-        terms_l, terms_t = _quadratic_terms(lam_sys), _quadratic_terms(theta_sys)
+        terms_d = _gram_differences(_row_block_pairs(lam_sys, theta_sys))
+        terms_l = _quadratic_terms(lam_sys)
+        terms_t = _quadratic_terms(theta_sys) if params.mu else None
         for mask in masks:
-            l_m = sum(t for t, keep in zip(terms_l, mask) if keep)
-            t_m = sum(t for t, keep in zip(terms_t, mask) if keep)
-            witness = _spectral_witness(l_m - t_m, l_m) if mask.all() else None
-            yield lam_sys.dim, _margin_objective(l_m - t_m, l_m, t_m, params, True), witness
+            d_m, l_m = (sum(t for t, keep in zip(terms, mask) if keep) for terms in (terms_d, terms_l))
+            t_m = sum(t for t, keep in zip(terms_t, mask) if keep) if params.mu else None
+            witness = []
+            if mask.all():
+                top = _top_right_singular_vector(d_m)
+                witness = _spectral_witness(d_m, l_m, top, lambda: inverse_frame_operator(lam_sys))  # L^+ = S^-1
+            yield lam_sys.dim, _margin_objective(d_m, l_m, t_m, params, True), witness
 
     threshold = TOL_SAMPLED_MARGIN * max(1.0, b)
     mode, margin, inequality_ok, sampled_margin = _decide(lam_sys, cert_margin, threshold, searches, samples, seed)
@@ -554,7 +612,9 @@ def certify_R_condition(
     over the analysis matrices' row blocks (``gram_difference_norm``: no SVD);
     when it exceeds A a sampled estimate of the functional's maximum is tried
     instead (reported with a warning, since a sampled radius is not a proof).
-    Its ascent stops once the sampled radius reaches A, which means mode ``none``.
+    It first scores the witness, the top eigenvector of sum_j D_j^H D_j with
+    D_j = herm(F_j^H E_j), and stops, before any draw or later at an ascent
+    step, once the sampled radius reaches A, which means mode ``none``.
 
     Predicted lower bound: A - R.  The two published upper-bound components
     ``B + R*sqrt(B/A)`` and ``R + sqrt(B)`` are emitted separately with
@@ -562,14 +622,14 @@ def certify_R_condition(
     component, which is the one the frame-operator certificate yields.
     """
     a, b, actual = _setup(lam_sys, theta_sys, samples)
-    blocks = list(zip(*(split_blocks(s, analysis_matrix(s)) for s in (lam_sys, theta_sys))))
+    blocks = _row_block_pairs(lam_sys, theta_sys)
     r_cert = float(sum(gram_difference_norm(k, k_t) for k, k_t in blocks))
     _finite_fields({"radius_certificate": r_cert})
     mode, radius, r_sampled, warning = "none", r_cert, None, None
     if r_cert < a:
         mode = "certified_sufficient"
     elif samples > 0:
-        diffs = [hermitian_part(finite_product(adjoint(k + k_t), k - k_t, "F_j^H E_j")) for k, k_t in blocks]
+        diffs = _gram_differences(blocks)
 
         def objective(f, grad=True):
             """sum_j ||D_j f|| per column of f, D_j = herm(F_j^H E_j), with its gradient when ``grad``."""
@@ -585,7 +645,9 @@ def certify_R_condition(
         # stop once r_sampled >= a (the largest float below a is exceeded): the mode is then none
         stop = np.nextafter(a, -np.inf)
         rng = np.random.default_rng(seed)
-        r_sampled = _sampled_max_margin([(lam_sys.dim, objective, None)], rng, lam_sys.field, samples, stop)
+        # witness: the top eigenvector of sum_j D_j^H D_j, the top right singular vector of the stacked D_j
+        witness = _columns([_top_right_singular_vector(np.vstack(diffs))])
+        r_sampled = _sampled_max_margin([(lam_sys.dim, objective, witness)], rng, lam_sys.field, samples, stop)
         radius = min(r_cert, r_sampled)
         if r_sampled < a:
             mode = "sampled"
@@ -632,12 +694,15 @@ def certify_synthesis_perturbation(
     Hypothesis over direct-sum sequences g (and block subsets):
     ``||(T_lam - T_theta) g|| <= lam*||T_lam g|| + mu*||T_theta g|| +
     gamma*||g||``.  Sound certificate: ``||T_lam - T_theta|| <= gamma``, which
-    covers the full index set only, as the predicted bounds need.  Otherwise
-    the hypothesis is tested on the full index set (the spectral witness
-    first: where ||D g|| peaks, and where it peaks on ker T_lam when
-    M > n, then samples) plus up to 7 distinct random nonempty subsets,
-    stopping at the first margin above ``TOL_SAMPLED_MARGIN * max(1, sqrt(B))``,
-    which refutes it.
+    covers the full index set only, as the predicted bounds need; the norm
+    and D's top right singular vector come from one eigensolve of the n x n
+    D D^H.  Otherwise the hypothesis is tested on the full index set (the
+    spectral witness first: where ||D g|| peaks, and where it peaks on
+    ker T_lam when M > n; then, if those do not refute, the ratio witness
+    K S^-1 y / ||K S^-1 y|| with y the top right singular vector of the
+    n x n D K S^-1; then samples) plus up to 7 distinct random nonempty
+    subsets, stopping at the first margin above
+    ``TOL_SAMPLED_MARGIN * max(1, sqrt(B))``, which refutes it.
 
     The published lower bound ``A*(1-(lam+gamma/sqrt(A))^2)/(1+mu)`` and the
     proof-derived one ``A*((1-(lam+gamma/sqrt(A)))/(1+mu))^2`` disagree; both
@@ -651,13 +716,18 @@ def certify_synthesis_perturbation(
     t_lam = synthesis_matrix(lam_sys)
     t_theta = synthesis_matrix(theta_sys)
     d_t = t_lam - t_theta
-    cert_margin = float(operator_norm(d_t) - params.gamma)
+    norm_d, top = _top_singular(d_t)
+    cert_margin = float(norm_d - params.gamma)
 
     def searches(masks):
         col_blocks = np.repeat(np.arange(lam_sys.block_count), lam_sys.block_dims)
         for cols in (m[col_blocks] for m in masks):
             d_m, l_m = d_t[:, cols], t_lam[:, cols]
-            witness = _spectral_witness(d_m, l_m) if cols.all() else None
+            witness = []
+            if cols.all():  # L^+ = K S^-1, so D L^+ is n x n
+                witness = _spectral_witness(
+                    d_m, l_m, top, lambda: analysis_matrix(lam_sys) @ inverse_frame_operator(lam_sys)
+                )
             yield d_m.shape[1], _margin_objective(d_m, l_m, t_theta[:, cols], params, False), witness
 
     threshold = TOL_SAMPLED_MARGIN * max(1.0, sqrt_b)

@@ -35,18 +35,50 @@ def test_published_synthesis_lower_bound_fails_where_the_proof_bound_is_attained
     assert rep.stated_lower == pytest.approx(a - gamma**2, abs=1e-9)
 
 
-@pytest.mark.parametrize("field", ["real", "complex"])
-@pytest.mark.parametrize("c", [0.9, 1.1])
-def test_r_condition_bounds_are_attained_by_a_scaled_full_space_block(field, c):
-    # One full-space block of an orthonormal basis, so S_lam = A I with A = B, and
-    # theta = c L gives S_theta = c^2 A I and R = |1 - c^2| A < A.  Shrinking (c < 1)
-    # attains the lower bound A - R = c^2 A; growing (c > 1) attains the quadratic
-    # upper bound B + R sqrt(B/A) = c^2 B.
+def _scaled_full_space_block(field, c):
+    """One full-space block of an orthonormal basis (S_lam = A I, A = B) and theta = c L (S_theta = c^2 A I)."""
     lam_sys = gf.generate("onb", 5, 1, seed=3, field=field)
     assert lam_sys.subsystems[0].subspace.dim == lam_sys.dim
-    rep = gf.certify_R_condition(lam_sys, scale_blocks(lam_sys, c), samples=0, seed=0)
-    assert rep.mode == "certified_sufficient"
+    return lam_sys, scale_blocks(lam_sys, c)
+
+
+def _assert_attained(rep, c):
+    """Shrinking (c < 1) attains the predicted lower bound, growing (c > 1) the upper one, within 1e-12."""
     if c < 1:
         assert abs(rep.predicted.lower - rep.actual.lower) <= 1e-12
     else:
-        assert abs(rep.upper_quadratic - rep.actual.upper) <= 1e-12
+        assert abs(rep.predicted.upper - rep.actual.upper) <= 1e-12
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("c", [0.9, 1.1])
+def test_r_condition_bounds_are_attained_by_a_scaled_full_space_block(field, c):
+    # R = |1 - c^2| A < A.  Shrinking attains the lower bound A - R = c^2 A; growing
+    # attains the quadratic upper bound B + R sqrt(B/A) = c^2 B.
+    rep = gf.certify_R_condition(*_scaled_full_space_block(field, c), samples=0, seed=0)
+    assert rep.mode == "certified_sufficient"
+    _assert_attained(rep, c)
+    assert rep.upper_quadratic == rep.predicted.upper
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("c", [0.9, 1.1])
+def test_analysis_bounds_are_attained_by_a_scaled_full_space_block(field, c):
+    # D = (1 - c) K, so R = (1 - c)^2 A.  Shrinking attains (sqrt(A) - sqrt(R))^2 = c^2 A;
+    # growing attains (sqrt(R) + sqrt(B))^2 = c^2 B.
+    rep = gf.certify_analysis_perturbation(*_scaled_full_space_block(field, c))
+    assert rep.hypothesis_holds and rep.bracket_ok
+    assert rep.radius == pytest.approx((1 - c) ** 2 * rep.actual.upper / c**2, rel=1e-12)
+    _assert_attained(rep, c)
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("c", [0.9, 1.1])
+def test_frame_operator_bounds_are_attained_by_a_scaled_full_space_block(field, c):
+    # S_lam - S_theta = (1 - c^2) S_lam: the hypothesis holds with equality at lam = |1 - c^2|
+    # (certified, or decided by the ratio witness if round-off tips the certificate).  Shrinking
+    # attains A(1 - lam) = c^2 A; growing attains B(1 + lam) = c^2 B.
+    lam_sys, theta = _scaled_full_space_block(field, c)
+    rep = gf.certify_frame_operator_perturbation(lam_sys, theta, gf.PerturbParams(lam=abs(1 - c**2)), seed=0)
+    assert rep.hypothesis_holds and rep.bracket_ok
+    _assert_attained(rep, c)

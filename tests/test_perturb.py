@@ -1,10 +1,15 @@
 """Tests for the perturbation certifiers and the invertibility lemma check."""
 
+import importlib
+import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import coordinate_system, fitted_radius, full_space_system, scale_blocks
+from helpers import coordinate_system, fitted_radius, full_space_system, run_cli, scale_blocks
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import gfusion as gf
 from gfusion import perturb
@@ -12,6 +17,9 @@ from gfusion.errors import NonFiniteInput, NotAFrameError, SystemMismatch
 from gfusion.linalg import adjoint, operator_norm
 from gfusion.perturb import _ascend, _margin_objective, _subset_masks
 from gfusion.sampling import gaussian_matrix, haar_unitary, random_unit_vectors, well_conditioned_matrix
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def small_frame(seed, dim=6, blocks=3):
@@ -294,6 +302,24 @@ class TestSynthesisCertifier:
             # paper but can overshoot the actual spectrum; it is reported,
             # not asserted.  It always dominates the proof-derived bound.
             assert rep.stated_lower >= rep.predicted.lower - 1e-12
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_norm_certificate_takes_no_svd(self, monkeypatch, field):
+        # ||T_lam - T_theta|| comes from the n x n eigensolve of D D^H that also gives the witness's top
+        # column, not from an SVD of the n x M D (np.linalg.norm's 2-norm calls its own module's svd).
+        lam = gf.generate("frame", 6, 4, seed=42, field=field, max_condition=50)
+        theta = gf.perturbed_copy(lam, seed=92, radius=0.05)
+        want = operator_norm(gf.synthesis_matrix(lam) - gf.synthesis_matrix(theta))
+        calls = []
+
+        def svd(*args, **kwargs):
+            calls.append(args)
+            return np.linalg.svd(*args, **kwargs)
+
+        monkeypatch.setitem(np.linalg.norm.__wrapped__.__globals__, "svd", svd)
+        rep = gf.certify_synthesis_perturbation(lam, theta, gf.PerturbParams(), samples=0, seed=0)
+        assert calls == []
+        assert rep.cert_margin == pytest.approx(want, rel=1e-13)
 
     def test_synthesis_norm_equals_analysis_radius(self):
         # cross-check of two independent routes to the perturbation size:
@@ -641,8 +667,8 @@ def _exhaustive_report(monkeypatch, certify, args, samples, seed):
     def full_search(searches, rng, field, samples, stop_above):
         worst, count = -np.inf, 0
         for count, (dim, objective, witness) in enumerate(searches, 1):
-            if witness is not None:
-                worst = max(worst, objective(witness, grad=False)[0].max())
+            for cols in witness:
+                worst = max(worst, objective(cols, grad=False)[0].max())
             f_batch = random_unit_vectors(rng, dim, samples, field)
             margins, _ = objective(f_batch, grad=False)
             order = np.argsort(margins)[::-1][:5]
@@ -723,19 +749,138 @@ def test_kernel_witness_refutes_the_synthesis_hypothesis_without_a_draw(monkeypa
 
 @pytest.mark.parametrize("field", ["real", "complex"])
 def test_spectral_witness_columns_attain_the_norm_and_the_kernel_norm(field):
+    # The first block: where ||D g|| peaks, on the sphere and on ker L; the second, the ratio witness,
+    # attains ||D L^+|| as ||D g|| / ||L g||.
     rng = np.random.default_rng(field == "complex")
     l_m, d_m = gaussian_matrix(rng, 4, 7, field), gaussian_matrix(rng, 4, 7, field)
-    w = perturb._spectral_witness(d_m, l_m)
-    assert w.shape == (7, 2)
+    l_pinv = np.linalg.pinv(l_m)
+    first, ratio = perturb._spectral_witness(d_m, l_m, perturb._top_right_singular_vector(d_m), lambda: l_pinv)
+    assert first.shape == (7, 2) and ratio.shape == (7, 1)
+    w = np.hstack([first, ratio])
     np.testing.assert_allclose(np.linalg.norm(w, axis=0), 1.0, rtol=1e-14)
     _, _, vh = np.linalg.svd(l_m)
     null = adjoint(vh[4:])
     assert np.linalg.norm(d_m @ w[:, 0]) == pytest.approx(operator_norm(d_m), rel=1e-12)
     assert np.linalg.norm(d_m @ w[:, 1]) == pytest.approx(operator_norm(d_m @ null), rel=1e-12)
     assert operator_norm(l_m @ w[:, 1]) <= 1e-14 * operator_norm(l_m)
+    ratio_value = np.linalg.norm(d_m @ w[:, 2]) / np.linalg.norm(l_m @ w[:, 2])
+    assert ratio_value == pytest.approx(operator_norm(d_m @ l_pinv), rel=1e-12)
     # a square L has no kernel column, and a zero D gives no column at all
-    assert perturb._spectral_witness(d_m[:, :4], l_m[:, :4]).shape == (4, 1)
-    assert perturb._spectral_witness(np.zeros((4, 7)), l_m) is None
+    top = perturb._top_right_singular_vector(d_m[:, :4])
+    square = perturb._spectral_witness(d_m[:, :4], l_m[:, :4], top, lambda: np.linalg.inv(l_m[:, :4]))
+    assert [b.shape for b in square] == [(4, 1), (4, 1)]
+    assert list(perturb._spectral_witness(np.zeros((4, 7)), l_m, None, lambda: l_pinv)) == []
+
+
+def _full_set_operators(theorem, lam, theta):
+    """The full-set D, L and L^+ the certifier's witness takes: from S^-1, with no pinv."""
+    s_inv = gf.inverse_frame_operator(lam)
+    if theorem == "t52":
+        pairs = perturb._row_block_pairs(lam, theta)
+        return sum(perturb._gram_differences(pairs)), gf.frame_operator(lam), s_inv
+    t_lam = gf.synthesis_matrix(lam)
+    return t_lam - gf.synthesis_matrix(theta), t_lam, gf.analysis_matrix(lam) @ s_inv
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("theorem", ["t52", "synth"])
+def test_ratio_witness_attains_the_norm_of_d_l_pinv(theorem, field):
+    # The SVD oracle: sigma_max(D L^+) with L^+ from numpy's pinv.
+    for seed in range(5):
+        lam = gf.generate("frame", 5, 3, seed=60 + seed, field=field, max_condition=20)
+        theta = gf.perturbed_copy(lam, seed=160 + seed, radius=0.3)
+        d, l, l_pinv = _full_set_operators(theorem, lam, theta)
+        *_, ratio = perturb._spectral_witness(d, l, perturb._top_right_singular_vector(d), lambda: l_pinv)
+        want = np.linalg.svd(d @ np.linalg.pinv(l), compute_uv=False)[0]
+        assert np.linalg.norm(d @ ratio) / np.linalg.norm(l @ ratio) == pytest.approx(want, rel=1e-12)
+
+
+def _draws_and_report(theorem, lam, theta, params):
+    """The certifier's report with samples=20, seed=0, and how many batches it drew."""
+    calls = []
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(perturb, "random_unit_vectors", lambda *args: calls.append(args) or random_unit_vectors(*args))
+        rep = _CERTIFIERS[theorem](lam, theta, params, samples=20, seed=0)
+    return len(calls), rep
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    theorem=st.sampled_from(["t52", "synth"]),
+    field=st.sampled_from(["real", "complex"]),
+    dims=st.sampled_from([(3, 2), (4, 2), (5, 3), (4, 3)]),
+    seed=st.integers(0, 2**20),
+    uniform=st.booleans(),
+    ratio=st.floats(0.5, 2.0),
+)
+def test_a_draw_free_refutation_means_the_full_set_hypothesis_fails(theorem, field, dims, seed, uniform, ratio):
+    # mu = gamma = 0: the full-set hypothesis fails iff D does not vanish on ker L or
+    # ||D L^+|| > lam (oracle: numpy's SVD and pinv), and exactly then the witness
+    # refutes before any draw.  A uniform scale leaves D = (1 - c) L, which vanishes on ker L.
+    lam = gf.generate("frame", *dims, seed=seed, field=field, max_condition=20)
+    rng = np.random.default_rng(seed)
+    factors = 1 + rng.uniform(-0.3, 0.3, 1 if uniform else lam.block_count)
+    theta = scale_blocks(lam, np.sqrt(factors) if theorem == "t52" else factors)
+    if not uniform and rng.integers(2):
+        theta = gf.perturbed_copy(lam, seed=seed + 1, radius=0.05)
+    d, l, _ = _full_set_operators(theorem, lam, theta)
+    _, s, vh = np.linalg.svd(l)
+    kernel = operator_norm(d @ adjoint(vh[s.size:]))
+    sigma = np.linalg.svd(d @ np.linalg.pinv(l), compute_uv=False)[0]
+    lam_c = min(ratio * sigma, 0.999)
+    assume(abs(sigma - lam_c) > 0.01 * sigma and not 1e-12 < kernel < 1e-6)
+    # a ratio-column margin (sigma - lam) ||L g|| >= (sigma - lam) sigma_min(L) well clear of the threshold
+    assume(abs(sigma - lam_c) * s[-1] > 1e-9 * max(1.0, s[0]))
+    fails = bool(kernel > 1e-6 or sigma > lam_c)
+    draws, rep = _draws_and_report(theorem, lam, theta, gf.PerturbParams(lam=lam_c))
+    assert (not rep.hypothesis_holds and draws == 0) == fails, (draws, rep.mode, rep.hypothesis_margin)
+
+
+def test_t52_witness_margin_has_no_gram_cancellation():
+    # K with entries in Z/8 against (1 + t) K, t = 2^-30: D = -(2t + t^2) K^H K, and with lam = 0 the
+    # witness margin is ||D||.  Built as S_lam - S_theta it lost 30 bits (4.7e-10 relative).
+    k = 2.0 * np.eye(4) + np.random.default_rng(7).integers(-4, 5, (4, 4)) / 8.0
+    t = 2.0**-30
+    lam, theta = (gf.make_system(4, "real", [(1.0, np.eye(4), op)]) for op in (k, (1.0 + t) * k))
+    rep = gf.certify_frame_operator_perturbation(lam, theta, gf.PerturbParams(), samples=1, seed=0)
+    exact = (2 * t + t * t) * operator_norm(k) ** 2
+    assert (rep.mode, rep.hypothesis_holds) == ("sampled", False)
+    assert abs(rep.sampled_margin - exact) <= 1e-15 * exact
+
+
+def test_ratio_witness_is_built_only_when_the_first_block_does_not_refute(monkeypatch):
+    # The kernel column refutes this synth pair, so neither S^-1 nor its ratio column is formed.  For
+    # t52, ||D S^-1|| = 0.17 > lam but D's top right singular vector has margin -0.18: the ratio column refutes.
+    lam = gf.generate("frame", 6, 3, seed=102, max_condition=100)
+    theta = gf.perturbed_copy(lam, seed=202, radius=0.02)
+    built = []
+    monkeypatch.setattr(perturb, "inverse_frame_operator", lambda s: built.append(s) or gf.inverse_frame_operator(s))
+    for theorem, expect in (("synth", 0), ("t52", 1)):
+        built.clear()
+        draws, rep = _draws_and_report(theorem, lam, theta, gf.PerturbParams(lam=0.085))
+        assert (draws, rep.hypothesis_holds, len(built)) == (0, False, expect)
+
+
+def test_perturb_sampled_t52_and_cr_requests_draw_nothing(monkeypatch, tmp_path):
+    # The benchmark's perturb_sampled t52 and cR requests (n = 8, its default seed 1) are
+    # all refuted by a witness: t52's ratio column and cR's top eigenvector of sum_j D_j^H D_j.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    writer = workloads._Writer(tmp_path)
+    seed = 1
+    for g in range(workloads.SAMPLED_GROUPS):
+        ref = writer.frame(f"f8_{g}.json", 8, 3, "real", seed, 20, g, 0)
+        radius = workloads.SAMPLED_RHO * np.sqrt(writer.bounds[f"f8_{g}.json"][0])
+        writer.save(f"f8_{g}_pert.json", gf.perturbed_copy(ref, workloads._sub_seed(seed, 21, g, 0), radius=radius))
+    requests = workloads.perturb_sampled_requests(seed, {"bounds": writer.bounds})
+    argvs = [r["argv"] for r in requests if r["metric"] in ("cmd_ms.perturb.t52", "cmd_ms.perturb.cR")]
+    assert len(argvs) == 4 * workloads.SAMPLED_GROUPS
+    calls = _count_draws(monkeypatch)
+    monkeypatch.chdir(tmp_path)
+    for argv in argvs:
+        code, out = run_cli(argv)
+        assert code == 1 and json.loads(out)["report"]["hypothesis_holds"] is False
+    assert calls == []
 
 
 def test_witness_does_not_overflow_on_huge_entries():
