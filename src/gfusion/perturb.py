@@ -48,11 +48,16 @@ A single vector whose margin exceeds the threshold refutes a hypothesis that
 quantifies over every vector and subset, so the search stops at the first
 such margin: at the witness, before any draw, or at the starts or after any
 ascent step, and before later subsets are built or drawn.  A ``sampled``
-refutation may therefore come without a single random draw.  A refuted
-report's sampled margin (or radius) is then the worst seen up to that point:
-still a witness, and a lower bound on the worst over all subsets after full
-ascent.  A hypothesis that holds never stops early, so its report is what
-the exhaustive search gives, the witness's margin included.
+refutation may therefore come without a single random draw, and then it
+touches no random stream either: a search makes its Generator when it draws
+its first batch, and ``t52`` and ``synth`` draw their random subsets' masks
+from it then, ahead of that batch, so a refutation by the full set's
+witness draws no mask (for J <= 3 the masks always cost all 28 tries; see
+``_subset_masks``).  A refuted report's sampled margin (or radius) is then
+the worst seen up to that point: still a witness, and a lower bound on the
+worst over all subsets after full ascent.  A hypothesis that holds never
+stops early, so its report is what the exhaustive search gives, the
+witness's margin included.
 """
 
 from __future__ import annotations
@@ -281,7 +286,14 @@ def _gram_differences(pairs) -> list[np.ndarray]:
 
 
 def _subset_masks(rng: np.random.Generator, count: int, extra: int) -> list[np.ndarray]:
-    """The full index set plus up to ``extra`` distinct random nonempty subsets."""
+    """The full index set plus up to ``extra`` distinct random nonempty subsets.
+
+    Each of at most 4 * ``extra`` tries draws a size and then its members,
+    two Generator calls.  Only a sampled search that draws a batch calls it
+    (``_decide``), so its draws come first on that search's stream.  With
+    count <= 3 there are at most 6 proper subsets, so the loop never finds
+    ``extra`` = 7 and always spends every try.
+    """
     masks = [np.ones(count, dtype=bool)]
     seen = {frozenset(range(count))}
     for _ in range(4 * extra):
@@ -456,18 +468,14 @@ def _margin_objective(d_m, l_m, t_m, params: PerturbParams, quad_form: bool):
 
 
 def _sampled_max_margin(
-    searches: Iterable[tuple[int, Callable, Iterable[np.ndarray]]],
-    rng: np.random.Generator,
-    field: str,
-    samples: int,
-    stop_above: float,
+    searches: Iterable[tuple[int, Callable, Iterable[np.ndarray]]], draw: Callable[[int], np.ndarray], stop_above: float
 ) -> float:
     """Worst value over the given (dim, objective, witness) searches (objectives as in ``_ascend``).
 
     Each search first scores its witness blocks of unit columns in order,
     one objective call per block and no draw; a block is built only after
-    the one before it is scored.  It then draws ``samples`` random unit
-    vectors in its dimension, screens them with one objective call, and
+    the one before it is scored.  It then draws its batch of random unit
+    vectors, ``draw(dim)``, screens them with one objective call, and
     ascends from the ``_ASCENT_TOP`` largest; one search's batch is freed
     before the next is drawn.  Stops at the first value above
     ``stop_above``, which refutes the hypothesis: the result is then the
@@ -484,7 +492,7 @@ def _sampled_max_margin(
                 worst = max(worst, objective(cols, grad=False)[0].max())
                 if worst > stop_above:
                     return float(worst)
-            f_batch = random_unit_vectors(rng, dim, samples, field)
+            f_batch = draw(dim)
             values, _ = objective(f_batch, grad=False)
             starts = f_batch[:, np.argsort(values)[::-1][:_ASCENT_TOP]]
             del f_batch, values  # free the batch before the ascent and the next search's draw
@@ -494,21 +502,47 @@ def _sampled_max_margin(
     return float(worst)
 
 
+def _stream(seed: int, field: str, samples: int, first: Callable[[np.random.Generator], None] = lambda rng: None):
+    """``draw(dim)``: ``samples`` random unit vectors in ``dim`` from one Generator seeded with ``seed``.
+
+    The Generator is made on the first draw, and ``first(rng)`` takes its
+    share of the stream then, before that batch: a search that never draws
+    touches no random stream.
+    """
+    rng = None
+
+    def draw(dim: int) -> np.ndarray:
+        nonlocal rng
+        if rng is None:
+            rng = np.random.default_rng(seed)
+            first(rng)
+        return random_unit_vectors(rng, dim, samples, field)
+
+    return draw
+
+
 def _decide(lam_sys: GFusionSystem, cert_margin: float, threshold: float, searches, samples: int, seed: int):
     """Mode, margin, ``inequality_ok`` and sampled margin of a hypothesis over block subsets.
 
-    A ``cert_margin <= 0`` certifies it.  Otherwise, with samples, the full
-    index set and up to ``_EXTRA_SUBSETS`` random subsets are drawn as masks
-    and ``searches(masks)`` yields one (dim, objective, witness) search per
-    mask, lazily; a margin above ``threshold`` refutes the hypothesis.
+    A ``cert_margin <= 0`` certifies it.  Otherwise, with samples,
+    ``searches(masks)`` yields one (dim, objective, witness) search per
+    mask, reading the list lazily; a margin above ``threshold`` refutes the
+    hypothesis.  The list holds only the full index set until the first
+    batch is drawn; then ``_subset_masks`` adds up to ``_EXTRA_SUBSETS``
+    random subsets in place, off the stream ahead of that batch.  A
+    refutation by the full set's witness thus draws no mask, which for
+    J <= 3 saves all 28 tries (``_subset_masks``).
     """
     if cert_margin <= 0.0:
         return "certified_sufficient", cert_margin, True, None
     if samples == 0:
         return "none", cert_margin, False, None
-    rng = np.random.default_rng(seed)
-    masks = _subset_masks(rng, lam_sys.block_count, _EXTRA_SUBSETS)
-    sampled = _sampled_max_margin(searches(masks), rng, lam_sys.field, samples, threshold)
+    masks = [np.ones(lam_sys.block_count, dtype=bool)]
+
+    def add_subsets(rng):
+        masks[1:] = _subset_masks(rng, lam_sys.block_count, _EXTRA_SUBSETS)[1:]
+
+    sampled = _sampled_max_margin(searches(masks), _stream(seed, lam_sys.field, samples, add_subsets), threshold)
     return "sampled", sampled, sampled <= threshold, sampled
 
 
@@ -644,10 +678,10 @@ def certify_R_condition(
 
         # stop once r_sampled >= a (the largest float below a is exceeded): the mode is then none
         stop = np.nextafter(a, -np.inf)
-        rng = np.random.default_rng(seed)
         # witness: the top eigenvector of sum_j D_j^H D_j, the top right singular vector of the stacked D_j
         witness = _columns([_top_right_singular_vector(np.vstack(diffs))])
-        r_sampled = _sampled_max_margin([(lam_sys.dim, objective, witness)], rng, lam_sys.field, samples, stop)
+        draw = _stream(seed, lam_sys.field, samples)
+        r_sampled = _sampled_max_margin([(lam_sys.dim, objective, witness)], draw, stop)
         radius = min(r_cert, r_sampled)
         if r_sampled < a:
             mode = "sampled"

@@ -22,9 +22,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionMismatch, FieldMismatch, NotAFrameError, SystemMismatch
+from .errors import DimensionMismatch, FieldMismatch, NonFiniteInput, NotAFrameError, SystemMismatch
 from .linalg import (
-    TOL_ORTHO,
     TOL_PD,
     TOL_RANK,
     TOL_SUBSPACE,
@@ -35,7 +34,6 @@ from .linalg import (
     adjoint,
     finite_product,
     hermitian_part,
-    orthonormality_deviation,
     orthonormalize,
     require_finite,
 )
@@ -190,9 +188,9 @@ def make_system(dim, field, components) -> GFusionSystem:
             span = _coerce(span, dtype, "subspace")
             if span.ndim != 2:
                 raise DimensionMismatch(f"subspace spanning set must be 2-D, got shape {span.shape}")
-            if span.shape[1] and orthonormality_deviation(span) <= TOL_ORTHO:
+            try:  # Subspace checks orthonormality within TOL_ORTHO, the one check per block
                 sub_space = Subspace(span)
-            else:
+            except (ValueError, NonFiniteInput):  # orthonormalize raises its own errors for a bad span
                 sub_space = orthonormalize(span)
         subs.append(Subsystem(float(weight), sub_space, _coerce(op, dtype, "block operator")))
     return GFusionSystem(int(dim), field, tuple(subs))

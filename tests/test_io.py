@@ -28,6 +28,7 @@ from gfusion.io import (
     system_from_dict,
     to_jsonable,
 )
+from gfusion.linalg import orthonormality_deviation
 
 REAL_FILE = {
     "version": 1,
@@ -637,6 +638,23 @@ def test_read_system_returns_the_sha256_of_the_file(tmp_path):
     sys_, digest = read_system(str(path))
     assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
     assert gf.system_to_dict(sys_) == gf.system_to_dict(load_system(str(path)))
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_read_system_checks_each_subspace_once(tmp_path, monkeypatch, field):
+    # make_system keeps an orthonormal spanning set verbatim on the strength of the check that Subspace makes.
+    path = tmp_path / "sys.json"
+    save_system(gf.generate("frame", 6, 4, seed=3, field=field), str(path))
+    calls = []
+
+    def counted(b):
+        calls.append(b.shape)
+        return orthonormality_deviation(b)
+
+    for module in (gf.linalg, gf.system):
+        monkeypatch.setattr(module, "orthonormality_deviation", counted, raising=False)
+    read_system(str(path))
+    assert len(calls) == 4
 
 
 def _text_mode_location(path: Path) -> str:

@@ -82,3 +82,32 @@ def test_frame_operator_bounds_are_attained_by_a_scaled_full_space_block(field, 
     rep = gf.certify_frame_operator_perturbation(lam_sys, theta, gf.PerturbParams(lam=abs(1 - c**2)), seed=0)
     assert rep.hypothesis_holds and rep.bracket_ok
     _assert_attained(rep, c)
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("c", [0.9, 1.1])
+def test_synthesis_proof_bounds_are_attained_by_a_scaled_full_space_block(field, c):
+    # T_lam - T_theta = (1 - c) T_lam: the hypothesis holds with equality on every vector at
+    # lam = |1 - c| (||D|| = sqrt(B) lam > gamma = 0, so it is sampled).  Shrinking attains the
+    # proof's A(1 - lam)^2 = c^2 A; growing attains B(1 + lam)^2 = c^2 B.
+    lam_sys, theta = _scaled_full_space_block(field, c)
+    rep = gf.certify_synthesis_perturbation(lam_sys, theta, gf.PerturbParams(lam=abs(1 - c)), samples=200, seed=0)
+    assert rep.mode == "sampled"
+    assert rep.hypothesis_holds and rep.bracket_ok
+    _assert_attained(rep, c)
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("c", [0.9, 1.1])
+def test_lemma_forward_bound_is_attained_by_a_scaled_full_space_block(field, c):
+    # U = S_theta S_lam^-1 = c^2 I: ||x - Ux|| = |1 - c^2| ||x||, so with lam1 = |1 - c^2| and lam2 = 0
+    # the hypothesis holds with equality.  ||Ux|| / ||x|| = c^2 is 1 - lam1 (shrinking) or 1 + lam1 (growing).
+    rep = gf.certify_invertibility_lemma(
+        *_scaled_full_space_block(field, c), gf.PerturbParams(lam=abs(1 - c**2)), samples=200, seed=0
+    )
+    assert (rep.lam1, rep.lam2) == (abs(1 - c**2), 0.0)
+    assert rep.hypothesis_holds and rep.sandwich_ok
+    if c < 1:
+        assert abs(rep.sigma_min - rep.forward_lower) <= 1e-12
+    else:
+        assert abs(rep.norm - rep.forward_upper) <= 1e-12

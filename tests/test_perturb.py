@@ -664,12 +664,12 @@ def _exhaustive_report(monkeypatch, certify, args, samples, seed):
     """The certifier's report with the stop removed, and how many subsets its search visited."""
     visited = []
 
-    def full_search(searches, rng, field, samples, stop_above):
+    def full_search(searches, draw, stop_above):
         worst, count = -np.inf, 0
         for count, (dim, objective, witness) in enumerate(searches, 1):
             for cols in witness:
                 worst = max(worst, objective(cols, grad=False)[0].max())
-            f_batch = random_unit_vectors(rng, dim, samples, field)
+            f_batch = draw(dim)
             margins, _ = objective(f_batch, grad=False)
             order = np.argsort(margins)[::-1][:5]
             worst = max(worst, _ascend(objective, f_batch[:, order], 50).max(initial=-np.inf))
@@ -864,6 +864,7 @@ def test_ratio_witness_is_built_only_when_the_first_block_does_not_refute(monkey
 def test_perturb_sampled_t52_and_cr_requests_draw_nothing(monkeypatch, tmp_path):
     # The benchmark's perturb_sampled t52 and cR requests (n = 8, its default seed 1) are
     # all refuted by a witness: t52's ratio column and cR's top eigenvector of sum_j D_j^H D_j.
+    # Nothing is drawn, not even t52's subset masks.
     monkeypatch.syspath_prepend(str(PERFBENCH))
     workloads = importlib.import_module("workloads")
     writer = workloads._Writer(tmp_path)
@@ -876,11 +877,13 @@ def test_perturb_sampled_t52_and_cr_requests_draw_nothing(monkeypatch, tmp_path)
     argvs = [r["argv"] for r in requests if r["metric"] in ("cmd_ms.perturb.t52", "cmd_ms.perturb.cR")]
     assert len(argvs) == 4 * workloads.SAMPLED_GROUPS
     calls = _count_draws(monkeypatch)
+    masks = []
+    monkeypatch.setattr(perturb, "_subset_masks", lambda *args: masks.append(args) or _subset_masks(*args))
     monkeypatch.chdir(tmp_path)
     for argv in argvs:
         code, out = run_cli(argv)
         assert code == 1 and json.loads(out)["report"]["hypothesis_holds"] is False
-    assert calls == []
+    assert calls == [] and masks == []
 
 
 def test_witness_does_not_overflow_on_huge_entries():
@@ -900,6 +903,62 @@ def test_holding_hypothesis_draws_once_per_subset(monkeypatch, theorem, field):
     rep = _CERTIFIERS[theorem](lam, theta, gf.PerturbParams(lam=0.6 * d, mu=0.4 * d), samples=200, seed=6)
     assert (rep.mode, rep.hypothesis_holds) == ("sampled", True)
     assert len(calls) == len(_subset_masks(np.random.default_rng(6), 4, 7)) > 1
+
+
+def _upfront_decide(lam_sys, cert_margin, threshold, searches, samples, seed):
+    """``_decide`` with the subset masks drawn off the stream before the first search, whether it draws or not."""
+    if cert_margin <= 0.0:
+        return "certified_sufficient", cert_margin, True, None
+    if samples == 0:
+        return "none", cert_margin, False, None
+    rng = np.random.default_rng(seed)
+    masks = _subset_masks(rng, lam_sys.block_count, 7)
+
+    def draw(dim):
+        return random_unit_vectors(rng, dim, samples, lam_sys.field)
+
+    sampled = perturb._sampled_max_margin(searches(masks), draw, threshold)
+    return "sampled", sampled, sampled <= threshold, sampled
+
+
+def _square_synthesis_pair(field, seed):
+    """n = 4 and two blocks of two direct-sum coordinates (M = n, so T_lam has no kernel), each block moved."""
+    rng = np.random.default_rng(seed)
+    blocks = [(np.linalg.qr(gaussian_matrix(rng, 4, 2, field))[0], gaussian_matrix(rng, 2, 4, field)) for _ in range(2)]
+    moved = [(q, op * (1 + rng.uniform(-0.5, 0.5)) + 0.1 * gaussian_matrix(rng, 2, 4, field)) for q, op in blocks]
+    lam, theta = (gf.make_system(4, field, [(1.0, q, op) for q, op in b]) for b in (blocks, moved))
+    lam_c, mu_c, gamma = (float(rng.uniform(0, top)) for top in (0.6, 0.6, 0.3))
+    return lam, theta, gf.PerturbParams(lam=lam_c, mu=mu_c, gamma=gamma)
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("theorem", ["t52", "synth"])
+def test_masks_drawn_with_the_first_batch_keep_every_report(monkeypatch, theorem, field):
+    # Searches that draw: one that holds (every subset drawn), one refuted on a random subset.  The masks come
+    # off the stream ahead of the first batch, so each report is bit for bit the one of masks drawn up front.
+    lam = gf.generate("frame", 5, 4, seed=32, field=field, max_condition=20)
+    held = scale_blocks(lam, np.sqrt(1.2) if theorem == "t52" else 1.2)
+    cases = [((lam, held, gf.PerturbParams(lam=0.12, mu=0.08)), 200, 6)]
+    if theorem == "t52":  # alternating block scales: the full set holds, a subset does not
+        lam = gf.generate("frame", 5, 4, seed=5, field=field, max_condition=20)
+        cases.append(((lam, scale_blocks(lam, np.sqrt([1.2, 0.8, 1.2, 0.8])), gf.PerturbParams(lam=0.3)), 200, 6))
+    else:  # a subset's hypothesis is the full set's on sequences supported there: 5 samples missed it on the full set
+        seed = {"real": 884, "complex": 556}[field]
+        cases.append((_square_synthesis_pair(field, seed), 5, seed))
+    for (args, samples, seed), holds in zip(cases, (True, False)):
+        draws, masks = [], []
+        with monkeypatch.context() as m:
+            m.setattr(perturb, "random_unit_vectors", lambda *a: draws.append(a) or random_unit_vectors(*a))
+            m.setattr(perturb, "_subset_masks", lambda *a: masks.append(a) or _subset_masks(*a))
+            got = _CERTIFIERS[theorem](*args, samples=samples, seed=seed)
+        with monkeypatch.context() as m:
+            m.setattr(perturb, "_decide", _upfront_decide)
+            want = _CERTIFIERS[theorem](*args, samples=samples, seed=seed)
+        assert (got.mode, got.sampled_margin > 0.0, len(masks)) == ("sampled", not holds, 1)
+        assert len(draws) >= 2  # a random subset's batch was drawn
+        if holds:
+            assert len(draws) == len(_subset_masks(np.random.default_rng(seed), args[0].block_count, 7))
+        assert repr(got) == repr(want)
 
 
 def test_sampled_search_holds_one_batch_at_a_time(monkeypatch):

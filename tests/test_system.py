@@ -451,6 +451,19 @@ class TestMakeSystem:
         sys = gf.make_system(3, "real", [(1.0, span, np.ones((1, 3)))])
         assert sys.subsystems[0].subspace.dim == 1
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_spanning_set_is_named_as_a_spanning_set(self, bad):
+        span = np.eye(2)
+        span[0, 1] = bad
+        with pytest.raises(NonFiniteInput, match=r"^spanning set contains NaN or Inf entries$"):
+            gf.make_system(2, "real", [(1.0, span, np.ones((1, 2)))])
+
+    def test_empty_spanning_sets(self):
+        with pytest.raises(ValueError, match=r"^spanning set must be a 2-D matrix, got shape \(0, 2\)$"):
+            gf.make_system(2, "real", [(1.0, np.zeros((0, 2)), np.ones((1, 2)))])
+        basis = gf.make_system(2, "real", [(1.0, np.zeros((2, 0)), np.ones((1, 2)))]).subsystems[0].subspace.basis
+        assert basis.shape == (2, 0) and basis.dtype == np.float64
+
     def test_rejects_complex_in_real_field(self):
         with pytest.raises(FieldMismatch):
             gf.make_system(2, "real", [(1.0, np.eye(2, dtype=complex) * 1j, np.ones((1, 2)))])
