@@ -35,14 +35,16 @@ witnesses refute exactly when the full-set hypothesis is false.  For the
 radius condition the witness is the top eigenvector of sum_j D_j^H D_j.
 Only then does sampling evaluate the hypothesis's margin (the radius
 condition: its summed-norm functional) on ``samples`` random unit vectors
-per search: one search per block subset, the full index set plus up to
-``_EXTRA_SUBSETS`` (7) random ones, or one in all for the radius condition.
-It then runs projected-gradient ascent on the unit sphere from the
-``_ASCENT_TOP`` (5) worst of them.  The starts of a
-search ascend together: each takes at most ``_ASCENT_STEPS`` (50) steps,
-with its own step size and stopping rules, and every step evaluates the
-margin and its gradient once, on all the candidate columns.  Terms whose
-coefficient is 0 are not evaluated.
+per search, and run projected-gradient ascent on the unit sphere from the
+``_ASCENT_TOP`` (5) worst of them.  ``synth`` and the radius condition run
+one search, on the full index set: a block subset's synthesis hypothesis is
+the full set's on direct-sum sequences supported there, so no subset can
+refute what the full set does not.  ``t52``'s sums over a subset are other
+operators, so it searches the full set plus up to ``_EXTRA_SUBSETS`` (7)
+random subsets.  The starts of a search ascend together: each takes at most
+``_ASCENT_STEPS`` (50) steps, with its own step size and stopping rules, and
+every step evaluates the margin and its gradient once, on all the candidate
+columns.  Terms whose coefficient is 0 are not evaluated.
 
 A single vector whose margin exceeds the threshold refutes a hypothesis that
 quantifies over every vector and subset, so the search stops at the first
@@ -50,14 +52,15 @@ such margin: at the witness, before any draw, or at the starts or after any
 ascent step, and before later subsets are built or drawn.  A ``sampled``
 refutation may therefore come without a single random draw, and then it
 touches no random stream either: a search makes its Generator when it draws
-its first batch, and ``t52`` and ``synth`` draw their random subsets' masks
-from it then, ahead of that batch, so a refutation by the full set's
-witness draws no mask (for J <= 3 the masks always cost all 28 tries; see
-``_subset_masks``).  A refuted report's sampled margin (or radius) is then
-the worst seen up to that point: still a witness, and a lower bound on the
-worst over all subsets after full ascent.  A hypothesis that holds never
-stops early, so its report is what the exhaustive search gives, the
-witness's margin included.
+its first batch, and ``t52`` draws its random subsets' masks from it then,
+ahead of that batch, so a refutation by the full set's witness draws no
+mask.  A refuted report's sampled margin (or radius) is then the worst seen
+up to that point: still a witness, and a lower bound on the worst over all
+subsets after full ascent.  A hypothesis that holds never stops early, so
+its report is what the exhaustive search gives, the witness's margin
+included.  The invertibility lemma scores its witness, the top right
+singular vector of I - U, before its draw, and one above ``margin_tol``
+refutes without a draw.
 """
 
 from __future__ import annotations
@@ -158,10 +161,12 @@ class LemmaReport:
     If ||x - Ux|| <= lam1*||x|| + lam2*||Ux|| for all x (lam1, lam2 < 1),
     then U is invertible with
     (1-lam1)/(1+lam2) <= ||Ux||/||x|| <= (1+lam1)/(1-lam2) and the mirrored
-    pair for U^-1.  The hypothesis is scored on random unit vectors and on
-    the top right singular vector of I - U, where ||x - Ux|| peaks (so with
-    lam2 = 0 it is decided exactly); the margin is the worst of them.  The
-    four sandwich bounds are then checked against the singular spectrum.
+    pair for U^-1.  The hypothesis is scored first on the top right singular
+    vector of I - U, where ||x - Ux|| peaks (so with lam2 = 0 it is decided
+    exactly); a margin there above ``margin_tol`` refutes it with no draw.
+    Otherwise random unit vectors are scored too, and the margin is the
+    worst of them all.  The four sandwich bounds are then checked against
+    the singular spectrum.
     """
 
     hypothesis_holds: bool
@@ -212,19 +217,18 @@ def check_invertibility_lemma(
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise ValueError(f"U must be square, got shape {u.shape}")
     field = "complex" if np.iscomplexobj(u) else "real"
-    rng = np.random.default_rng(seed)
-    x = random_unit_vectors(rng, u.shape[0], samples, field)
 
     def margins(x):
         ux = u @ x
         return np.linalg.norm(x - ux, axis=0) - lam1 - lam2 * np.linalg.norm(ux, axis=0)
 
     with _finite_margins():
-        margin = float(margins(x).max())
-        witness = _top_right_singular_vector(np.eye(u.shape[0]) - u)
-        if witness is not None:
-            margin = max(margin, float(margins(witness[:, None])[0]))
-    # margin_tol absorbs round-off on exactly-tight instances
+        witness = _top_singular(np.eye(u.shape[0]) - u)[1]
+        margin = -np.inf if witness is None else float(margins(witness[:, None])[0])
+        # margin_tol absorbs round-off on exactly-tight instances; a witness above it refutes before any draw
+        if margin <= margin_tol:
+            x = random_unit_vectors(np.random.default_rng(seed), u.shape[0], samples, field)
+            margin = max(float(margins(x).max()), margin)
     holds = margin <= margin_tol
     sv = np.linalg.svd(u, compute_uv=False)
     smin, smax = float(sv[-1]), float(sv[0])
@@ -289,15 +293,16 @@ def _subset_masks(rng: np.random.Generator, count: int, extra: int) -> list[np.n
     """The full index set plus up to ``extra`` distinct random nonempty subsets.
 
     Each of at most 4 * ``extra`` tries draws a size and then its members,
-    two Generator calls.  Only a sampled search that draws a batch calls it
-    (``_decide``), so its draws come first on that search's stream.  With
-    count <= 3 there are at most 6 proper subsets, so the loop never finds
-    ``extra`` = 7 and always spends every try.
+    two Generator calls; the loop stops once it has ``extra`` subsets or all
+    2^count - 2 proper ones (so count = 1 makes no call).  Only a ``t52``
+    search that draws a batch calls it, so its draws come first on that
+    search's stream.
     """
     masks = [np.ones(count, dtype=bool)]
     seen = {frozenset(range(count))}
+    wanted = min(extra, 2**count - 2)
     for _ in range(4 * extra):
-        if len(masks) > extra:
+        if len(masks) > wanted:
             break
         size = int(rng.integers(1, count + 1))
         members = frozenset(rng.choice(count, size=size, replace=False).tolist())
@@ -328,11 +333,6 @@ def _top_singular(d: np.ndarray) -> tuple[float, np.ndarray | None]:
     g = adjoint(d) @ np.linalg.eigh(d @ adjoint(d))[1][:, -1]
     norm = np.linalg.norm(g)
     return float(scale * norm), g / norm
-
-
-def _top_right_singular_vector(d: np.ndarray) -> np.ndarray | None:
-    """A unit g with ||D g|| = ||D|| (``_top_singular``); None when D = 0."""
-    return _top_singular(d)[1]
 
 
 def _unit(v: np.ndarray) -> np.ndarray | None:
@@ -369,10 +369,10 @@ def _spectral_witness(d: np.ndarray, l: np.ndarray, top: np.ndarray | None, l_pi
     cols = [top]
     if l.shape[1] > l.shape[0]:
         q = np.linalg.qr(adjoint(l))[0]
-        cols.append(_top_right_singular_vector(d - (d @ q) @ adjoint(q)))
+        cols.append(_top_singular(d - (d @ q) @ adjoint(q))[1])
     yield from _columns(cols)
     l_pinv = l_pinv()
-    y = _top_right_singular_vector(d @ l_pinv)
+    y = _top_singular(d @ l_pinv)[1]
     if y is not None:
         yield from _columns([_unit(l_pinv @ y)])
 
@@ -521,28 +521,19 @@ def _stream(seed: int, field: str, samples: int, first: Callable[[np.random.Gene
     return draw
 
 
-def _decide(lam_sys: GFusionSystem, cert_margin: float, threshold: float, searches, samples: int, seed: int):
-    """Mode, margin, ``inequality_ok`` and sampled margin of a hypothesis over block subsets.
+def _decide(cert_margin: float, threshold: float, searches, draw, samples: int):
+    """Mode, margin, ``inequality_ok`` and sampled margin of a hypothesis.
 
-    A ``cert_margin <= 0`` certifies it.  Otherwise, with samples,
-    ``searches(masks)`` yields one (dim, objective, witness) search per
-    mask, reading the list lazily; a margin above ``threshold`` refutes the
-    hypothesis.  The list holds only the full index set until the first
-    batch is drawn; then ``_subset_masks`` adds up to ``_EXTRA_SUBSETS``
-    random subsets in place, off the stream ahead of that batch.  A
-    refutation by the full set's witness thus draws no mask, which for
-    J <= 3 saves all 28 tries (``_subset_masks``).
+    A ``cert_margin <= 0`` certifies it.  Otherwise, with samples, the
+    (dim, objective, witness) searches that ``searches()`` yields are run
+    with ``draw`` (``_sampled_max_margin``); a margin above ``threshold``
+    refutes the hypothesis.
     """
     if cert_margin <= 0.0:
         return "certified_sufficient", cert_margin, True, None
     if samples == 0:
         return "none", cert_margin, False, None
-    masks = [np.ones(lam_sys.block_count, dtype=bool)]
-
-    def add_subsets(rng):
-        masks[1:] = _subset_masks(rng, lam_sys.block_count, _EXTRA_SUBSETS)[1:]
-
-    sampled = _sampled_max_margin(searches(masks), _stream(seed, lam_sys.field, samples, add_subsets), threshold)
+    sampled = _sampled_max_margin(searches(), draw, threshold)
     return "sampled", sampled, sampled <= threshold, sampled
 
 
@@ -580,6 +571,8 @@ def certify_frame_operator_perturbation(
     subtracted.  The full set scores the witness first: the top right
     singular vector of D, then the ratio witness S^-1 y / ||S^-1 y|| with y
     that of D S^-1, which decides the lam-only hypothesis before any draw.
+    The subsets' masks come off the random stream ahead of its first batch
+    (``_subset_masks``), so a witness refutation draws none.
     """
     a, b, actual = _setup(lam_sys, theta_sys, samples)
     sqrt_a, sqrt_b = np.sqrt(a), np.sqrt(b)
@@ -588,21 +581,26 @@ def certify_frame_operator_perturbation(
     ds = gram_difference_norm(analysis_matrix(lam_sys), analysis_matrix(theta_sys))
     cert_margin = float(ds - (params.lam * a + params.gamma * sqrt_a))
 
-    def searches(masks):
+    masks = [np.ones(lam_sys.block_count, dtype=bool)]
+
+    def add_subsets(rng):
+        masks[1:] = _subset_masks(rng, lam_sys.block_count, _EXTRA_SUBSETS)[1:]
+
+    def searches():
         terms_d = _gram_differences(_row_block_pairs(lam_sys, theta_sys))
         terms_l = _quadratic_terms(lam_sys)
         terms_t = _quadratic_terms(theta_sys) if params.mu else None
-        for mask in masks:
+        for mask in masks:  # read lazily: add_subsets extends the list during the first search
             d_m, l_m = (sum(t for t, keep in zip(terms, mask) if keep) for terms in (terms_d, terms_l))
             t_m = sum(t for t, keep in zip(terms_t, mask) if keep) if params.mu else None
             witness = []
             if mask.all():
-                top = _top_right_singular_vector(d_m)
-                witness = _spectral_witness(d_m, l_m, top, lambda: inverse_frame_operator(lam_sys))  # L^+ = S^-1
+                witness = _spectral_witness(d_m, l_m, _top_singular(d_m)[1], lambda: inverse_frame_operator(lam_sys))
             yield lam_sys.dim, _margin_objective(d_m, l_m, t_m, params, True), witness
 
     threshold = TOL_SAMPLED_MARGIN * max(1.0, b)
-    mode, margin, inequality_ok, sampled_margin = _decide(lam_sys, cert_margin, threshold, searches, samples, seed)
+    draw = _stream(seed, lam_sys.field, samples, add_subsets)
+    mode, margin, inequality_ok, sampled_margin = _decide(cert_margin, threshold, searches, draw, samples)
     holds = bool(inequality_ok and admissible)
     predicted = None
     if admissible:
@@ -679,7 +677,7 @@ def certify_R_condition(
         # stop once r_sampled >= a (the largest float below a is exceeded): the mode is then none
         stop = np.nextafter(a, -np.inf)
         # witness: the top eigenvector of sum_j D_j^H D_j, the top right singular vector of the stacked D_j
-        witness = _columns([_top_right_singular_vector(np.vstack(diffs))])
+        witness = _columns([_top_singular(np.vstack(diffs))[1]])
         draw = _stream(seed, lam_sys.field, samples)
         r_sampled = _sampled_max_margin([(lam_sys.dim, objective, witness)], draw, stop)
         radius = min(r_cert, r_sampled)
@@ -727,15 +725,15 @@ def certify_synthesis_perturbation(
 
     Hypothesis over direct-sum sequences g (and block subsets):
     ``||(T_lam - T_theta) g|| <= lam*||T_lam g|| + mu*||T_theta g|| +
-    gamma*||g||``.  Sound certificate: ``||T_lam - T_theta|| <= gamma``, which
-    covers the full index set only, as the predicted bounds need; the norm
-    and D's top right singular vector come from one eigensolve of the n x n
-    D D^H.  Otherwise the hypothesis is tested on the full index set (the
-    spectral witness first: where ||D g|| peaks, and where it peaks on
-    ker T_lam when M > n; then, if those do not refute, the ratio witness
+    gamma*||g||``.  A block subset's hypothesis is the full index set's on
+    the sequences supported there, so the full set decides them all.  Sound
+    certificate: ``||T_lam - T_theta|| <= gamma``; the norm and D's top right
+    singular vector come from one eigensolve of the n x n D D^H.  Otherwise
+    the hypothesis is searched on the full index set alone: the spectral
+    witness first (where ||D g|| peaks, and where it peaks on ker T_lam when
+    M > n; then, if those do not refute, the ratio witness
     K S^-1 y / ||K S^-1 y|| with y the top right singular vector of the
-    n x n D K S^-1; then samples) plus up to 7 distinct random nonempty
-    subsets, stopping at the first margin above
+    n x n D K S^-1), then samples, stopping at the first margin above
     ``TOL_SAMPLED_MARGIN * max(1, sqrt(B))``, which refutes it.
 
     The published lower bound ``A*(1-(lam+gamma/sqrt(A))^2)/(1+mu)`` and the
@@ -753,19 +751,13 @@ def certify_synthesis_perturbation(
     norm_d, top = _top_singular(d_t)
     cert_margin = float(norm_d - params.gamma)
 
-    def searches(masks):
-        col_blocks = np.repeat(np.arange(lam_sys.block_count), lam_sys.block_dims)
-        for cols in (m[col_blocks] for m in masks):
-            d_m, l_m = d_t[:, cols], t_lam[:, cols]
-            witness = []
-            if cols.all():  # L^+ = K S^-1, so D L^+ is n x n
-                witness = _spectral_witness(
-                    d_m, l_m, top, lambda: analysis_matrix(lam_sys) @ inverse_frame_operator(lam_sys)
-                )
-            yield d_m.shape[1], _margin_objective(d_m, l_m, t_theta[:, cols], params, False), witness
+    def searches():  # L^+ = K S^-1, so D L^+ is n x n
+        witness = _spectral_witness(d_t, t_lam, top, lambda: analysis_matrix(lam_sys) @ inverse_frame_operator(lam_sys))
+        return [(d_t.shape[1], _margin_objective(d_t, t_lam, t_theta, params, False), witness)]
 
     threshold = TOL_SAMPLED_MARGIN * max(1.0, sqrt_b)
-    mode, margin, inequality_ok, sampled_margin = _decide(lam_sys, cert_margin, threshold, searches, samples, seed)
+    draw = _stream(seed, lam_sys.field, samples)
+    mode, margin, inequality_ok, sampled_margin = _decide(cert_margin, threshold, searches, draw, samples)
     holds = bool(inequality_ok and admissible)
     predicted = None
     stated_lower = None

@@ -693,7 +693,7 @@ def test_early_stop_keeps_every_verdict(monkeypatch, theorem, field):
         assert want.mode in ("sampled", "none")
         key = (got.mode, got.hypothesis_holds, got.bracket_ok)  # the exit code follows from these
         assert key == (want.mode, want.hypothesis_holds, want.bracket_ok)
-        searches = 1 if theorem == "cR" else len(_subset_masks(np.random.default_rng(seed), args[0].block_count, 7))
+        searches = len(_subset_masks(np.random.default_rng(seed), args[0].block_count, 7)) if theorem == "t52" else 1
         assert visited == [searches]
         if want.hypothesis_holds:
             held += 1
@@ -754,7 +754,7 @@ def test_spectral_witness_columns_attain_the_norm_and_the_kernel_norm(field):
     rng = np.random.default_rng(field == "complex")
     l_m, d_m = gaussian_matrix(rng, 4, 7, field), gaussian_matrix(rng, 4, 7, field)
     l_pinv = np.linalg.pinv(l_m)
-    first, ratio = perturb._spectral_witness(d_m, l_m, perturb._top_right_singular_vector(d_m), lambda: l_pinv)
+    first, ratio = perturb._spectral_witness(d_m, l_m, perturb._top_singular(d_m)[1], lambda: l_pinv)
     assert first.shape == (7, 2) and ratio.shape == (7, 1)
     w = np.hstack([first, ratio])
     np.testing.assert_allclose(np.linalg.norm(w, axis=0), 1.0, rtol=1e-14)
@@ -766,7 +766,7 @@ def test_spectral_witness_columns_attain_the_norm_and_the_kernel_norm(field):
     ratio_value = np.linalg.norm(d_m @ w[:, 2]) / np.linalg.norm(l_m @ w[:, 2])
     assert ratio_value == pytest.approx(operator_norm(d_m @ l_pinv), rel=1e-12)
     # a square L has no kernel column, and a zero D gives no column at all
-    top = perturb._top_right_singular_vector(d_m[:, :4])
+    top = perturb._top_singular(d_m[:, :4])[1]
     square = perturb._spectral_witness(d_m[:, :4], l_m[:, :4], top, lambda: np.linalg.inv(l_m[:, :4]))
     assert [b.shape for b in square] == [(4, 1), (4, 1)]
     assert list(perturb._spectral_witness(np.zeros((4, 7)), l_m, None, lambda: l_pinv)) == []
@@ -790,7 +790,7 @@ def test_ratio_witness_attains_the_norm_of_d_l_pinv(theorem, field):
         lam = gf.generate("frame", 5, 3, seed=60 + seed, field=field, max_condition=20)
         theta = gf.perturbed_copy(lam, seed=160 + seed, radius=0.3)
         d, l, l_pinv = _full_set_operators(theorem, lam, theta)
-        *_, ratio = perturb._spectral_witness(d, l, perturb._top_right_singular_vector(d), lambda: l_pinv)
+        *_, ratio = perturb._spectral_witness(d, l, perturb._top_singular(d)[1], lambda: l_pinv)
         want = np.linalg.svd(d @ np.linalg.pinv(l), compute_uv=False)[0]
         assert np.linalg.norm(d @ ratio) / np.linalg.norm(l @ ratio) == pytest.approx(want, rel=1e-12)
 
@@ -887,73 +887,122 @@ def test_perturb_sampled_t52_and_cr_requests_draw_nothing(monkeypatch, tmp_path)
 
 
 def test_witness_does_not_overflow_on_huge_entries():
-    d = np.diag([1e200, 3e199])
-    g = perturb._top_right_singular_vector(d)
+    norm, g = perturb._top_singular(np.diag([1e200, 3e199]))
+    assert norm == pytest.approx(1e200, rel=1e-15)
     np.testing.assert_allclose(np.abs(g), [1.0, 0.0], atol=1e-15)
-    assert perturb._top_right_singular_vector(np.zeros((2, 3))) is None
+    assert perturb._top_singular(np.zeros((2, 3))) == (0.0, None)
 
 
 @pytest.mark.parametrize("field", ["real", "complex"])
 @pytest.mark.parametrize("theorem", ["t52", "synth"])
 def test_holding_hypothesis_draws_once_per_subset(monkeypatch, theorem, field):
+    # synth searches the full index set alone: a subset's hypothesis is the full set's on sequences supported there.
     lam = gf.generate("frame", 5, 4, seed=32, field=field, max_condition=20)
     d = 0.2
     theta = scale_blocks(lam, np.sqrt(1 + d) if theorem == "t52" else 1 + d)
     calls = _count_draws(monkeypatch)
     rep = _CERTIFIERS[theorem](lam, theta, gf.PerturbParams(lam=0.6 * d, mu=0.4 * d), samples=200, seed=6)
     assert (rep.mode, rep.hypothesis_holds) == ("sampled", True)
-    assert len(calls) == len(_subset_masks(np.random.default_rng(6), 4, 7)) > 1
+    assert len(calls) == (len(_subset_masks(np.random.default_rng(6), 4, 7)) if theorem == "t52" else 1)
+    assert len(_subset_masks(np.random.default_rng(6), 4, 7)) > 1
 
 
-def _upfront_decide(lam_sys, cert_margin, threshold, searches, samples, seed):
-    """``_decide`` with the subset masks drawn off the stream before the first search, whether it draws or not."""
+@settings(max_examples=60, deadline=None)
+@given(
+    field=st.sampled_from(["real", "complex"]),
+    dims=st.sampled_from([(3, 2), (4, 3), (5, 4), (6, 3), (8, 6)]),
+    seed=st.integers(0, 2**20),
+    lam_c=st.floats(0.0, 0.99),
+    mu_c=st.floats(0.0, 0.99),
+    gamma=st.floats(0.0, 2.0),
+)
+def test_synthesis_subset_margin_is_the_full_set_margin_at_the_padded_sequence(field, dims, seed, lam_c, mu_c, gamma):
+    # Why synth searches the full index set alone: on a block subset's columns of (D, T_lam, T_theta), the
+    # margin at g is the full set's at g padded with zeros, so no subset refutes what the full set does not.
+    lam = gf.generate("frame", *dims, seed=seed, field=field, max_condition=50)
+    theta = gf.perturbed_copy(lam, seed=seed + 1, radius=0.3)
+    rng = np.random.default_rng(seed)
+    mask = rng.integers(0, 2, lam.block_count).astype(bool)
+    mask[rng.integers(lam.block_count)] = True
+    cols = mask[np.repeat(np.arange(lam.block_count), lam.block_dims)]
+    t_lam, t_theta = gf.synthesis_matrix(lam), gf.synthesis_matrix(theta)
+    params = gf.PerturbParams(lam=lam_c, mu=mu_c, gamma=gamma)
+    g = random_unit_vectors(rng, int(cols.sum()), 3, field)
+    sub = _margin_objective(t_lam[:, cols] - t_theta[:, cols], t_lam[:, cols], t_theta[:, cols], params, False)
+    full = _margin_objective(t_lam - t_theta, t_lam, t_theta, params, False)
+    padded = np.zeros((cols.size, g.shape[1]), dtype=g.dtype)
+    padded[cols] = g
+    got, want = sub(g, grad=False)[0], full(padded, grad=False)[0]
+    scale = operator_norm(t_lam - t_theta) + lam_c * operator_norm(t_lam) + mu_c * operator_norm(t_theta) + gamma
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * scale)
+
+
+def test_subset_masks_stop_once_every_proper_subset_is_found():
+    class Counted:  # the two Generator methods _subset_masks calls, counted
+        def __init__(self, rng):
+            self.rng, self.calls = rng, 0
+
+        def integers(self, *args, **kwargs):
+            self.calls += 1
+            return self.rng.integers(*args, **kwargs)
+
+        def choice(self, *args, **kwargs):
+            self.calls += 1
+            return self.rng.choice(*args, **kwargs)
+
+    rng = np.random.default_rng(5)
+    state = rng.bit_generator.state
+    assert [m.tolist() for m in _subset_masks(rng, 1, 7)] == [[True]]
+    assert rng.bit_generator.state == state
+    # J = 3 has 6 proper subsets; the 4 * 7 tries are random, so a seed that finds all of them is fixed here.
+    counted = Counted(np.random.default_rng(0))
+    masks = _subset_masks(counted, 3, 7)
+    assert masks[0].all() and len({tuple(m) for m in masks}) == len(masks) == 7
+    assert counted.calls < 2 * 4 * 7
+
+
+def test_lemma_witness_refutes_before_any_draw(monkeypatch):
+    # I - U = diag(0.8, -2) peaks at e_2: ||x - Ux|| - 0.1 - 0.5 ||Ux|| = 2 - 0.1 - 1.5 there.
+    calls = _count_draws(monkeypatch)
+    rep = gf.check_invertibility_lemma(np.diag([0.2, 3.0]), 0.1, 0.5, samples=50, seed=3)
+    assert (rep.hypothesis_holds, len(calls)) == (False, 0)
+    assert rep.hypothesis_margin == pytest.approx(0.4, rel=1e-12)
+    rep = gf.check_invertibility_lemma(1.05 * np.eye(3), 0.1, 0.0, samples=50, seed=3)
+    assert (rep.hypothesis_holds, len(calls)) == (True, 1)
+
+
+def _upfront_decide(cert_margin, threshold, searches, draw, samples):
+    """``_decide`` with the first batch, and so t52's subset masks, drawn before any search is built or scored.
+
+    That batch is handed back at the first search's draw.
+    """
     if cert_margin <= 0.0:
         return "certified_sufficient", cert_margin, True, None
     if samples == 0:
         return "none", cert_margin, False, None
-    rng = np.random.default_rng(seed)
-    masks = _subset_masks(rng, lam_sys.block_count, 7)
-
-    def draw(dim):
-        return random_unit_vectors(rng, dim, samples, lam_sys.field)
-
-    sampled = perturb._sampled_max_margin(searches(masks), draw, threshold)
+    batches = [draw(next(iter(searches()))[0])]  # the masks come off the stream ahead of this batch
+    sampled = perturb._sampled_max_margin(searches(), lambda dim: batches.pop() if batches else draw(dim), threshold)
     return "sampled", sampled, sampled <= threshold, sampled
 
 
-def _square_synthesis_pair(field, seed):
-    """n = 4 and two blocks of two direct-sum coordinates (M = n, so T_lam has no kernel), each block moved."""
-    rng = np.random.default_rng(seed)
-    blocks = [(np.linalg.qr(gaussian_matrix(rng, 4, 2, field))[0], gaussian_matrix(rng, 2, 4, field)) for _ in range(2)]
-    moved = [(q, op * (1 + rng.uniform(-0.5, 0.5)) + 0.1 * gaussian_matrix(rng, 2, 4, field)) for q, op in blocks]
-    lam, theta = (gf.make_system(4, field, [(1.0, q, op) for q, op in b]) for b in (blocks, moved))
-    lam_c, mu_c, gamma = (float(rng.uniform(0, top)) for top in (0.6, 0.6, 0.3))
-    return lam, theta, gf.PerturbParams(lam=lam_c, mu=mu_c, gamma=gamma)
-
-
 @pytest.mark.parametrize("field", ["real", "complex"])
-@pytest.mark.parametrize("theorem", ["t52", "synth"])
-def test_masks_drawn_with_the_first_batch_keep_every_report(monkeypatch, theorem, field):
-    # Searches that draw: one that holds (every subset drawn), one refuted on a random subset.  The masks come
+def test_masks_drawn_with_the_first_batch_keep_every_report(monkeypatch, field):
+    # t52 searches that draw: one that holds (every subset drawn), one refuted on a random subset.  The masks come
     # off the stream ahead of the first batch, so each report is bit for bit the one of masks drawn up front.
     lam = gf.generate("frame", 5, 4, seed=32, field=field, max_condition=20)
-    held = scale_blocks(lam, np.sqrt(1.2) if theorem == "t52" else 1.2)
-    cases = [((lam, held, gf.PerturbParams(lam=0.12, mu=0.08)), 200, 6)]
-    if theorem == "t52":  # alternating block scales: the full set holds, a subset does not
-        lam = gf.generate("frame", 5, 4, seed=5, field=field, max_condition=20)
-        cases.append(((lam, scale_blocks(lam, np.sqrt([1.2, 0.8, 1.2, 0.8])), gf.PerturbParams(lam=0.3)), 200, 6))
-    else:  # a subset's hypothesis is the full set's on sequences supported there: 5 samples missed it on the full set
-        seed = {"real": 884, "complex": 556}[field]
-        cases.append((_square_synthesis_pair(field, seed), 5, seed))
+    cases = [((lam, scale_blocks(lam, np.sqrt(1.2)), gf.PerturbParams(lam=0.12, mu=0.08)), 200, 6)]
+    # alternating block scales: the full set holds, a subset does not
+    lam = gf.generate("frame", 5, 4, seed=5, field=field, max_condition=20)
+    cases.append(((lam, scale_blocks(lam, np.sqrt([1.2, 0.8, 1.2, 0.8])), gf.PerturbParams(lam=0.3)), 200, 6))
     for (args, samples, seed), holds in zip(cases, (True, False)):
         draws, masks = [], []
         with monkeypatch.context() as m:
             m.setattr(perturb, "random_unit_vectors", lambda *a: draws.append(a) or random_unit_vectors(*a))
             m.setattr(perturb, "_subset_masks", lambda *a: masks.append(a) or _subset_masks(*a))
-            got = _CERTIFIERS[theorem](*args, samples=samples, seed=seed)
+            got = gf.certify_frame_operator_perturbation(*args, samples=samples, seed=seed)
         with monkeypatch.context() as m:
             m.setattr(perturb, "_decide", _upfront_decide)
-            want = _CERTIFIERS[theorem](*args, samples=samples, seed=seed)
+            want = gf.certify_frame_operator_perturbation(*args, samples=samples, seed=seed)
         assert (got.mode, got.sampled_margin > 0.0, len(masks)) == ("sampled", not holds, 1)
         assert len(draws) >= 2  # a random subset's batch was drawn
         if holds:
@@ -962,12 +1011,14 @@ def test_masks_drawn_with_the_first_batch_keep_every_report(monkeypatch, theorem
 
 
 def test_sampled_search_holds_one_batch_at_a_time(monkeypatch):
-    # n = 4 and M' = 300 direct-sum coordinates: each batch (M'_I x 2000
-    # complex) dwarfs the screening products (4 x 2000) and the matrices.
-    rng = np.random.default_rng(9)
-    eye = np.eye(4, dtype=complex)
-    lam = gf.make_system(4, "complex", [(1.0, eye, gaussian_matrix(rng, 100, 4, "complex")) for _ in range(3)])
-    theta = scale_blocks(lam, 1.2)
+    # t52 on n = 5, J = 4 (the full set and 7 subsets, every one drawn since the hypothesis holds): at
+    # 50000 complex samples a batch (2 MB) dwarfs the 5 x 5 matrices, so the search's peak is the
+    # screening of one batch (the batch and its products), and a second live batch would add one more.
+    lam = gf.generate("frame", 5, 4, seed=32, field="complex", max_condition=20)
+    theta = scale_blocks(lam, np.sqrt(1.2))
+    params = gf.PerturbParams(lam=0.12, mu=0.08)
+    d, l, _ = _full_set_operators("t52", lam, theta)
+    objective = _margin_objective(d, l, gf.frame_operator(theta), params, True)
     batches = []
 
     def recorded(*args):
@@ -979,14 +1030,18 @@ def test_sampled_search_holds_one_batch_at_a_time(monkeypatch):
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        rep = gf.certify_synthesis_perturbation(lam, theta, gf.PerturbParams(lam=0.12, mu=0.08), samples=2000, seed=6)
+        objective(random_unit_vectors(np.random.default_rng(0), 5, 50000, "complex"), grad=False)
+        screening = tracemalloc.get_traced_memory()[1] - base
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        rep = gf.certify_frame_operator_perturbation(lam, theta, params, samples=50000, seed=6)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
     assert (rep.mode, rep.hypothesis_holds) == ("sampled", True)
-    assert len(batches) > 1 and batches[0] == max(batches) == 300 * 2000 * 16
-    # the full set's batch is freed before any subset's is drawn
-    assert peak < max(batches) + min(batches), (peak, batches)
+    assert len(batches) == 8 and min(batches) == max(batches) == 5 * 50000 * 16
+    # each batch is freed before the next one is drawn
+    assert peak < screening + min(batches), (peak, screening, batches)
 
 
 def test_gamma_must_be_finite_and_nonnegative():
