@@ -16,7 +16,8 @@ Matrices are row-major nested lists of plain numbers (ints are accepted,
 booleans are not); complex entries are [re, im] pairs or plain numbers.
 Subspace matrices hold spanning columns; columns that are already
 orthonormal are kept verbatim (so canonical files round-trip exactly),
-anything else is orthonormalized on load.
+anything else is orthonormalized on load.  A read holds the file's text and
+one subsystem's lists at a time, never the whole file's (`_read_json`).
 """
 
 from __future__ import annotations
@@ -76,34 +77,46 @@ def _entry_from_data(x, field: str, where: str) -> complex | float:
 _PLAIN_NUMBERS = {int, float}
 
 
+def _compact(rows) -> np.ndarray | None:
+    """The float64 parts (rows x width, x 2 for [re, im] pairs) of a non-empty list of equal-length rows, or None.
+
+    One np.array call takes entries that are all plain numbers or all pairs of them (by exact type: not bool).
+    The per-entry path names any other entry, an int too large for a float and a non-finite number (1e400).
+    """
+    if type(rows) is not list or set(map(type, rows)) != {list} or len(set(map(len, rows))) != 1:
+        return None
+    items, shape = rows, (len(rows), len(rows[0]))
+    leaf_types = set(map(type, chain.from_iterable(rows)))
+    if leaf_types == {list} and set(map(len, chain.from_iterable(rows))) == {2}:
+        items, shape = list(chain.from_iterable(chain.from_iterable(rows))), shape + (2,)
+        leaf_types = set(map(type, items))
+    if not leaf_types <= _PLAIN_NUMBERS:
+        return None
+    try:
+        parts = np.array(items, dtype=np.float64).reshape(shape)
+    except OverflowError:
+        return None
+    return parts if np.isfinite(parts).all() else None
+
+
+class _Parts(tuple):
+    """(parts,): a matrix that `_read_json` compacted while parsing, so no caller of the library can pass one."""
+
+
 def matrix_from_data(data, field: str, where: str) -> np.ndarray:
+    dtype = np.complex128 if field == "complex" else np.float64
+    parts = data[0] if type(data) is _Parts else _compact(data)
+    if parts is not None and parts.ndim == 3 and field == "real":
+        raise SystemFileError(f"{where}[0][0]: real entries must be plain numbers")
+    if parts is not None:
+        return parts.view(np.complex128)[..., 0] if parts.ndim == 3 else parts.astype(dtype, copy=False)
     if not isinstance(data, list) or not data or not all(isinstance(r, list) for r in data):
         raise SystemFileError(f"{where}: expected a non-empty list of rows")
     width = len(data[0])
     for i, row in enumerate(data):
         if len(row) != width:
             raise SystemFileError(f"{where}[{i}]: ragged row (expected {width} entries, got {len(row)})")
-    dtype = np.complex128 if field == "complex" else np.float64
-    # Whole-matrix fast paths: leaf types are checked by exact type (so bool,
-    # a subclass of int, is left to the per-entry path) and one np.array call
-    # converts every entry: real rows as nested lists, [re, im] pairs flattened
-    # once, as float64 parts whose memory layout is that of complex128.
-    items = data
-    leaf_types = set(map(type, chain.from_iterable(data)))
-    pairs = field == "complex" and leaf_types == {list} and set(map(len, chain.from_iterable(data))) == {2}
-    if pairs:
-        items = list(chain.from_iterable(chain.from_iterable(data)))
-        leaf_types = set(map(type, items))
-    if leaf_types <= _PLAIN_NUMBERS:
-        try:
-            parts = np.array(items, dtype=np.float64)
-        except OverflowError:
-            parts = None  # an int too large for a float; the per-entry path names it
-        # A non-finite entry (1e400 parses as inf) is also named per entry.
-        if parts is not None and np.isfinite(parts).all():
-            return parts.view(np.complex128).reshape(len(data), width) if pairs else parts.astype(dtype, copy=False)
-    # Per entry: names the offending entry, and accepts complex matrices that
-    # mix plain numbers and [re, im] pairs.
+    # Per entry: names the offending entry, and accepts complex rows that mix plain numbers and [re, im] pairs.
     rows = [
         [_entry_from_data(x, field, f"{where}[{i}][{k}]") for k, x in enumerate(row)] for i, row in enumerate(data)
     ]
@@ -167,7 +180,7 @@ def read_system(path: str) -> tuple[GFusionSystem, str]:
     """Load a system file; also return the sha256 hex digest of the bytes that were parsed."""
     try:
         data, digest = _read_json(path)
-    except OSError as exc:
+    except (OSError, RecursionError) as exc:  # RecursionError: nesting too deep for the parser
         raise SystemFileError(f"{path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise SystemFileError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
@@ -176,12 +189,35 @@ def read_system(path: str) -> tuple[GFusionSystem, str]:
     return system_from_dict(data), digest
 
 
-def _read_json(path: str) -> tuple[Any, str]:
-    """Parse a file's UTF-8 JSON text; return it with the sha256 hex digest of the file's bytes.
+_scan = json.JSONDecoder().scan_once  # the C scanner, with json.loads's defaults
 
-    One read of the bytes serves both.  CR is JSON whitespace, so the text
-    parses as the newline-translated text of a text-mode read would; a syntax
-    error is located in the translated text, as a text-mode read locates it.
+
+def _scan_block(text: str, end: int) -> tuple[Any, int]:
+    """Scan one element of a top-level array; an object's (a subsystem's) matrices are compacted at once."""
+    value, end = _scan(text, end)
+    for key in ("subspace", "lambda") if type(value) is dict else ():
+        parts = _compact(value.get(key))
+        if parts is not None:
+            value[key] = _Parts((parts,))
+    return value, end
+
+
+def _scan_value(text: str, end: int) -> tuple[Any, int]:
+    """Scan one value of the top-level object, an array one element at a time."""
+    if text.startswith("[", end):
+        return json.decoder.JSONArray((text, end + 1), _scan_block)
+    return _scan(text, end)
+
+
+def _read_json(path: str) -> tuple[Any, str]:
+    """Parse a file's UTF-8 JSON text as json.loads does; return it with the sha256 hex digest of the bytes.
+
+    One read of the bytes serves both.  The stdlib's pure-Python helpers parse
+    the top-level object and its arrays, and its C scanner each value in them,
+    so each subsystem's matrices are compacted as soon as it is parsed (the
+    read holds the text and one subsystem's lists).  Anything else, and any
+    syntax error, is left to json.loads of the newline-translated text (CR is
+    JSON whitespace), so an error is located as a text-mode read locates it.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -189,10 +225,14 @@ def _read_json(path: str) -> tuple[Any, str]:
     text = raw.decode("utf-8")
     del raw  # parse with only the text alive, as after a text-mode read
     try:
-        return json.loads(text), digest
+        start = json.decoder.WHITESPACE.match(text, 0).end()
+        if text.startswith("{", start):
+            data, end = json.decoder.JSONObject((text, start + 1), True, _scan_value, None, None)
+            if json.decoder.WHITESPACE.match(text, end).end() == len(text):
+                return data, digest
     except json.JSONDecodeError:
-        json.loads(text.replace("\r\n", "\n").replace("\r", "\n"))
-        raise
+        pass
+    return json.loads(text.replace("\r\n", "\n").replace("\r", "\n")), digest
 
 
 def load_system(path: str) -> GFusionSystem:
