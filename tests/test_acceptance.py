@@ -288,5 +288,5 @@ def test_criterion_7_invertibility_lemma():
 
 def test_criterion_8_cli_determinism_and_round_trip(tmp_path):
     names = replay_golden(tmp_path)
-    assert len(names) == 19
+    assert len(names) == 20
     _pass(8, "CLI determinism and golden files")

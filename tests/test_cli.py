@@ -394,4 +394,4 @@ class TestParseDiagnostics:
 
 def test_golden_files(tmp_path):
     names = replay_golden(tmp_path)
-    assert len(names) == 19
+    assert len(names) == 20
