@@ -21,50 +21,55 @@ every report labels the guarantee it carries:
 * ``none`` -- the hypothesis could not be established.
 
 The three sampled certifiers share one search, ``_sampled_max_margin``,
-whose shape is fixed by module constants.  A search may carry a
-deterministic witness, scored first, block by block (``_spectral_witness``):
-for ``t52`` and ``synth`` on the full index set, the top right singular
-vector of D = L - T (the reference operator L the hypothesis compares with,
-minus its perturbed counterpart T), and, when L has more columns than rows,
-also that of D restricted to ker L, where the terms in L vanish; then, only
-if those do not refute, the ratio witness L^+ y / ||L^+ y||, y the top right
-singular vector of D L^+, where ||D g|| / ||L g|| reaches ||D L^+||.  L^+ is
-S^-1 for ``t52`` and K S^-1 for ``synth``, from the cached S^-1, so every
-matrix involved is n x n.  With only the lam term (mu = gamma = 0) these
-witnesses refute exactly when the full-set hypothesis is false.  For the
-radius condition the witness is the top eigenvector of sum_j D_j^H D_j.
-Only then does sampling evaluate the hypothesis's margin (the radius
-condition: its summed-norm functional) on ``samples`` random unit vectors
-per search, and run projected-gradient ascent on the unit sphere from the
-``_ASCENT_TOP`` (5) worst of them.  ``synth`` and the radius condition run
-one search, on the full index set: a block subset's synthesis hypothesis is
-the full set's on direct-sum sequences supported there, so no subset can
-refute what the full set does not.  ``t52``'s sums over a subset are other
-operators, so it searches the full set plus up to ``_EXTRA_SUBSETS`` (7)
-random subsets.  The starts of a search ascend together: each takes at most
-``_ASCENT_STEPS`` (50) steps, with its own step size and stopping rules, and
-every step evaluates the margin and its gradient once, on all the candidate
-columns.  Terms whose coefficient is 0 are not evaluated.
+the only place that fixes its order; its shape is fixed by module
+constants.  ``t52`` and ``synth`` state their hypothesis as operators: the
+full index set's D = L - T (the reference operator L the hypothesis
+compares with, minus its perturbed counterpart T), and for ``t52`` the
+same sums over random block subsets, whose masks come off the search's
+random stream.  ``_decide`` turns them into margins and the witness.  The
+search runs in this order and stops at the first margin above the
+threshold, which refutes the hypothesis:
 
-A single vector whose margin exceeds the threshold refutes a hypothesis that
-quantifies over every vector and subset, so the search stops at the first
-such margin: at the witness, before any draw, or at the starts or after any
-ascent step, and before later subsets are built or drawn.  A ``sampled``
-refutation may therefore come without a single random draw, and then it
-touches no random stream either: a search makes its Generator when it draws
-its first batch, and ``t52`` draws its random subsets' masks from it then,
-ahead of that batch, so a refutation by the full set's witness draws no
-mask.  A refuted report's sampled margin (or radius) is then the worst seen
-up to that point: still a witness, and a lower bound on the worst over all
-subsets after full ascent.  A hypothesis that holds never stops early, so
-its report is what the exhaustive search gives, the witness's margin
-included.  The invertibility lemma scores its witness, the top right
-singular vector of I - U, before its draw, and one above ``margin_tol``
-refutes without a draw.
+1. a deterministic witness, block by block (``_spectral_witness``): for
+   ``t52`` and ``synth``, the top right singular vector of the full set's
+   D, and, when L has more columns than rows, also that of D restricted to
+   ker L, where the terms in L vanish; then, only if those do not refute,
+   the ratio witness L^+ y / ||L^+ y||, y the top right singular vector of
+   D L^+, where ||D g|| / ||L g|| reaches ||D L^+||.  L^+ is S^-1 for
+   ``t52`` and K S^-1 for ``synth``, from the cached S^-1, so every matrix
+   involved is n x n.  With only the lam term (mu = gamma = 0) these
+   witnesses refute exactly when the full-set hypothesis is false.  For
+   the radius condition (its margin is its summed-norm functional) the
+   witness is the top eigenvector of sum_j D_j^H D_j;
+2. the Generator, seeded with ``seed``;
+3. ``t52``'s up to ``_EXTRA_SUBSETS`` (7) random subset masks, off that
+   stream;
+4. one batch of ``samples`` random unit vectors per index set, the full
+   set first: its margins are screened, and projected-gradient ascent on
+   the unit sphere runs from the ``_ASCENT_TOP`` (5) worst.  The starts
+   ascend together: each takes at most ``_ASCENT_STEPS`` (50) steps, with
+   its own step size and stopping rules, and every step evaluates the
+   margin and its gradient once, on all the candidate columns.  Terms
+   whose coefficient is 0 are not evaluated.
+
+``synth`` and the radius condition search the full index set alone: a
+block subset's synthesis hypothesis is the full set's on direct-sum
+sequences supported there, so no subset can refute what the full set does
+not.  ``t52``'s sums over a subset are other operators.  The stop comes at
+the witness, at a screening or after any ascent step, and nothing after it
+is built or drawn: a refutation by the witness seeds no Generator and
+draws no mask.  A refuted report's sampled margin (or radius) is then the
+worst seen up to that point: still a witness, and a lower bound on the
+worst over all subsets after full ascent.  A hypothesis that holds never
+stops early, so its report is what the exhaustive search gives, the
+witness's margin included.  The invertibility lemma scores its witness,
+the top right singular vector of I - U, before its draw, and one above
+``margin_tol`` refutes without a draw.
 """
 
 from __future__ import annotations
 
+import itertools
 from collections.abc import Callable, Iterable
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -467,73 +472,65 @@ def _margin_objective(d_m, l_m, t_m, params: PerturbParams, quad_form: bool):
     return objective
 
 
-def _sampled_max_margin(
-    searches: Iterable[tuple[int, Callable, Iterable[np.ndarray]]], draw: Callable[[int], np.ndarray], stop_above: float
-) -> float:
-    """Worst value over the given (dim, objective, witness) searches (objectives as in ``_ascend``).
+def _sampled_max_margin(dim: int, objective, witness: Iterable[np.ndarray], stop_above: float, seed: int, field: str,
+                        samples: int, subsets=lambda rng: ()) -> float:
+    """Worst value of ``objective`` (as in ``_ascend``) found on unit vectors in ``dim``; the one search order.
 
-    Each search first scores its witness blocks of unit columns in order,
-    one objective call per block and no draw; a block is built only after
-    the one before it is scored.  It then draws its batch of random unit
-    vectors, ``draw(dim)``, screens them with one objective call, and
-    ascends from the ``_ASCENT_TOP`` largest; one search's batch is freed
+    The ``witness`` blocks of unit columns are scored first, in order, one
+    objective call per block and no draw; a block is built only after the
+    one before it is scored.  Then the Generator is seeded with ``seed``, and
+    ``subsets(rng)`` takes its share of the stream at once (``t52``'s subset
+    masks) and gives the further objectives, on ``dim`` too, each built only
+    when its turn comes.  For ``objective`` and then each of those, a batch
+    of ``samples`` random unit vectors is drawn, screened with one objective
+    call, and ascended from its ``_ASCENT_TOP`` largest; a batch is freed
     before the next is drawn.  Stops at the first value above
     ``stop_above``, which refutes the hypothesis: the result is then the
-    worst value seen so far.  A witness block that refutes leaves the later
-    blocks unbuilt and its search's batch undrawn, and searches after the
-    refuting one are neither built nor drawn.  A search whose arithmetic
-    overflows, at a witness, the screening or any ascent step, raises
-    NonFiniteInput rather than give or drop a non-finite margin.
+    worst value seen so far, and nothing after it is built or drawn (after a
+    witness, not even the Generator).  Arithmetic that overflows, at a
+    witness, the screening or any ascent step, raises NonFiniteInput rather
+    than give or drop a non-finite margin.
     """
     worst = -np.inf
     with _finite_margins():
-        for dim, objective, witness in searches:
-            for cols in witness:
-                worst = max(worst, objective(cols, grad=False)[0].max())
-                if worst > stop_above:
-                    return float(worst)
-            f_batch = draw(dim)
-            values, _ = objective(f_batch, grad=False)
+        for cols in witness:
+            worst = max(worst, objective(cols, grad=False)[0].max())
+            if worst > stop_above:
+                return float(worst)
+        rng = np.random.default_rng(seed)
+        for search in itertools.chain([objective], subsets(rng)):  # subsets(rng) runs now, ahead of the first batch
+            f_batch = random_unit_vectors(rng, dim, samples, field)
+            values, _ = search(f_batch, grad=False)
             starts = f_batch[:, np.argsort(values)[::-1][:_ASCENT_TOP]]
-            del f_batch, values  # free the batch before the ascent and the next search's draw
-            worst = max(worst, _ascend(objective, starts, _ASCENT_STEPS, stop_above).max(initial=-np.inf))
+            del f_batch, values  # free the batch before the ascent and the next draw
+            worst = max(worst, _ascend(search, starts, _ASCENT_STEPS, stop_above).max(initial=-np.inf))
             if worst > stop_above:
                 break
     return float(worst)
 
 
-def _stream(seed: int, field: str, samples: int, first: Callable[[np.random.Generator], None] = lambda rng: None):
-    """``draw(dim)``: ``samples`` random unit vectors in ``dim`` from one Generator seeded with ``seed``.
+def _decide(cert_margin: float, threshold: float, hypothesis, params: PerturbParams, quad_form: bool, seed: int,
+            field: str, samples: int):
+    """Mode, margin, ``inequality_ok`` and sampled margin of a ``t52`` or ``synth`` hypothesis.
 
-    The Generator is made on the first draw, and ``first(rng)`` takes its
-    share of the stream then, before that batch: a search that never draws
-    touches no random stream.
-    """
-    rng = None
-
-    def draw(dim: int) -> np.ndarray:
-        nonlocal rng
-        if rng is None:
-            rng = np.random.default_rng(seed)
-            first(rng)
-        return random_unit_vectors(rng, dim, samples, field)
-
-    return draw
-
-
-def _decide(cert_margin: float, threshold: float, searches, draw, samples: int):
-    """Mode, margin, ``inequality_ok`` and sampled margin of a hypothesis.
-
-    A ``cert_margin <= 0`` certifies it.  Otherwise, with samples, the
-    (dim, objective, witness) searches that ``searches()`` yields are run
-    with ``draw`` (``_sampled_max_margin``); a margin above ``threshold``
-    refutes the hypothesis.
+    A ``cert_margin <= 0`` certifies it.  Otherwise, with samples,
+    ``hypothesis()`` gives the full index set's (D, L, T), D's top right
+    singular vector, a thunk of L^+ and ``subsets``: rng -> the (D, L, T) of
+    further index sets, drawing what it needs from rng when called.  The full
+    set's ``_margin_objective`` is searched with its ``_spectral_witness``,
+    then the further sets' (``_sampled_max_margin``); a margin above
+    ``threshold`` refutes the hypothesis.
     """
     if cert_margin <= 0.0:
         return "certified_sufficient", cert_margin, True, None
     if samples == 0:
         return "none", cert_margin, False, None
-    sampled = _sampled_max_margin(searches(), draw, threshold)
+    with _finite_margins():
+        d, l, t, top, l_pinv, subsets = hypothesis()
+    sampled = _sampled_max_margin(
+        d.shape[1], _margin_objective(d, l, t, params, quad_form), _spectral_witness(d, l, top, l_pinv), threshold,
+        seed, field, samples, lambda rng: (_margin_objective(*ops, params, quad_form) for ops in subsets(rng)),
+    )
     return "sampled", sampled, sampled <= threshold, sampled
 
 
@@ -581,26 +578,24 @@ def certify_frame_operator_perturbation(
     ds = gram_difference_norm(analysis_matrix(lam_sys), analysis_matrix(theta_sys))
     cert_margin = float(ds - (params.lam * a + params.gamma * sqrt_a))
 
-    masks = [np.ones(lam_sys.block_count, dtype=bool)]
-
-    def add_subsets(rng):
-        masks[1:] = _subset_masks(rng, lam_sys.block_count, _EXTRA_SUBSETS)[1:]
-
-    def searches():
+    def hypothesis():
         terms_d = _gram_differences(_row_block_pairs(lam_sys, theta_sys))
         terms_l = _quadratic_terms(lam_sys)
         terms_t = _quadratic_terms(theta_sys) if params.mu else None
-        for mask in masks:  # read lazily: add_subsets extends the list during the first search
-            d_m, l_m = (sum(t for t, keep in zip(terms, mask) if keep) for terms in (terms_d, terms_l))
-            t_m = sum(t for t, keep in zip(terms_t, mask) if keep) if params.mu else None
-            witness = []
-            if mask.all():
-                witness = _spectral_witness(d_m, l_m, _top_singular(d_m)[1], lambda: inverse_frame_operator(lam_sys))
-            yield lam_sys.dim, _margin_objective(d_m, l_m, t_m, params, True), witness
 
-    threshold = TOL_SAMPLED_MARGIN * max(1.0, b)
-    draw = _stream(seed, lam_sys.field, samples, add_subsets)
-    mode, margin, inequality_ok, sampled_margin = _decide(cert_margin, threshold, searches, draw, samples)
+        def on(mask):  # the (D, L, T) sums over the blocks in mask; T only when mu weighs it
+            return tuple(None if terms is None else sum(x for x, keep in zip(terms, mask) if keep)
+                         for terms in (terms_d, terms_l, terms_t))
+
+        def subsets(rng):  # the masks come off rng at once; a subset's sums are built when it is searched
+            return map(on, _subset_masks(rng, lam_sys.block_count, _EXTRA_SUBSETS)[1:])
+
+        d, l, t = on(np.ones(lam_sys.block_count, dtype=bool))
+        return d, l, t, _top_singular(d)[1], lambda: inverse_frame_operator(lam_sys), subsets
+
+    mode, margin, inequality_ok, sampled_margin = _decide(
+        cert_margin, TOL_SAMPLED_MARGIN * max(1.0, b), hypothesis, params, True, seed, lam_sys.field, samples
+    )
     holds = bool(inequality_ok and admissible)
     predicted = None
     if admissible:
@@ -678,8 +673,7 @@ def certify_R_condition(
         stop = np.nextafter(a, -np.inf)
         # witness: the top eigenvector of sum_j D_j^H D_j, the top right singular vector of the stacked D_j
         witness = _columns([_top_singular(np.vstack(diffs))[1]])
-        draw = _stream(seed, lam_sys.field, samples)
-        r_sampled = _sampled_max_margin([(lam_sys.dim, objective, witness)], draw, stop)
+        r_sampled = _sampled_max_margin(lam_sys.dim, objective, witness, stop, seed, lam_sys.field, samples)
         radius = min(r_cert, r_sampled)
         if r_sampled < a:
             mode = "sampled"
@@ -751,13 +745,13 @@ def certify_synthesis_perturbation(
     norm_d, top = _top_singular(d_t)
     cert_margin = float(norm_d - params.gamma)
 
-    def searches():  # L^+ = K S^-1, so D L^+ is n x n
-        witness = _spectral_witness(d_t, t_lam, top, lambda: analysis_matrix(lam_sys) @ inverse_frame_operator(lam_sys))
-        return [(d_t.shape[1], _margin_objective(d_t, t_lam, t_theta, params, False), witness)]
+    def l_pinv():  # K S^-1, so D L^+ is n x n
+        return analysis_matrix(lam_sys) @ inverse_frame_operator(lam_sys)
 
-    threshold = TOL_SAMPLED_MARGIN * max(1.0, sqrt_b)
-    draw = _stream(seed, lam_sys.field, samples)
-    mode, margin, inequality_ok, sampled_margin = _decide(cert_margin, threshold, searches, draw, samples)
+    mode, margin, inequality_ok, sampled_margin = _decide(
+        cert_margin, TOL_SAMPLED_MARGIN * max(1.0, sqrt_b), lambda: (d_t, t_lam, t_theta, top, l_pinv, lambda rng: ()),
+        params, False, seed, lam_sys.field, samples,
+    )
     holds = bool(inequality_ok and admissible)
     predicted = None
     stated_lower = None

@@ -138,6 +138,16 @@ class TestFrameOperatorCertifier:
             assert rep.mode == "certified_sufficient"
             assert rep.hypothesis_holds and rep.bracket_ok
 
+    def test_certified_hypothesis_builds_no_search(self, monkeypatch):
+        # The hypothesis's per-block terms and sums are built only once the certificate fails.
+        lam = gf.generate("riesz", 16, 4, seed=5)
+        theta = gf.perturbed_copy(lam, seed=6, radius=0.01)
+        built = []
+        for name in ("_gram_differences", "_quadratic_terms", "_margin_objective"):
+            monkeypatch.setattr(perturb, name, lambda *a, name=name: built.append(name))
+        rep = gf.certify_frame_operator_perturbation(lam, theta, gf.PerturbParams(lam=0.5, mu=0.5), seed=0)
+        assert (rep.mode, built) == ("certified_sufficient", [])
+
     def test_sampled_mode_full_space_scaling(self):
         # One full-space block: every sampled subset is the whole set and the
         # margin stays bounded away from zero, so the sampled check holds.
@@ -660,21 +670,23 @@ _CERTIFIERS = {
 }
 
 
+_search = perturb._sampled_max_margin  # the real search, for the stand-ins below that wrap it
+
+
 def _exhaustive_report(monkeypatch, certify, args, samples, seed):
-    """The certifier's report with the stop removed, and how many subsets its search visited."""
+    """The certifier's report from the real search with the stop removed, and how many index sets it searched."""
     visited = []
 
-    def full_search(searches, draw, stop_above):
-        worst, count = -np.inf, 0
-        for count, (dim, objective, witness) in enumerate(searches, 1):
-            for cols in witness:
-                worst = max(worst, objective(cols, grad=False)[0].max())
-            f_batch = draw(dim)
-            margins, _ = objective(f_batch, grad=False)
-            order = np.argsort(margins)[::-1][:5]
-            worst = max(worst, _ascend(objective, f_batch[:, order], 50).max(initial=-np.inf))
-        visited.append(count)
-        return float(worst)
+    def full_search(dim, objective, witness, stop_above, seed, field, samples, subsets=lambda rng: ()):
+        count = [1]
+
+        def counted(rng):
+            rest = subsets(rng)  # the masks come off the stream now, as in the real search
+            return (count.append(1) or later for later in rest)
+
+        worst = _search(dim, objective, witness, np.inf, seed, field, samples, counted)
+        visited.append(len(count))
+        return worst
 
     with monkeypatch.context() as m:
         m.setattr(perturb, "_sampled_max_margin", full_search)
@@ -971,18 +983,18 @@ def test_lemma_witness_refutes_before_any_draw(monkeypatch):
     assert (rep.hypothesis_holds, len(calls)) == (True, 1)
 
 
-def _upfront_decide(cert_margin, threshold, searches, draw, samples):
-    """``_decide`` with the first batch, and so t52's subset masks, drawn before any search is built or scored.
+def _upfront_search(dim, objective, witness, stop_above, seed, field, samples, subsets=lambda rng: ()):
+    """``_sampled_max_margin`` with the masks (through ``subsets``) and the first batch drawn before any witness.
 
-    That batch is handed back at the first search's draw.
+    The real search then runs on them: its ``subsets`` hands back the objectives taken here, and its draws
+    take that batch first and then continue this stream.
     """
-    if cert_margin <= 0.0:
-        return "certified_sufficient", cert_margin, True, None
-    if samples == 0:
-        return "none", cert_margin, False, None
-    batches = [draw(next(iter(searches()))[0])]  # the masks come off the stream ahead of this batch
-    sampled = perturb._sampled_max_margin(searches(), lambda dim: batches.pop() if batches else draw(dim), threshold)
-    return "sampled", sampled, sampled <= threshold, sampled
+    rng = np.random.default_rng(seed)
+    rest = subsets(rng)
+    batches = [random_unit_vectors(rng, dim, samples, field)]
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(perturb, "random_unit_vectors", lambda _, *a: (batches or [random_unit_vectors(rng, *a)]).pop())
+        return _search(dim, objective, witness, stop_above, seed, field, samples, lambda _: rest)
 
 
 @pytest.mark.parametrize("field", ["real", "complex"])
@@ -1001,7 +1013,7 @@ def test_masks_drawn_with_the_first_batch_keep_every_report(monkeypatch, field):
             m.setattr(perturb, "_subset_masks", lambda *a: masks.append(a) or _subset_masks(*a))
             got = gf.certify_frame_operator_perturbation(*args, samples=samples, seed=seed)
         with monkeypatch.context() as m:
-            m.setattr(perturb, "_decide", _upfront_decide)
+            m.setattr(perturb, "_sampled_max_margin", _upfront_search)
             want = gf.certify_frame_operator_perturbation(*args, samples=samples, seed=seed)
         assert (got.mode, got.sampled_margin > 0.0, len(masks)) == ("sampled", not holds, 1)
         assert len(draws) >= 2  # a random subset's batch was drawn
