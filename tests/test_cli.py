@@ -128,6 +128,23 @@ class TestExitCodes:
         assert run_cli(["dual", frame_file, "--seed", "3"])[0] == 0
         assert run_cli(["induce", frame_file])[0] == 0
 
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_dual_residual_is_the_exact_norm_and_ignores_the_seed(self, tmp_path, field):
+        # Both residual fields are ||I - K_d^H K||_2 (the two orders are adjoints), which bounds
+        # every reconstruction residual from above; the seed changes nothing but its echo.
+        sys_ = gf.generate("frame", 6, 3, seed=7, field=field)
+        path = tmp_path / "f.json"
+        save_system(sys_, str(path))
+        runs = [json.loads(run_cli(["dual", str(path), "--seed", seed])[1]) for seed in ("1", "2")]
+        k, k_d = gf.analysis_matrix(sys_), gf.analysis_matrix(gf.canonical_dual(sys_))
+        oracle = np.linalg.svd(np.eye(6) - k_d.conj().T @ k, compute_uv=False)[0]
+        assert runs[0]["max_primal_residual"] == runs[0]["max_swapped_residual"]
+        assert runs[0]["max_primal_residual"] == pytest.approx(oracle, rel=1e-6)
+        res = gf.reconstruct(sys_, gf.canonical_dual(sys_), np.linalg.qr(np.eye(6))[0])
+        assert max(res.primal_residual, res.swapped_residual) <= runs[0]["max_primal_residual"] * (1 + 1e-9)
+        strip = [{k: v for k, v in run.items() if k not in ("argv", "seed")} for run in runs]
+        assert strip[0] == strip[1]
+
     def test_perturb_end_to_end(self, frame_file, tmp_path):
         payload = json.loads(run_cli(["analyze", frame_file])[1])
         radius = 0.5 * np.sqrt(payload["bounds"]["lower"])
@@ -221,7 +238,7 @@ class TestEnvelope:
             (["analyze", "frame"], "tol_pd", None,
              {"dim", "field", "blocks", "verdict", "bounds", "spectral_extremes", "parseval", "gf_complete"}),
             (["dual", "frame", "--seed", "3"], "residual_tol", 3,
-             {"verdict", "max_primal_residual", "max_swapped_residual", "vectors", "dual_system"}),
+             {"verdict", "max_primal_residual", "max_swapped_residual", "dual_system"}),
             (["riesz", "riesz"], "tol", None, {"verdict", "riesz_bounds"}),
             (["onb", "onb"], "tol", None, {"verdict"}),
             (["cross", "onb", "riesz"], "tol", None, {"report"}),
