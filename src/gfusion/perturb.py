@@ -525,8 +525,7 @@ def _decide(cert_margin: float, threshold: float, hypothesis, params: PerturbPar
         return "certified_sufficient", cert_margin, True, None
     if samples == 0:
         return "none", cert_margin, False, None
-    with _finite_margins():
-        d, l, t, top, l_pinv, subsets = hypothesis()
+    d, l, t, top, l_pinv, subsets = hypothesis()
     sampled = _sampled_max_margin(
         d.shape[1], _margin_objective(d, l, t, params, quad_form), _spectral_witness(d, l, top, l_pinv), threshold,
         seed, field, samples, lambda rng: (_margin_objective(*ops, params, quad_form) for ops in subsets(rng)),

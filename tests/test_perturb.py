@@ -992,8 +992,12 @@ def _upfront_search(dim, objective, witness, stop_above, seed, field, samples, s
     rng = np.random.default_rng(seed)
     rest = subsets(rng)
     batches = [random_unit_vectors(rng, dim, samples, field)]
+
+    def draw(_, *args):  # the search's own Generator is left unused
+        return batches.pop() if batches else random_unit_vectors(rng, *args)
+
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(perturb, "random_unit_vectors", lambda _, *a: (batches or [random_unit_vectors(rng, *a)]).pop())
+        m.setattr(perturb, "random_unit_vectors", draw)
         return _search(dim, objective, witness, stop_above, seed, field, samples, lambda _: rest)
 
 
