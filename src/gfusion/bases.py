@@ -94,12 +94,12 @@ class CrossOperatorReport:
 def cross_operator(theta: GFusionSystem, lam: GFusionSystem, tol: float = TOL_VERDICT) -> CrossOperatorReport:
     """Assemble V = sum_j v_j^2 P_j L_j^H T_j P_j, check the intertwining and classify V.
 
-    ``theta`` must be gf-orthonormal and share (dim, blocks, weights,
-    subspaces) with ``lam``; ``lam`` must be a g-fusion frame.  One SVD of
+    ``theta`` must be gf-orthonormal within ``tol`` and share its structure
+    (``require_same_structure``) with ``lam``; ``lam`` must be a g-fusion frame.  One SVD of
     the n x n V gives its norm and its flags: invertibility uses the smallest
     singular value with a threshold scaled by the largest one.
     """
-    require_same_structure(theta, lam, tol)
+    require_same_structure(theta, lam)
     if not is_gf_orthonormal(theta, tol).is_gf_orthonormal:
         raise PreconditionFailed("theta is not a gf-orthonormal basis at the given tolerance")
     fb = frame_bounds(lam)

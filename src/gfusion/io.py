@@ -189,50 +189,34 @@ def read_system(path: str) -> tuple[GFusionSystem, str]:
     return system_from_dict(data), digest
 
 
-_scan = json.JSONDecoder().scan_once  # the C scanner, with json.loads's defaults
+def _compact_subsystem(obj: dict) -> dict:
+    """json.loads's object_hook: a subsystem's (an object with a weight) matrices are compacted once it is parsed.
 
-
-def _scan_block(text: str, end: int) -> tuple[Any, int]:
-    """Scan one element of a top-level array; an object's (a subsystem's) matrices are compacted at once."""
-    value, end = _scan(text, end)
-    for key in ("subspace", "lambda") if type(value) is dict else ():
-        parts = _compact(value.get(key))
+    Any other object keeps its lists, so an error message prints a bad value as the file wrote it.
+    """
+    for key in ("subspace", "lambda") if "weight" in obj else ():
+        parts = _compact(obj.get(key))
         if parts is not None:
-            value[key] = _Parts((parts,))
-    return value, end
-
-
-def _scan_value(text: str, end: int) -> tuple[Any, int]:
-    """Scan one value of the top-level object, an array one element at a time."""
-    if text.startswith("[", end):
-        return json.decoder.JSONArray((text, end + 1), _scan_block)
-    return _scan(text, end)
+            obj[key] = _Parts((parts,))
+    return obj
 
 
 def _read_json(path: str) -> tuple[Any, str]:
     """Parse a file's UTF-8 JSON text as json.loads does; return it with the sha256 hex digest of the bytes.
 
-    One read of the bytes serves both.  The stdlib's pure-Python helpers parse
-    the top-level object and its arrays, and its C scanner each value in them,
-    so each subsystem's matrices are compacted as soon as it is parsed (the
-    read holds the text and one subsystem's lists).  Anything else, and any
-    syntax error, is left to json.loads of the newline-translated text (CR is
-    JSON whitespace), so an error is located as a text-mode read locates it.
+    One read of the bytes serves both.  The read holds the text and one
+    subsystem's lists at a time (`_compact_subsystem`).  A text with a CR is
+    newline-translated first (CR is JSON whitespace), so an error is located
+    as a text-mode read locates it.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
     digest = hashlib.sha256(raw).hexdigest()
     text = raw.decode("utf-8")
     del raw  # parse with only the text alive, as after a text-mode read
-    try:
-        start = json.decoder.WHITESPACE.match(text, 0).end()
-        if text.startswith("{", start):
-            data, end = json.decoder.JSONObject((text, start + 1), True, _scan_value, None, None)
-            if json.decoder.WHITESPACE.match(text, end).end() == len(text):
-                return data, digest
-    except json.JSONDecodeError:
-        pass
-    return json.loads(text.replace("\r\n", "\n").replace("\r", "\n")), digest
+    if "\r" in text:  # a memchr scan, ~30x faster than the CRLF search of replace() (Python 3.11)
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return json.loads(text, object_hook=_compact_subsystem), digest
 
 
 def load_system(path: str) -> GFusionSystem:

@@ -5,7 +5,6 @@ from __future__ import annotations
 import numpy as np
 
 SV_MIN, SV_MAX = 0.6, 1.8  # singular value range of well_conditioned_matrix
-_ROW_BLOCK = 16  # rows per block of random_unit_vectors' in-place draws and norms
 
 
 def gaussian_matrix(rng: np.random.Generator, rows: int, cols: int, field: str) -> np.ndarray:
@@ -15,38 +14,15 @@ def gaussian_matrix(rng: np.random.Generator, rows: int, cols: int, field: str) 
 
 
 def random_unit_vectors(rng: np.random.Generator, dim: int, count: int, field: str) -> np.ndarray:
-    """Matrix whose columns are independent uniform unit vectors.
+    """Matrix whose columns are independent uniform unit vectors: a Gaussian draw over its column norms.
 
-    Bit for bit ``g / np.linalg.norm(g, axis=0)`` with ``g =
-    gaussian_matrix(rng, dim, count, field)`` and zero norms read as 1, and
-    it leaves ``rng`` in the same state.  It holds one result-sized array: a
-    complex matrix is drawn, in ``gaussian_matrix``'s stream order, and
-    normalized in place, ``_ROW_BLOCK`` rows at a time, its column norms
-    summed in the row order ``np.linalg.norm`` uses.  That sum is pairwise
-    for a single column, so one column takes the direct formula, as do real
-    draws.
+    A zero norm (a column of zeros, or dim 0) is read as 1.
     """
-    if field != "complex" or count < 2:
-        g = gaussian_matrix(rng, dim, count, field)
-        norms = np.linalg.norm(g, axis=0)
-        norms[norms == 0.0] = 1.0
-        g /= norms
-        return g
-    out = np.empty((dim, count), dtype=np.complex128)
-    blocks = [slice(r, min(r + _ROW_BLOCK, dim)) for r in range(0, dim, _ROW_BLOCK)]
-    for part in (out.real, out.imag):
-        for rows in blocks:
-            part[rows] = rng.standard_normal((rows.stop - rows.start, count))
-    out /= np.sqrt(2.0)
-    sq = np.zeros(count)  # |g_ij|^2 summed over the rows so far; 0.0 + x == x, so the first block is exact
-    for rows in blocks:
-        s = (out[rows].conj() * out[rows]).real
-        s[0] += sq
-        sq = np.add.reduce(s, axis=0)
-    norms = np.sqrt(sq)
+    g = gaussian_matrix(rng, dim, count, field)
+    norms = np.linalg.norm(g, axis=0)
     norms[norms == 0.0] = 1.0
-    out /= norms
-    return out
+    g /= norms
+    return g
 
 
 def haar_unitary(rng: np.random.Generator, n: int, field: str) -> np.ndarray:

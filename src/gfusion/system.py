@@ -153,11 +153,11 @@ class GFusionSystem:
         return self.eigh[0]
 
 
-def require_same_structure(a: GFusionSystem, b: GFusionSystem, tol_subspace: float = TOL_SUBSPACE):
+def require_same_structure(a: GFusionSystem, b: GFusionSystem):
     """Raise SystemMismatch unless the two systems share their structure.
 
     Field, dimension and block sizes must be equal, weights agree within
-    TOL_WEIGHT and subspace projectors within ``tol_subspace``.
+    TOL_WEIGHT and subspace projectors within TOL_SUBSPACE.
     """
     if a.field != b.field:
         raise SystemMismatch("systems use different scalar fields")
@@ -168,7 +168,7 @@ def require_same_structure(a: GFusionSystem, b: GFusionSystem, tol_subspace: flo
     if not np.allclose(a.weights, b.weights, rtol=0.0, atol=TOL_WEIGHT):
         raise SystemMismatch("systems have different weights")
     for i, (sa, sb) in enumerate(zip(a.subsystems, b.subsystems)):
-        if not sa.subspace.agrees_with(sb.subspace, tol_subspace):
+        if not sa.subspace.agrees_with(sb.subspace, TOL_SUBSPACE):
             raise SystemMismatch(f"subspace {i} differs between the systems")
 
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gfusion as gf
-from gfusion.errors import PreconditionFailed
+from gfusion.errors import PreconditionFailed, SystemMismatch
 from gfusion.linalg import adjoint, operator_norm
 from gfusion import bases
 from gfusion.sampling import gaussian_matrix, haar_unitary, random_partition, well_conditioned_matrix
@@ -210,6 +210,31 @@ class TestCrossOperator:
         other = gf.make_system(6, "real", comps)
         with pytest.raises(PreconditionFailed):
             gf.cross_operator(theta, other)
+
+    def test_structure_is_checked_at_its_own_tolerance_even_at_tol_zero(self):
+        # theta's Hadamard blocks make it exactly gf-orthonormal; lam spans the same planes through
+        # other spanning sets, so its orthonormalized bases agree with theta's only up to round-off.
+        h = np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]], dtype=float).T / 2
+        bases_ = (h[:, :2], h[:, 2:])
+        theta = gf.make_system(4, "real", [(1.0, b, b.T) for b in bases_])
+        spans = (bases_[0] @ np.array([[3.0, 3.0], [3.0, -3.0]]), bases_[1] @ np.array([[1.0, 2.0], [0.0, 1.0]]))
+        lam = gf.make_system(4, "real", [(1.0, s, 2.0 * b.T) for s, b in zip(spans, bases_)])
+        assert gf.is_gf_orthonormal(theta, 0.0).is_gf_orthonormal
+        assert not all(a.subspace.agrees_with(b.subspace, 0.0) for a, b in zip(theta.subsystems, lam.subsystems))
+        rep = gf.cross_operator(theta, lam, 0.0)
+        assert rep.invertible and rep.intertwine_residual <= 1e-15
+
+    def test_a_loose_tol_does_not_loosen_the_structure_check(self):
+        # lam's subspaces are tilted by about 1e-6 out of theta's: far beyond TOL_SUBSPACE, well within tol.
+        theta = gf.generate("onb", 6, 3, seed=9)
+        noise = np.random.default_rng(0)
+        comps = [
+            (sub.weight, sub.subspace.basis + 1e-6 * noise.standard_normal(sub.subspace.basis.shape), sub.operator)
+            for sub in theta.subsystems
+        ]
+        lam = gf.make_system(6, "real", comps)
+        with pytest.raises(SystemMismatch, match="subspace 0 differs"):
+            gf.cross_operator(theta, lam, 1e-3)
 
 
 def _shaped_system(n, blocks, seed, shape, field):

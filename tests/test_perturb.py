@@ -1,5 +1,6 @@
 """Tests for the perturbation certifiers and the invertibility lemma check."""
 
+import functools
 import importlib
 import json
 import tracemalloc
@@ -1026,15 +1027,35 @@ def test_masks_drawn_with_the_first_batch_keep_every_report(monkeypatch, field):
         assert repr(got) == repr(want)
 
 
-def test_sampled_search_holds_one_batch_at_a_time(monkeypatch):
-    # t52 on n = 5, J = 4 (the full set and 7 subsets, every one drawn since the hypothesis holds): at
-    # 50000 complex samples a batch (2 MB) dwarfs the 5 x 5 matrices, so the search's peak is the
-    # screening of one batch (the batch and its products), and a second live batch would add one more.
+def _holding_complex_search(search):
+    """(the search, its dimension, its screening of one batch, its batch count): a holding complex search on n = 5.
+
+    ``t52`` on J = 4 draws for the full set and 7 subsets; ``synth`` draws once, on the M direct-sum coordinates;
+    the lemma draws once, on U = 1.2 I plus a small complex part, against lam1 = 0.3 and lam2 = 0.08.
+    """
     lam = gf.generate("frame", 5, 4, seed=32, field="complex", max_condition=20)
     theta = scale_blocks(lam, np.sqrt(1.2))
     params = gf.PerturbParams(lam=0.12, mu=0.08)
-    d, l, _ = _full_set_operators("t52", lam, theta)
-    objective = _margin_objective(d, l, gf.frame_operator(theta), params, True)
+    if search == "lemma":
+        u = 1.2 * np.eye(5) + 0.01 * gaussian_matrix(np.random.default_rng(3), 5, 5, "complex")
+
+        def margins(f):
+            uf = u @ f
+            return np.linalg.norm(f - uf, axis=0) - 0.3 - 0.08 * np.linalg.norm(uf, axis=0)
+
+        return functools.partial(gf.check_invertibility_lemma, u, 0.3, 0.08, samples=50000, seed=6), 5, margins, 1
+    d, l, _ = _full_set_operators(search, lam, theta)
+    t = gf.frame_operator(theta) if search == "t52" else gf.synthesis_matrix(theta)
+    objective = _margin_objective(d, l, t, params, search == "t52")
+    run = functools.partial(_CERTIFIERS[search], lam, theta, params, samples=50000, seed=6)
+    return run, d.shape[1], lambda f: objective(f, grad=False), 8 if search == "t52" else 1
+
+
+@pytest.mark.parametrize("search", ["t52", "synth", "lemma"])
+def test_sampled_search_holds_one_batch_at_a_time(monkeypatch, search):
+    # At 50000 complex samples a batch (dim x 0.8 MB) dwarfs the 5 x 5 matrices, so a search's peak is the
+    # screening of one batch (its draw, the batch and its products), and a second live batch would add one more.
+    run, dim, screen, count = _holding_complex_search(search)
     batches = []
 
     def recorded(*args):
@@ -1046,16 +1067,16 @@ def test_sampled_search_holds_one_batch_at_a_time(monkeypatch):
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        objective(random_unit_vectors(np.random.default_rng(0), 5, 50000, "complex"), grad=False)
+        screen(random_unit_vectors(np.random.default_rng(0), dim, 50000, "complex"))
         screening = tracemalloc.get_traced_memory()[1] - base
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
-        rep = gf.certify_frame_operator_perturbation(lam, theta, params, samples=50000, seed=6)
+        rep = run()
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert (rep.mode, rep.hypothesis_holds) == ("sampled", True)
-    assert len(batches) == 8 and min(batches) == max(batches) == 5 * 50000 * 16
+    assert rep.hypothesis_holds and getattr(rep, "mode", "sampled") == "sampled"
+    assert len(batches) == count and min(batches) == max(batches) == dim * 50000 * 16
     # each batch is freed before the next one is drawn
     assert peak < screening + min(batches), (peak, screening, batches)
 

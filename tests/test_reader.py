@@ -243,6 +243,19 @@ def test_reader_matches_the_reference_on_the_text(kind, field, data):
         assert got[0] == ("error" if kind == "bom" else "ok")
 
 
+def test_a_syntax_error_is_located_as_in_the_lf_form_of_the_file(tmp_path):
+    text = gfio.dumps_canonical(gf.system_to_dict(gf.generate("frame", 3, 2, seed=1)))[:-40]
+    where = []
+    for name, eol in [("lf", "\n"), ("cr", "\r"), ("crlf", "\r\n")]:
+        path = tmp_path / f"{name}.json"
+        path.write_bytes(text.replace("\n", eol).encode())
+        _assert_reads_alike(path.read_bytes())
+        with pytest.raises(SystemFileError) as exc:
+            gfio.read_system(str(path))
+        where.append(str(exc.value).removeprefix(str(path)))
+    assert where[0] == where[1] == where[2] and not where[0].startswith(":1:"), where
+
+
 @pytest.mark.parametrize("field", ["real", "complex"])
 @pytest.mark.parametrize("token", TOKENS, ids=lambda t: t[:8])
 def test_every_token_reads_as_the_reference_reads_it(token, field):
@@ -284,6 +297,36 @@ def test_read_peak_stays_near_the_text(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak <= 2.2 * size, peak / size
+
+
+# ---------------------------------------------------------------------------
+# An error message prints a bad value as the file wrote it: only a subsystem (an
+# object with a "weight") has its matrices compacted while the file is parsed.
+
+NESTED = {"subspace": [[1]], "lambda": [[1]]}
+NESTED_REPR = "{'subspace': [[1]], 'lambda': [[1]]}"
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("version", [NESTED], f"version: expected 1, got [{NESTED_REPR}]"),
+        ("version", NESTED, f"version: expected 1, got {NESTED_REPR}"),
+        ("field", [NESTED], f"field: expected 'real' or 'complex', got [{NESTED_REPR}]"),
+        ("dim", NESTED, f"dim: expected a positive integer, got {NESTED_REPR}"),
+        ("weight", NESTED, f"subsystems[0].weight: expected a positive number, got {NESTED_REPR}"),
+        ("weight", [NESTED], f"subsystems[0].weight: expected a positive number, got [{NESTED_REPR}]"),
+    ],
+    ids=["version-list", "version", "field-list", "dim", "weight", "weight-list"],
+)
+def test_a_bad_value_prints_the_files_own_lists(key, value, message):
+    sub = {"weight": 1.0, "subspace": [[1]], "lambda": [[1]]}
+    data = {"version": 1, "field": "real", "dim": 1, "subsystems": [sub]}
+    if key == "weight":
+        sub["weight"] = value
+    else:
+        data[key] = value
+    assert _assert_reads_alike(json.dumps(data).encode()) == ("error", message)
 
 
 @pytest.mark.parametrize("matrix", [np.eye(2), (np.eye(2),)], ids=["ndarray", "tuple"])
