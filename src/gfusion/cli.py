@@ -20,7 +20,7 @@ from . import bases, induced, perturb
 from .errors import GFusionError
 from .generate import generate, generate_like, perturbed_copy
 from .io import dumps_canonical, load_system, read_system, system_to_dict, to_jsonable
-from .linalg import TOL_PD, TOL_VERDICT, adjoint, operator_norm
+from .linalg import TOL_LEMMA_SLACK, TOL_PD, TOL_SAMPLED_MARGIN, TOL_VERDICT, adjoint, operator_norm
 from .system import analysis_matrix, canonical_dual, frame_bounds, is_gf_complete, spectral_extremes
 
 _THEOREMS = ("t52", "cR", "synth", "analysis", "lemma")
@@ -131,11 +131,13 @@ def _cmd_perturb(args, load):
     else:
         rep = perturb.certify_invertibility_lemma(lam_sys, theta_sys, params, samples=args.samples, seed=args.seed)
     ok = rep.hypothesis_holds and bool(rep.sandwich_ok if args.theorem == "lemma" else rep.bracket_ok)
+    lemma_tols = {"margin_tol": TOL_SAMPLED_MARGIN, "lemma_slack": TOL_LEMMA_SLACK} if args.theorem == "lemma" else {}
     return ok, {
         "theorem": args.theorem,
         "params": {"lam": args.lam, "mu": args.mu, "gamma": args.gamma},
         "samples": args.samples,
         "report": to_jsonable(rep),
+        "tolerances": {args.tol_name: args.tol, **lemma_tols},
     }
 
 
@@ -234,7 +236,8 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.set_defaults(func=_run_report, report=_cmd_induce, tol_name="tol")
 
-    p = sub.add_parser("perturb", help="perturbation certificates")
+    p = sub.add_parser("perturb", help="perturbation certificates", description="--theorem lemma ignores --tol and "
+                       "echoes the thresholds that decide it, margin_tol and lemma_slack, under tolerances.")
     p.add_argument("system", help="reference system file")
     p.add_argument("perturbed", help="perturbed system file")
     p.add_argument("--theorem", choices=_THEOREMS, required=True)

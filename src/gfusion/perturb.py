@@ -17,7 +17,7 @@ every report labels the guarantee it carries:
   vector above the threshold refutes the hypothesis; a hypothesis that holds
   on every vector tried is evidence, not proof;
 * ``exact`` -- the hypothesis reduces to a spectral quantity computed
-  exactly (analysis-side certifier);
+  exactly (analysis-side certifier, and the lemma with lam2 = 0);
 * ``none`` -- the hypothesis could not be established.
 
 The three sampled certifiers share one search, ``_sampled_max_margin``,
@@ -62,9 +62,10 @@ draws no mask.  A refuted report's sampled margin (or radius) is then the
 worst seen up to that point: still a witness, and a lower bound on the
 worst over all subsets after full ascent.  A hypothesis that holds never
 stops early, so its report is what the exhaustive search gives, the
-witness's margin included.  The invertibility lemma scores its witness,
-the top right singular vector of I - U, before its draw, and one above
-``margin_tol`` refutes without a draw.
+witness's margin included.  The invertibility lemma is decided first by
+its certificate ||I - U|| - lam1 - lam2*sigma_min(U), then by its witness,
+the top right singular vector of I - U, and draws only when neither
+decides (``LemmaReport``).
 """
 
 from __future__ import annotations
@@ -161,21 +162,26 @@ class PerturbationReport:
 
 @dataclass(frozen=True)
 class LemmaReport:
-    """Sampled check of the near-identity invertibility lemma.
+    """Check of the near-identity invertibility lemma, certificate first.
 
     If ||x - Ux|| <= lam1*||x|| + lam2*||Ux|| for all x (lam1, lam2 < 1),
     then U is invertible with
     (1-lam1)/(1+lam2) <= ||Ux||/||x|| <= (1+lam1)/(1-lam2) and the mirrored
-    pair for U^-1.  The hypothesis is scored first on the top right singular
-    vector of I - U, where ||x - Ux|| peaks (so with lam2 = 0 it is decided
-    exactly); a margin there above ``margin_tol`` refutes it with no draw.
-    Otherwise random unit vectors are scored too, and the margin is the
-    worst of them all.  The four sandwich bounds are then checked against
-    the singular spectrum.
+    pair for U^-1.  ``cert_margin = ||I - U|| - lam1 - lam2*sigma_min(U)`` at
+    most ``margin_tol`` proves the hypothesis with no draw
+    (``certified_sufficient``; with lam2 = 0 it decides both ways: ``exact``).
+    Else a margin above ``margin_tol`` at the top right singular vector of
+    I - U, where ||x - Ux|| peaks, refutes it with no draw; only then are
+    random unit vectors scored (both ``sampled``).  ``hypothesis_margin`` is
+    the worst margin evaluated, the witness's when nothing is drawn, so it
+    and ``cert_margin`` bracket the supremum.  The four sandwich bounds are
+    then checked against the singular spectrum.
     """
 
+    mode: str
     hypothesis_holds: bool
     hypothesis_margin: float
+    cert_margin: float
     lam1: float
     lam2: float
     norm: float            # ||U||
@@ -222,21 +228,24 @@ def check_invertibility_lemma(
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise ValueError(f"U must be square, got shape {u.shape}")
     field = "complex" if np.iscomplexobj(u) else "real"
+    sv = np.linalg.svd(u, compute_uv=False)
+    smin, smax = float(sv[-1]), float(sv[0])
 
     def margins(x):
         ux = u @ x
         return np.linalg.norm(x - ux, axis=0) - lam1 - lam2 * np.linalg.norm(ux, axis=0)
 
     with _finite_margins():
-        witness = _top_singular(np.eye(u.shape[0]) - u)[1]
+        norm_d, witness = _top_singular(np.eye(u.shape[0]) - u)
+        # ||x - Ux|| <= ||I - U|| ||x|| and sigma_min ||x|| <= ||Ux||: at most 0 implies the hypothesis
+        cert_margin = float(norm_d - lam1 - lam2 * smin)
         margin = -np.inf if witness is None else float(margins(witness[:, None])[0])
         # margin_tol absorbs round-off on exactly-tight instances; a witness above it refutes before any draw
-        if margin <= margin_tol:
+        certified = cert_margin <= margin_tol
+        if not (certified or lam2 == 0.0 or margin > margin_tol):
             x = random_unit_vectors(np.random.default_rng(seed), u.shape[0], samples, field)
             margin = max(float(margins(x).max()), margin)
-    holds = margin <= margin_tol
-    sv = np.linalg.svd(u, compute_uv=False)
-    smin, smax = float(sv[-1]), float(sv[0])
+    holds = bool(certified or (lam2 > 0.0 and margin <= margin_tol))
     inverse_norm = None if smin == 0.0 else 1.0 / smin
     if inverse_norm is not None:
         _finite_fields({"inverse_norm": inverse_norm})
@@ -251,8 +260,10 @@ def check_invertibility_lemma(
         and 1.0 / smax >= il - slack
     )
     return LemmaReport(
+        mode="exact" if lam2 == 0.0 else "certified_sufficient" if certified else "sampled",
         hypothesis_holds=holds,
         hypothesis_margin=margin,
+        cert_margin=cert_margin,
         lam1=lam1,
         lam2=lam2,
         norm=smax,
@@ -837,5 +848,9 @@ def certify_invertibility_lemma(
         raise SystemMismatch("the lemma needs two systems of one scalar field and one ambient dimension")
     s_inv = inverse_frame_operator(lam_sys)
     u = finite_product(frame_operator(theta_sys), s_inv, "lemma operator U = S_theta S_lam^-1")
-    lam1 = params.lam + params.gamma / np.sqrt(lam_sys.spectrum[0])
+    a = float(lam_sys.spectrum[0])
+    lam1 = params.lam + params.gamma / np.sqrt(a)
+    if not lam1 < 1.0:  # lam2 = mu < 1 is PerturbParams' own check
+        raise ValueError(f"lam1 = lam + gamma/sqrt(A) = {params.lam!r} + {params.gamma!r}/sqrt({a!r}) = "
+                         f"{float(lam1)!r} must be below 1")
     return check_invertibility_lemma(u, lam1, params.mu, samples=samples, seed=seed)

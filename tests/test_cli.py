@@ -308,6 +308,26 @@ class TestLemmaArm:
         assert code == (0 if rep.hypothesis_holds and rep.sandwich_ok else 1)
         assert _strict_json(out)["report"] == to_jsonable(rep)
 
+    def test_lam1_beyond_one_names_lam_gamma_and_its_value(self, frame_file, capsys):
+        argv = ["perturb", frame_file, frame_file, "--theorem", "lemma", "--lam", "0.99", "--gamma", "5", "--seed", "1"]
+        code, out = run_cli(argv)
+        assert (code, out) == (2, "")
+        a = float(load_system(frame_file).spectrum[0])
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "ValueError",
+            "message": f"lam1 = lam + gamma/sqrt(A) = 0.99 + 5.0/sqrt({a!r}) = {0.99 + 5.0 / a**0.5!r} must be below 1",
+        }
+
+    def test_ignores_tol_and_echoes_the_thresholds_that_decide_it(self, frame_file, capsys):
+        argv = ["perturb", frame_file, frame_file, "--theorem", "lemma", "--lam", "0.3", "--mu", "0.3", "--seed", "1"]
+        payloads = [json.loads(run_cli(argv + tol)[1]) for tol in ([], ["--tol", "0.5"])]
+        assert payloads[0]["report"] == payloads[1]["report"]
+        assert [p["tolerances"] for p in payloads] == [
+            {"bracket_tol": tol, "margin_tol": 1e-12, "lemma_slack": 1e-9} for tol in (1e-9, 0.5)
+        ]
+        code, out, _ = _run_main(["perturb", "--help"], capsys)
+        assert code == 0 and "--theorem lemma ignores --tol" in " ".join(out.split())
+
     @pytest.mark.parametrize(
         "other, error",
         [

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import gfusion as gf
 from gfusion import perturb
 from gfusion.errors import NonFiniteInput, NotAFrameError, SystemMismatch
-from gfusion.linalg import adjoint, operator_norm
+from gfusion.linalg import TOL_SAMPLED_MARGIN, adjoint, operator_norm
 from gfusion.perturb import _ascend, _margin_objective, _subset_masks
 from gfusion.sampling import gaussian_matrix, haar_unitary, random_unit_vectors, well_conditioned_matrix
 
@@ -74,6 +74,46 @@ class TestInvertibilityLemma:
         # U is finite, but ||U x|| squares 1e200.
         with pytest.raises(NonFiniteInput, match=r"^the sampled hypothesis margin overflows a float \(overflow"):
             gf.check_invertibility_lemma(np.array([[1e200]]), 0.1, 0.0, samples=10, seed=0)
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_lemma_certificate_is_sound_and_draws_only_when_undecided(monkeypatch, field):
+    # n = 1..8, U near I (I plus a perturbation of norm up to 0.5) or far from it (a matrix of norm up to 3),
+    # lam1 and lam2 uniform in [0, 1), every third lam2 = 0.  A 20000-sample search plus the witness (the top right
+    # singular vector of I - U, computed here) never exceeds cert_margin, so a verdict reached without sampling is
+    # never refuted; and the lemma draws exactly when neither the certificate nor the witness decides.
+    rng = np.random.default_rng(24)
+    calls = _count_draws(monkeypatch)
+    seen = set()
+    for i in range(200):
+        n, near = int(rng.integers(1, 9)), i % 2 == 0
+        e = gaussian_matrix(rng, n, n, field)
+        u = (np.eye(n) if near else 0.0) + e * (rng.uniform(0.0, 0.5 if near else 3.0) / operator_norm(e))
+        lam1, lam2 = rng.uniform(0.0, 1.0, 2)
+        lam2 = 0.0 if i % 3 == 0 else lam2
+
+        def margins(x):
+            ux = u @ x
+            return np.linalg.norm(x - ux, axis=0) - lam1 - lam2 * np.linalg.norm(ux, axis=0)
+
+        before = len(calls)
+        rep = gf.check_invertibility_lemma(u, lam1, lam2, samples=50, seed=i)
+        drawn = len(calls) - before
+        witness = margins(np.linalg.svd(np.eye(n) - u)[2][:1].conj().T)[0]
+        searched = max(margins(random_unit_vectors(np.random.default_rng(1000 + i), n, 20000, field)).max(), witness)
+        assert searched <= rep.cert_margin + TOL_SAMPLED_MARGIN
+        if rep.mode != "sampled" and rep.hypothesis_holds:
+            assert searched <= TOL_SAMPLED_MARGIN
+        if lam2 == 0.0:
+            assert (rep.mode, drawn, rep.hypothesis_holds) == ("exact", 0, rep.cert_margin <= TOL_SAMPLED_MARGIN)
+        elif rep.cert_margin > TOL_SAMPLED_MARGIN and witness <= TOL_SAMPLED_MARGIN:
+            assert (rep.mode, drawn) == ("sampled", 1)
+        else:
+            assert drawn == 0 and rep.hypothesis_holds == (rep.mode == "certified_sufficient")
+        seen.add((rep.mode, drawn, bool(rep.hypothesis_holds)))
+    # every branch is taken: certified, exact both ways, refuted by the witness, and drawn
+    assert {("certified_sufficient", 0, True), ("exact", 0, True), ("exact", 0, False), ("sampled", 0, False),
+            ("sampled", 1, True)} <= seen
 
 
 class TestInvertibilityLemmaOnSystems:
@@ -899,6 +939,41 @@ def test_perturb_sampled_t52_and_cr_requests_draw_nothing(monkeypatch, tmp_path)
     assert calls == [] and masks == []
 
 
+def test_benchmark_lemma_requests_draw_nothing(monkeypatch, tmp_path):
+    # Every lemma request of both benchmark workloads at their default seed 1, warm-up included: the certificate
+    # ||I - U|| <= lam1 + lam2 sigma_min(U) decides each (exactly where lam2 = 0), so nothing is drawn.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    writer = workloads._Writer(tmp_path)
+    seed = 1
+    workloads._warmup_inputs(writer, seed)
+    for g in range(workloads.SAMPLED_GROUPS):
+        ref = writer.frame(f"f32_{g}.json", 32, 16, "real", seed, 20, g, 1)
+        radius = workloads.SAMPLED_RHO * np.sqrt(writer.bounds[f"f32_{g}.json"][0])
+        writer.save(f"f32_{g}_pert.json", gf.perturbed_copy(ref, workloads._sub_seed(seed, 21, g, 1), radius=radius))
+    onb = gf.generate("onb", workloads.LARGE_N, workloads.LARGE_J, workloads._sub_seed(seed, 3))
+    riesz = writer.keep("riesz.json", gf.generate_like(onb, "riesz", workloads._sub_seed(seed, 4)))
+    a, b = writer.bounds["riesz.json"]
+    radius = workloads.CERTIFIED_RHO * a / np.sqrt(b)
+    writer.save("riesz_pert.json", gf.perturbed_copy(riesz, workloads._sub_seed(seed, 5), radius=radius))
+    meta = {"bounds": writer.bounds}
+    requests = workloads.perturb_sampled_requests(seed, meta) + workloads.cli_large_requests(seed, meta)
+    argvs = [r["argv"] for r in requests if r["metric"] == "cmd_ms.perturb.lemma"]
+    argvs = list(dict.fromkeys(map(tuple, argvs)))
+    argvs += [a for a in map(tuple, workloads.warmup_requests(seed)) if "lemma" in a]
+    assert len(argvs) == workloads.SAMPLED_GROUPS + 2
+    calls = _count_draws(monkeypatch)
+    monkeypatch.chdir(tmp_path)
+    modes = []
+    for argv in argvs:
+        code, out = run_cli(list(argv))
+        rep = json.loads(out)["report"]
+        assert code == 0 and rep["hypothesis_holds"] is True
+        modes.append(rep["mode"])
+    assert calls == []
+    assert modes == ["certified_sufficient"] * (workloads.SAMPLED_GROUPS + 1) + ["exact"]
+
+
 def test_witness_does_not_overflow_on_huge_entries():
     norm, g = perturb._top_singular(np.diag([1e200, 3e199]))
     assert norm == pytest.approx(1e200, rel=1e-15)
@@ -978,10 +1053,11 @@ def test_lemma_witness_refutes_before_any_draw(monkeypatch):
     # I - U = diag(0.8, -2) peaks at e_2: ||x - Ux|| - 0.1 - 0.5 ||Ux|| = 2 - 0.1 - 1.5 there.
     calls = _count_draws(monkeypatch)
     rep = gf.check_invertibility_lemma(np.diag([0.2, 3.0]), 0.1, 0.5, samples=50, seed=3)
-    assert (rep.hypothesis_holds, len(calls)) == (False, 0)
+    assert (rep.hypothesis_holds, len(calls), rep.mode) == (False, 0, "sampled")
     assert rep.hypothesis_margin == pytest.approx(0.4, rel=1e-12)
+    # with lam2 = 0 the hypothesis is ||I - U|| = 0.05 <= 0.1: the certificate decides it exactly
     rep = gf.check_invertibility_lemma(1.05 * np.eye(3), 0.1, 0.0, samples=50, seed=3)
-    assert (rep.hypothesis_holds, len(calls)) == (True, 1)
+    assert (rep.hypothesis_holds, len(calls), rep.mode) == (True, 0, "exact")
 
 
 def _upfront_search(dim, objective, witness, stop_above, seed, field, samples, subsets=lambda rng: ()):
@@ -1031,19 +1107,21 @@ def _holding_complex_search(search):
     """(the search, its dimension, its screening of one batch, its batch count): a holding complex search on n = 5.
 
     ``t52`` on J = 4 draws for the full set and 7 subsets; ``synth`` draws once, on the M direct-sum coordinates;
-    the lemma draws once, on U = 1.2 I plus a small complex part, against lam1 = 0.3 and lam2 = 0.08.
+    the lemma draws once, on U = diag(2, 1, 1, 1, 1) plus a small complex part, against lam1 = 0.3 and lam2 = 0.45:
+    ||I - U|| = 1 exceeds lam1 + lam2 sigma_min(U) = 0.75, so the certificate does not decide, while the margin
+    ||x - Ux|| - 0.3 - 0.45 ||Ux|| stays near or below 0.1 |x_1| - 0.3, its bound for the diagonal part.
     """
     lam = gf.generate("frame", 5, 4, seed=32, field="complex", max_condition=20)
     theta = scale_blocks(lam, np.sqrt(1.2))
     params = gf.PerturbParams(lam=0.12, mu=0.08)
     if search == "lemma":
-        u = 1.2 * np.eye(5) + 0.01 * gaussian_matrix(np.random.default_rng(3), 5, 5, "complex")
+        u = np.diag([2.0, 1.0, 1.0, 1.0, 1.0]) + 0.01 * gaussian_matrix(np.random.default_rng(3), 5, 5, "complex")
 
         def margins(f):
             uf = u @ f
-            return np.linalg.norm(f - uf, axis=0) - 0.3 - 0.08 * np.linalg.norm(uf, axis=0)
+            return np.linalg.norm(f - uf, axis=0) - 0.3 - 0.45 * np.linalg.norm(uf, axis=0)
 
-        return functools.partial(gf.check_invertibility_lemma, u, 0.3, 0.08, samples=50000, seed=6), 5, margins, 1
+        return functools.partial(gf.check_invertibility_lemma, u, 0.3, 0.45, samples=50000, seed=6), 5, margins, 1
     d, l, _ = _full_set_operators(search, lam, theta)
     t = gf.frame_operator(theta) if search == "t52" else gf.synthesis_matrix(theta)
     objective = _margin_objective(d, l, t, params, search == "t52")
@@ -1075,7 +1153,9 @@ def test_sampled_search_holds_one_batch_at_a_time(monkeypatch, search):
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert rep.hypothesis_holds and getattr(rep, "mode", "sampled") == "sampled"
+    assert rep.hypothesis_holds and rep.mode == "sampled"
+    if search == "lemma":
+        assert rep.cert_margin > TOL_SAMPLED_MARGIN  # the certificate does not decide it
     assert len(batches) == count and min(batches) == max(batches) == dim * 50000 * 16
     # each batch is freed before the next one is drawn
     assert peak < screening + min(batches), (peak, screening, batches)
