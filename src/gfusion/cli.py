@@ -19,7 +19,7 @@ import numpy as np
 from . import bases, induced, perturb
 from .errors import GFusionError
 from .generate import generate, generate_like, perturbed_copy
-from .io import dumps_canonical, load_system, read_system, system_to_dict, to_jsonable
+from .io import _system_tree, dumps_canonical, load_system, read_system, to_jsonable
 from .linalg import TOL_LEMMA_SLACK, TOL_PD, TOL_SAMPLED_MARGIN, TOL_VERDICT, adjoint, operator_norm
 from .system import analysis_matrix, canonical_dual, frame_bounds, is_gf_complete, spectral_extremes
 
@@ -71,14 +71,14 @@ def _cmd_dual(args, load):
     # max over unit f of ||f - K_d^H K f||; the other order K^H K_d is its adjoint, with the same norm
     residual = operator_norm(np.eye(sys_.dim) - adjoint(analysis_matrix(dual)) @ analysis_matrix(sys_))
     ok = residual <= args.tol
-    dual_dict = system_to_dict(dual)
+    dual_tree = _system_tree(dual)
     if args.emit_dual:
-        _write_file(args.emit_dual, dumps_canonical(dual_dict))
+        _write_file(args.emit_dual, dumps_canonical(dual_tree))
     return ok, {
         "verdict": "dual_ok" if ok else "dual_residual_too_large",
         "max_primal_residual": residual,
         "max_swapped_residual": residual,
-        "dual_system": dual_dict,
+        "dual_system": dual_tree,
     }
 
 
@@ -106,7 +106,7 @@ def _cmd_induce(args, load):
         "family": {
             "count": fam.count,
             "labels": [[j, k] for j, k, _ in fam.entries],
-            "vectors": to_jsonable(fam.matrix()),
+            "vectors": fam.matrix(),
         },
         "report": to_jsonable(rep),
     }
@@ -154,7 +154,7 @@ def _cmd_gen(args):
         if args.dim is None or args.blocks is None:
             raise GFusionError("gen needs --dim and --blocks (or --base)")
         sys_ = generate(args.kind, args.dim, args.blocks, args.seed, field=args.field)
-    return 0, system_to_dict(sys_)
+    return 0, _system_tree(sys_)
 
 
 def _write_file(path: str, text: str):

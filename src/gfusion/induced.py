@@ -10,6 +10,7 @@ operator.  ``verify_correspondence`` checks all of that numerically.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,9 +36,15 @@ class InducedFamily:
     def count(self) -> int:
         return len(self.entries)
 
+    @functools.cached_property
+    def _matrix(self) -> np.ndarray:
+        m = np.column_stack([u for _, _, u in self.entries])
+        m.flags.writeable = False
+        return m
+
     def matrix(self) -> np.ndarray:
-        """All induced vectors as columns, in (j, k) order."""
-        return np.column_stack([u for _, _, u in self.entries])
+        """All induced vectors as columns, in (j, k) order: stacked on the first call, read-only."""
+        return self._matrix
 
 
 def induce_vectors(sys: GFusionSystem, onbs=None) -> InducedFamily:

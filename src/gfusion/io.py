@@ -18,12 +18,14 @@ Subspace matrices hold spanning columns; columns that are already
 orthonormal are kept verbatim (so canonical files round-trip exactly),
 anything else is orthonormalized on load.  A read holds the file's text and
 one subsystem's lists at a time, never the whole file's (`_read_json`).
+A write (`save_system`, and every CLI payload through `dumps_canonical`)
+goes straight from each matrix's float64 parts to its text, holding one
+matrix's number texts at a time and never the file's nested lists.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import functools
 import hashlib
 import json
 import math
@@ -38,14 +40,20 @@ from .system import GFusionSystem, make_system
 SYSTEM_FILE_VERSION = 1
 
 
+def _parts(m: np.ndarray, field: str) -> np.ndarray:
+    """The float64 parts of m: m itself if real, rows x cols x [re, im] (the interleaved view) if complex."""
+    m = np.asarray(m)
+    if field == "complex":
+        return np.ascontiguousarray(m, dtype=np.complex128).view(np.float64).reshape(m.shape + (2,))
+    return m.real.astype(np.float64)
+
+
 def matrix_to_data(m: np.ndarray, field: str) -> list:
     """Nested lists of Python floats; complex entries become [re, im] pairs.
 
     The float64 cast makes int and float32 arrays print as floats.
     """
-    m = np.asarray(m)
-    parts = np.stack((m.real, m.imag), axis=-1) if field == "complex" else m.real
-    return parts.astype(np.float64).tolist()
+    return _parts(m, field).tolist()
 
 
 def _is_number(x) -> bool:
@@ -123,20 +131,21 @@ def matrix_from_data(data, field: str, where: str) -> np.ndarray:
     return np.array(rows, dtype=dtype)
 
 
-def system_to_dict(sys: GFusionSystem) -> dict:
+def _system_tree(sys: GFusionSystem) -> dict:
+    """The system file's data with the matrices left as arrays, for `dumps_canonical` to write."""
     return {
         "version": SYSTEM_FILE_VERSION,
         "field": sys.field,
         "dim": sys.dim,
         "subsystems": [
-            {
-                "weight": sub.weight,
-                "subspace": matrix_to_data(sub.subspace.basis, sys.field),
-                "lambda": matrix_to_data(sub.operator, sys.field),
-            }
-            for sub in sys.subsystems
+            {"weight": sub.weight, "subspace": sub.subspace.basis, "lambda": sub.operator} for sub in sys.subsystems
         ],
     }
+
+
+def system_to_dict(sys: GFusionSystem) -> dict:
+    """The system file's data as plain lists (a matrix's dtype is its system's field)."""
+    return to_jsonable(_system_tree(sys))
 
 
 def system_from_dict(data: dict) -> GFusionSystem:
@@ -225,39 +234,77 @@ def load_system(path: str) -> GFusionSystem:
 
 def save_system(sys: GFusionSystem, path: str):
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_canonical(system_to_dict(sys)))
+        fh.write(dumps_canonical(_system_tree(sys)))
 
 
 _encode_scalar = json.JSONEncoder(check_circular=False).encode
+_SEQUENCES = {list, tuple}
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-@functools.cache
-def _number_list_encoder(indent: str):
-    """Encodes a list of numbers as '[a,<newline+indent>b, ...]' with the C encoder; one per nesting depth."""
-    return json.JSONEncoder(separators=(",\n" + indent, ": "), check_circular=False).encode
+def _rectangular(obj) -> tuple[list, tuple] | None:
+    """The leaves and shape of a nest of lists (or tuples) of plain numbers with no empty level, else None."""
+    level, shape = [obj], ()
+    while set(map(type, level)) <= _SEQUENCES:
+        widths = set(map(len, level))
+        if widths == {0} or len(widths) != 1:
+            return None
+        shape += (widths.pop(),)
+        level = list(chain.from_iterable(level))
+    return (level, shape) if shape and set(map(type, level)) <= _PLAIN_NUMBERS else None
+
+
+def _number_texts(numbers: list, finite: bool):
+    """How json writes each plain number: its repr, but NaN, Infinity and -Infinity for non-finite floats.
+
+    Lazy, so that `_grid` holds one innermost list's texts at a time.
+    """
+    texts = map(repr, numbers)
+    return texts if finite else (_NON_FINITE.get(t, t) for t in texts)
+
+
+def _grid(texts, shape: tuple, indent: str) -> str:
+    """The indent=2 text at nesting `indent` of the nest of lists of `shape` whose leaves, in order, read `texts`.
+
+    Leaves are joined into the innermost lists, those into the next level,
+    and so on: one str.join per list.  The separator between two items of
+    axis d closes the levels below d and opens them again.
+    """
+    depth = len(shape)
+    ind = [indent + "  " * d for d in range(depth + 1)]
+
+    def close(d):
+        return "".join("\n" + ind[j] + "]" for j in range(depth - 1, d, -1))
+
+    def opening(d):
+        return "".join("\n" + ind[j] + "[" for j in range(d + 1, depth)) + "\n" + ind[depth]
+
+    items = texts
+    for d in range(depth - 1, 0, -1):
+        items = map((close(d) + "," + opening(d)).join, zip(*[iter(items)] * shape[d]))
+    return "[" + opening(0) + (close(0) + "," + opening(0)).join(items) + close(0) + "\n" + indent + "]"
 
 
 def _encode(obj, indent: str, out: list):
-    """Append to `out` the json.dumps(indent=2, sort_keys=True) text of obj at nesting `indent`."""
-    if isinstance(obj, (list, tuple)):
+    """Append to `out` the json.dumps(indent=2, sort_keys=True) text of obj at nesting `indent`.
+
+    An ndarray is written as json writes to_jsonable(obj).
+    """
+    if isinstance(obj, np.ndarray):
+        if obj.ndim not in (1, 2) or not obj.size:
+            _encode(to_jsonable(obj), indent, out)
+            return
+        parts = _parts(obj, "complex" if np.iscomplexobj(obj) else "real")
+        out.append(_grid(_number_texts(parts.ravel().tolist(), np.isfinite(parts).all()), parts.shape, indent))
+    elif isinstance(obj, (list, tuple)):
         if not obj:
             out.append("[]")
             return
+        found = _rectangular(obj)
+        if found is not None:
+            out.append(_grid(_number_texts(found[0], False), found[1], indent))
+            return
         inner = indent + "  "
-        item_types = set(map(type, obj))
-        if item_types <= _PLAIN_NUMBERS:
-            out.append("[\n" + inner + _number_list_encoder(inner)(obj)[1:-1] + "\n" + indent + "]")
-            return
-        pairs = item_types == {list} and set(map(len, obj)) == {2}
-        if pairs and set(map(type, chain.from_iterable(obj))) <= _PLAIN_NUMBERS:
-            # [re, im] pairs (or [j, k] labels): one call encodes the row, and
-            # each pair boundary "],<sep>[" becomes the indent=2 text between
-            # two pairs.  No number the C encoder writes contains a bracket.
-            deeper = inner + "  "
-            text = _number_list_encoder(deeper)(obj)[2:-2]
-            text = text.replace("],\n" + deeper + "[", "\n" + inner + "],\n" + inner + "[\n" + deeper)
-            out.append("[\n" + inner + "[\n" + deeper + text + "\n" + inner + "]\n" + indent + "]")
-            return
         out.append("[\n" + inner)
         for i, item in enumerate(obj):
             if i:
@@ -283,10 +330,12 @@ def _encode(obj, indent: str, out: list):
 def dumps_canonical(payload: dict) -> str:
     """Deterministic JSON: exactly json.dumps(payload, sort_keys=True, indent=2) plus a newline.
 
-    Keys must be str (a TypeError otherwise).  Lists of plain numbers, the
-    bulk of every payload, and lists of [a, b] number pairs (a row of a complex
-    matrix) are encoded by the C encoder in one call each; the stdlib's
-    indent=2 encoder is pure Python.
+    An ndarray in the payload is written as json writes to_jsonable(array),
+    its nested lists.  Keys must be str (a TypeError otherwise).  The stdlib's indent=2 encoder
+    is pure Python; here every 1-D or 2-D ndarray, and every nest of lists
+    of plain numbers (a matrix, a row of [re, im] pairs, a list of [j, k]
+    labels), is written by `_grid`: one repr per number and one str.join per
+    list.  A complex array is written from its interleaved float64 parts.
     """
     out: list = []
     _encode(payload, "", out)

@@ -44,6 +44,21 @@ class TestRoundTrip:
         d = system_to_dict(sys)
         assert system_to_dict(system_from_dict(d)) == d
 
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_written_systems_are_the_stdlib_bytes_of_the_payload(self, tmp_path, field):
+        # gen -o and dual --emit-dual write arrays straight to text; the bytes are json.dumps's of what they parse to.
+        def canonical(data):
+            return json.dumps(data, sort_keys=True, indent=2) + "\n"
+
+        gen_file, dual_file = tmp_path / "gen.json", tmp_path / "dual.json"
+        code, out = run_cli(["gen", "--dim", "5", "--blocks", "3", "--seed", "4", "--field", field, "-o", str(gen_file)])
+        assert code == 0
+        assert gen_file.read_text(encoding="utf-8") == out == canonical(json.loads(out))
+        code, out = run_cli(["dual", str(gen_file), "--seed", "1", "--emit-dual", str(dual_file)])
+        assert code == 0
+        assert out == canonical(json.loads(out))
+        assert dual_file.read_text(encoding="utf-8") == canonical(json.loads(out)["dual_system"])
+
     def test_verdicts_identical_after_round_trip(self, frame_file, tmp_path):
         code1, out1 = run_cli(["analyze", frame_file])
         resaved = tmp_path / "resaved.json"

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from helpers import coordinate_system
+from helpers import coordinate_system, run_cli
 
 import gfusion as gf
 from gfusion.errors import BadBasis, DimensionMismatch
@@ -136,3 +136,20 @@ class TestCorrespondence:
         assert rep_rot.coincidence_residual <= 1e-10
         assert abs(rep_std.induced_extremes.min_eig - rep_rot.induced_extremes.min_eig) <= 1e-10
         assert abs(rep_std.induced_extremes.max_eig - rep_rot.induced_extremes.max_eig) <= 1e-10
+
+    def test_family_matrix_is_stacked_once_per_request_and_read_only(self, tmp_path, monkeypatch):
+        fam = gf.induce_vectors(gf.generate("frame", 5, 3, seed=4))
+        u = fam.matrix()
+        assert u is fam.matrix() and not u.flags.writeable
+        path = tmp_path / "f.json"
+        gf.save_system(gf.generate("frame", 5, 3, seed=4), str(path))
+        stacks = []
+        column_stack = np.column_stack
+
+        def counted(*args, **kwargs):
+            stacks.append(args)
+            return column_stack(*args, **kwargs)
+
+        monkeypatch.setattr(np, "column_stack", counted)
+        code, out = run_cli(["induce", str(path)])
+        assert code == 0 and len(stacks) == 1

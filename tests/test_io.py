@@ -604,10 +604,67 @@ def test_dumps_canonical_encodes_a_complex_row_in_one_call(monkeypatch):
 
     monkeypatch.setattr(gfio, "_encode", counted)
     text = dumps_canonical(data)
-    rows = sum(len(sub[key]) for sub in data["subsystems"] for key in ("subspace", "lambda"))
-    # The payload dict, its four values, and per subsystem the dict, its weight and two matrices.
-    assert len(calls) <= rows + 5 + 4 * len(system.subsystems)
+    # One call per node above the numbers: the payload dict, its four values, and per subsystem
+    # the dict, its weight and its two matrices.  No call for a row or an [re, im] pair.
+    nodes = [data, *data.values(), *(x for sub in data["subsystems"] for x in (sub, *sub.values()))]
+    assert len(calls) == 5 + 4 * len(system.subsystems)
+    assert sorted(map(id, calls)) == sorted(map(id, nodes))
     assert text == _stdlib(data)
+
+
+# ndarray leaves: written as json writes to_jsonable(tree).
+_EDGE_FLOATS = [-0.0, 5e-324, 9.999999999999999e15, 1e16, 1e-5, 1e-4, 1.7e308, -1.7e308, math.nan, math.inf, -math.inf]
+_ARRAY_FLOATS = st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats())
+_SHAPES = st.one_of(
+    st.tuples(st.integers(0, 6)),
+    st.tuples(st.integers(0, 4), st.integers(0, 5)),
+    st.just((1, 1)),
+    st.tuples(st.just(0), st.integers(1, 3)),
+)
+
+
+@st.composite
+def _ndarrays(draw):
+    dtype = draw(st.sampled_from(["float64", "float32", "int64", "complex64", "complex128"]))
+    # to_jsonable writes a real array of another rank with its own dtype, and has no form for a complex one.
+    cube = st.tuples(st.integers(1, 2), st.integers(1, 2), st.integers(1, 2))
+    shape = draw(_SHAPES if dtype.startswith("complex") else st.one_of(_SHAPES, cube))
+    size = math.prod(shape)
+    if dtype == "int64":
+        return np.array(draw(st.lists(st.integers(-(2**63), 2**63 - 1), min_size=size, max_size=size)),
+                        dtype=np.int64).reshape(shape)
+    parts = st.lists(_ARRAY_FLOATS, min_size=size, max_size=size)
+    a = np.empty(size, dtype=np.complex128 if dtype.startswith("complex") else np.float64)
+    a.real = draw(parts)
+    if dtype.startswith("complex"):
+        a.imag = draw(parts)
+    with np.errstate(over="ignore"):  # +-1.7e308 is +-inf in float32 and complex64
+        return a.astype(dtype).reshape(shape)
+
+
+_ARRAY_TREES = st.recursive(
+    st.one_of(_ndarrays(), _SCALARS, _PAIR_ROWS),
+    lambda children: st.one_of(st.lists(children, max_size=3), st.dictionaries(_TEXT, children, max_size=3)),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ARRAY_TREES)
+def test_dumps_canonical_writes_arrays_as_the_stdlib_writes_their_lists(tree):
+    text = dumps_canonical(tree)
+    assert text == _stdlib(to_jsonable(tree))
+    json.loads(text)  # NaN, Infinity and -Infinity parse; repr's nan and inf would not
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("n", [1, 3, 8])
+@pytest.mark.parametrize("blocks", [1, 3])
+def test_save_system_writes_the_stdlib_bytes(tmp_path, field, n, blocks):
+    sys_ = gf.generate("frame", n, blocks, seed=17, field=field)
+    path = tmp_path / "sys.json"
+    save_system(sys_, str(path))
+    assert path.read_text(encoding="utf-8") == _stdlib(gf.system_to_dict(sys_))
 
 
 @pytest.mark.parametrize("key", [1, 1.5, None, True, ("a",)])
