@@ -19,7 +19,7 @@ import numpy as np
 from . import bases, induced, perturb
 from .errors import GFusionError
 from .generate import generate, generate_like, perturbed_copy
-from .io import _system_tree, dumps_canonical, load_system, read_system, to_jsonable
+from .io import _system_tree, dumps_canonical, load_system, read_system
 from .linalg import TOL_LEMMA_SLACK, TOL_PD, TOL_SAMPLED_MARGIN, TOL_VERDICT, adjoint, operator_norm
 from .system import analysis_matrix, canonical_dual, frame_bounds, is_gf_complete, spectral_extremes
 
@@ -50,14 +50,13 @@ def _run_report(args):
 def _cmd_analyze(args, load):
     sys_ = load("system", args.system)
     fb = frame_bounds(sys_, tol_pd=args.tol)
-    ext = spectral_extremes(sys_)
     return fb is not None, {
         "dim": sys_.dim,
         "field": sys_.field,
         "blocks": sys_.block_count,
         "verdict": "frame" if fb is not None else "not_a_frame",
-        "bounds": to_jsonable(fb),
-        "spectral_extremes": {"min_eig": ext.min_eig, "max_eig": ext.max_eig},
+        "bounds": fb,
+        "spectral_extremes": spectral_extremes(sys_),
         "parseval": bool(fb is not None and abs(fb.lower - 1) <= TOL_VERDICT and abs(fb.upper - 1) <= TOL_VERDICT),
         "gf_complete": is_gf_complete(sys_),
     }
@@ -84,18 +83,18 @@ def _cmd_dual(args, load):
 
 def _cmd_riesz(args, load):
     rb = bases.riesz_bounds(load("system", args.system), args.tol)
-    return rb is not None, {"verdict": "riesz" if rb is not None else "not_riesz", "riesz_bounds": to_jsonable(rb)}
+    return rb is not None, {"verdict": "riesz" if rb is not None else "not_riesz", "riesz_bounds": rb}
 
 
 def _cmd_onb(args, load):
     verdict = bases.is_gf_orthonormal(load("system", args.system), args.tol)
-    return verdict.is_gf_orthonormal, {"verdict": to_jsonable(verdict)}
+    return verdict.is_gf_orthonormal, {"verdict": verdict}
 
 
 def _cmd_cross(args, load):
     theta = load("theta", args.theta)
     rep = bases.cross_operator(theta, load("lambda", args.system), args.tol)
-    return rep.intertwine_residual <= args.tol and rep.surjective, {"report": to_jsonable(rep)}
+    return rep.intertwine_residual <= args.tol and rep.surjective, {"report": rep}
 
 
 def _cmd_induce(args, load):
@@ -108,7 +107,7 @@ def _cmd_induce(args, load):
             "labels": [[j, k] for j, k, _ in fam.entries],
             "vectors": fam.matrix(),
         },
-        "report": to_jsonable(rep),
+        "report": rep,
     }
 
 
@@ -134,9 +133,9 @@ def _cmd_perturb(args, load):
     lemma_tols = {"margin_tol": TOL_SAMPLED_MARGIN, "lemma_slack": TOL_LEMMA_SLACK} if args.theorem == "lemma" else {}
     return ok, {
         "theorem": args.theorem,
-        "params": {"lam": args.lam, "mu": args.mu, "gamma": args.gamma},
+        "params": params,
         "samples": args.samples,
-        "report": to_jsonable(rep),
+        "report": rep,
         "tolerances": {args.tol_name: args.tol, **lemma_tols},
     }
 

@@ -18,9 +18,10 @@ Subspace matrices hold spanning columns; columns that are already
 orthonormal are kept verbatim (so canonical files round-trip exactly),
 anything else is orthonormalized on load.  A read holds the file's text and
 one subsystem's lists at a time, never the whole file's (`_read_json`).
-A write (`save_system`, and every CLI payload through `dumps_canonical`)
-goes straight from each matrix's float64 parts to its text, holding one
-matrix's number texts at a time and never the file's nested lists.
+A write (`save_system`, and every CLI payload through `dumps_canonical`,
+its report objects as they are) goes straight from each matrix's float64
+parts to its text, holding one matrix's number texts at a time and never
+the file's nested lists.
 """
 
 from __future__ import annotations
@@ -46,14 +47,6 @@ def _parts(m: np.ndarray, field: str) -> np.ndarray:
     if field == "complex":
         return np.ascontiguousarray(m, dtype=np.complex128).view(np.float64).reshape(m.shape + (2,))
     return m.real.astype(np.float64)
-
-
-def matrix_to_data(m: np.ndarray, field: str) -> list:
-    """Nested lists of Python floats; complex entries become [re, im] pairs.
-
-    The float64 cast makes int and float32 arrays print as floats.
-    """
-    return _parts(m, field).tolist()
 
 
 def _is_number(x) -> bool:
@@ -145,7 +138,11 @@ def _system_tree(sys: GFusionSystem) -> dict:
 
 def system_to_dict(sys: GFusionSystem) -> dict:
     """The system file's data as plain lists (a matrix's dtype is its system's field)."""
-    return to_jsonable(_system_tree(sys))
+    data = _system_tree(sys)
+    for sub in data["subsystems"]:
+        for key in ("subspace", "lambda"):
+            sub[key] = _parts(sub[key], sys.field).tolist()
+    return data
 
 
 def system_from_dict(data: dict) -> GFusionSystem:
@@ -288,13 +285,15 @@ def _grid(texts, shape: tuple, indent: str) -> str:
 def _encode(obj, indent: str, out: list):
     """Append to `out` the json.dumps(indent=2, sort_keys=True) text of obj at nesting `indent`.
 
-    An ndarray is written as json writes to_jsonable(obj).
+    An ndarray is written as json writes the nested lists of its float64
+    parts (`_parts`), and a dataclass instance as json writes the dict of its
+    fields.
     """
     if isinstance(obj, np.ndarray):
-        if obj.ndim not in (1, 2) or not obj.size:
-            _encode(to_jsonable(obj), indent, out)
-            return
         parts = _parts(obj, "complex" if np.iscomplexobj(obj) else "real")
+        if obj.ndim not in (1, 2) or not obj.size:
+            _encode(parts.tolist(), indent, out)
+            return
         out.append(_grid(_number_texts(parts.ravel().tolist(), np.isfinite(parts).all()), parts.shape, indent))
     elif isinstance(obj, (list, tuple)):
         if not obj:
@@ -323,6 +322,8 @@ def _encode(obj, indent: str, out: list):
             out.append(json.encoder.encode_basestring_ascii(key) + ": ")
             _encode(value, inner, out)
         out.append("\n" + indent + "}")
+    elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        _encode({f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}, indent, out)
     else:
         out.append(_encode_scalar(obj))
 
@@ -330,37 +331,17 @@ def _encode(obj, indent: str, out: list):
 def dumps_canonical(payload: dict) -> str:
     """Deterministic JSON: exactly json.dumps(payload, sort_keys=True, indent=2) plus a newline.
 
-    An ndarray in the payload is written as json writes to_jsonable(array),
-    its nested lists.  Keys must be str (a TypeError otherwise).  The stdlib's indent=2 encoder
-    is pure Python; here every 1-D or 2-D ndarray, and every nest of lists
-    of plain numbers (a matrix, a row of [re, im] pairs, a list of [j, k]
-    labels), is written by `_grid`: one repr per number and one str.join per
-    list.  A complex array is written from its interleaved float64 parts.
+    The payload may hold report objects as they are.  An ndarray is written
+    as json writes the nested lists of its float64 parts (a complex entry as
+    an [re, im] pair), and a dataclass instance as json writes the dict of
+    its fields.  Keys must be str (a TypeError otherwise).  The stdlib's
+    indent=2 encoder is pure Python; here every non-empty 1-D or 2-D
+    ndarray, and every nest of lists of plain numbers (a matrix, a row of
+    [re, im] pairs, a list of [j, k] labels), is written by `_grid`: one
+    repr per number and one str.join per list.
     """
     out: list = []
     _encode(payload, "", out)
     out.append("\n")
     return "".join(out)
 
-
-def to_jsonable(obj: Any) -> Any:
-    """Recursively convert reports (dataclasses, arrays, numpy scalars) to JSON data."""
-    if obj is None or isinstance(obj, (bool, int, str)):
-        return obj
-    if isinstance(obj, float):
-        return obj
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, (complex, np.complexfloating)):
-        return [float(obj.real), float(obj.imag)]
-    if isinstance(obj, np.ndarray):
-        if obj.ndim in (1, 2):
-            return matrix_to_data(obj, "complex" if np.iscomplexobj(obj) else "real")
-        return obj.tolist()
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: to_jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
-    if isinstance(obj, dict):
-        return {str(k): to_jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [to_jsonable(v) for v in obj]
-    raise TypeError(f"cannot serialize {type(obj)!r}")

@@ -1,5 +1,6 @@
 """CLI behavior tests: exit codes, round-trips, diagnostics, golden files."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -9,7 +10,7 @@ from helpers import replay_golden, run_cli
 import gfusion as gf
 from gfusion import cli
 from gfusion.errors import SystemFileError
-from gfusion.io import load_system, save_system, system_from_dict, system_to_dict, to_jsonable
+from gfusion.io import load_system, save_system, system_from_dict, system_to_dict
 
 
 @pytest.fixture()
@@ -321,7 +322,7 @@ class TestLemmaArm:
             load_system(paths[0]), load_system(paths[1]), gf.PerturbParams(0.2, 0.1, 0.05), samples=300, seed=7
         )
         assert code == (0 if rep.hypothesis_holds and rep.sandwich_ok else 1)
-        assert _strict_json(out)["report"] == to_jsonable(rep)
+        assert _strict_json(out)["report"] == dataclasses.asdict(rep)
 
     def test_lam1_beyond_one_names_lam_gamma_and_its_value(self, frame_file, capsys):
         argv = ["perturb", frame_file, frame_file, "--theorem", "lemma", "--lam", "0.99", "--gamma", "5", "--seed", "1"]

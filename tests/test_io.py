@@ -2,6 +2,7 @@
 
 import collections
 import copy
+import dataclasses
 import hashlib
 import json
 import math
@@ -22,11 +23,9 @@ from gfusion.io import (
     dumps_canonical,
     load_system,
     matrix_from_data,
-    matrix_to_data,
     read_system,
     save_system,
     system_from_dict,
-    to_jsonable,
 )
 from gfusion.linalg import orthonormality_deviation
 
@@ -218,19 +217,24 @@ def _arrays():
 ARRAYS = _arrays()
 
 
+def _lists(tree):
+    """The JSON data that dumps_canonical writes for a tree: each array as the per-entry formula's nested lists."""
+    if isinstance(tree, np.ndarray):
+        if tree.ndim in (1, 2):
+            return _per_entry(tree, "complex" if np.iscomplexobj(tree) else "real")
+        return [_lists(x) for x in tree]
+    if isinstance(tree, dict):
+        return {k: _lists(v) for k, v in tree.items()}
+    if isinstance(tree, list):
+        return [_lists(v) for v in tree]
+    return tree
+
+
 @pytest.mark.parametrize("name", sorted(ARRAYS))
-@pytest.mark.parametrize("field", ["real", "complex"])
-def test_matrix_to_data_matches_per_entry_formula(name, field):
+def test_dumps_canonical_writes_arrays_by_the_per_entry_formula(name):
     # Compared as JSON text, which tells -0.0 from 0.0 and 1 from 1.0 (== does not).
-    # With field "real", both drop a complex array's imaginary part.
-    assert json.dumps(matrix_to_data(ARRAYS[name], field)) == json.dumps(_per_entry(ARRAYS[name], field))
-
-
-@pytest.mark.parametrize("name", sorted(ARRAYS))
-def test_to_jsonable_arrays_match_per_entry_formula(name):
-    a = ARRAYS[name]
-    field = "complex" if np.iscomplexobj(a) else "real"
-    assert json.dumps(to_jsonable({"x": a})) == json.dumps({"x": _per_entry(a, field)})
+    tree = {"x": ARRAYS[name]}
+    assert dumps_canonical(tree) == _stdlib(_lists(tree))
 
 
 @pytest.mark.parametrize("field", ["real", "complex"])
@@ -612,7 +616,7 @@ def test_dumps_canonical_encodes_a_complex_row_in_one_call(monkeypatch):
     assert text == _stdlib(data)
 
 
-# ndarray leaves: written as json writes to_jsonable(tree).
+# ndarray leaves: written as json writes their per-entry lists (`_lists`).
 _EDGE_FLOATS = [-0.0, 5e-324, 9.999999999999999e15, 1e16, 1e-5, 1e-4, 1.7e308, -1.7e308, math.nan, math.inf, -math.inf]
 _ARRAY_FLOATS = st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats())
 _SHAPES = st.one_of(
@@ -626,9 +630,9 @@ _SHAPES = st.one_of(
 @st.composite
 def _ndarrays(draw):
     dtype = draw(st.sampled_from(["float64", "float32", "int64", "complex64", "complex128"]))
-    # to_jsonable writes a real array of another rank with its own dtype, and has no form for a complex one.
+    # An array of another rank is written from the nested lists of its float64 parts too.
     cube = st.tuples(st.integers(1, 2), st.integers(1, 2), st.integers(1, 2))
-    shape = draw(_SHAPES if dtype.startswith("complex") else st.one_of(_SHAPES, cube))
+    shape = draw(st.one_of(_SHAPES, cube))
     size = math.prod(shape)
     if dtype == "int64":
         return np.array(draw(st.lists(st.integers(-(2**63), 2**63 - 1), min_size=size, max_size=size)),
@@ -653,8 +657,38 @@ _ARRAY_TREES = st.recursive(
 @given(_ARRAY_TREES)
 def test_dumps_canonical_writes_arrays_as_the_stdlib_writes_their_lists(tree):
     text = dumps_canonical(tree)
-    assert text == _stdlib(to_jsonable(tree))
+    assert text == _stdlib(_lists(tree))
     json.loads(text)  # NaN, Infinity and -Infinity parse; repr's nan and inf would not
+
+
+def _reports():
+    """One of each report object that a CLI payload carries, built on small generated systems."""
+    frame = gf.generate("frame", 4, 3, seed=3)
+    near = gf.perturbed_copy(frame, 4, radius=0.01)
+    params = gf.PerturbParams(0.3, 0.3, 0.0)
+    onbs = {field: gf.generate("onb", 4, 2, seed=5, field=field) for field in ("real", "complex")}
+    return {
+        "FrameBounds": gf.frame_bounds(frame),
+        "SpectralBounds": gf.spectral_extremes(frame),
+        "BasisVerdict": gf.is_gf_orthonormal(onbs["real"]),
+        **{
+            f"CrossOperatorReport-{field}": gf.cross_operator(onb, gf.generate_like(onb, "frame", 6))
+            for field, onb in onbs.items()
+        },
+        "CorrespondenceReport": gf.verify_correspondence(frame, gf.induce_vectors(frame)),
+        "PerturbParams": params,
+        "PerturbationReport": gf.certify_frame_operator_perturbation(frame, near, params, samples=10, seed=1),
+        "LemmaReport": gf.certify_invertibility_lemma(frame, near, params, samples=10, seed=1),
+    }
+
+
+REPORTS = _reports()
+
+
+@pytest.mark.parametrize("name", sorted(REPORTS))
+def test_dumps_canonical_writes_a_report_as_the_dict_of_its_fields(name):
+    rep = REPORTS[name]
+    assert dumps_canonical({"report": rep}) == _stdlib({"report": _lists(dataclasses.asdict(rep))})
 
 
 @pytest.mark.parametrize("field", ["real", "complex"])

@@ -52,6 +52,11 @@ class TestOrthonormalize:
         assert w.dim == 2
         np.testing.assert_allclose(adjoint(w.basis) @ w.basis, np.eye(2), atol=1e-12)
 
+    # Either side of the rank cut 1e-10 (TOL_RANK), written as literals so that a changed cut fails.
+    @pytest.mark.parametrize("r, rank", [(1e-11, 1), (1e-9, 2)])
+    def test_rank_cut_is_1e_10_of_the_largest_singular_value(self, r, rank):
+        assert orthonormalize(np.diag([1.0, r])).dim == rank
+
 
 class TestProjector:
     def test_coordinate_line(self):
@@ -94,6 +99,11 @@ class TestProjector:
 
 
 class TestOrthonormalityDeviation:
+    def test_a_column_within_1e_10_of_unit_length_is_kept_verbatim(self):
+        # Deviation (1 + 5e-12)^2 - 1 = 1e-11, inside TOL_ORTHO = 1e-10 (a literal here, so that a changed
+        # threshold fails).
+        assert np.array_equal(Subspace([[1 + 5e-12], [0]]).basis, [[1 + 5e-12], [0.0]])
+
     def test_orthonormal_columns_and_no_columns_give_zero(self):
         assert orthonormality_deviation(np.eye(3)[:, :2]) == 0.0
         assert orthonormality_deviation(np.zeros((3, 0))) == 0.0

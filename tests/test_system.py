@@ -1,5 +1,6 @@
 """Tests for the g-fusion system core."""
 
+import contextlib
 import dataclasses
 
 import numpy as np
@@ -18,6 +19,7 @@ from gfusion.errors import (
 )
 from gfusion.linalg import TOL_ORTHO, adjoint, operator_norm, orthonormality_deviation
 from gfusion.sampling import random_unit_vectors
+from gfusion.system import require_same_structure
 
 
 def quadratic_form(sys, f):
@@ -425,6 +427,23 @@ class TestStructureMatch:
         with pytest.raises(SystemMismatch, match="weights") as from_certifier:
             gf.certify_analysis_perturbation(theta, lam)
         assert type(from_cross.value) is type(from_certifier.value)
+
+    # Either side of TOL_WEIGHT = 1e-12 and TOL_SUBSPACE = 1e-10, written as literals so that a changed
+    # threshold fails.
+    @staticmethod
+    def _line(weight, angle):
+        span = [[np.cos(angle)], [np.sin(angle)]]
+        return gf.make_system(2, "real", [(weight, span, [[1.0, 0.0]])])
+
+    @pytest.mark.parametrize("weight, same", [(1 + 1e-13, True), (1 + 1e-11, False)])
+    def test_weights_agree_within_1e_12(self, weight, same):
+        with contextlib.nullcontext() if same else pytest.raises(SystemMismatch, match="weights"):
+            require_same_structure(self._line(1.0, 0.0), self._line(weight, 0.0))
+
+    @pytest.mark.parametrize("angle, same", [(1e-11, True), (1e-9, False)])
+    def test_subspaces_agree_within_1e_10(self, angle, same):
+        with contextlib.nullcontext() if same else pytest.raises(SystemMismatch, match="subspace 0"):
+            require_same_structure(self._line(1.0, 0.0), self._line(1.0, angle))
 
 
 class TestMakeSystem:
