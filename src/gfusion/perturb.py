@@ -20,15 +20,17 @@ every report labels the guarantee it carries:
   exactly (analysis-side certifier, and the lemma with lam2 = 0);
 * ``none`` -- the hypothesis could not be established.
 
-The three sampled certifiers share one search, ``_sampled_max_margin``,
-the only place that fixes its order; its shape is fixed by module
-constants.  ``t52`` and ``synth`` state their hypothesis as operators: the
-full index set's D = L - T (the reference operator L the hypothesis
-compares with, minus its perturbed counterpart T), and for ``t52`` the
-same sums over random block subsets, whose masks come off the search's
-random stream.  ``_decide`` turns them into margins and the witness.  The
-search runs in this order and stops at the first margin above the
-threshold, which refutes the hypothesis:
+The three sampled certifiers and the invertibility lemma share one search,
+``_sampled_max_margin``, the only place that fixes its order and the only
+one that draws; its shape is fixed by module constants.  Each states its
+margin over norm terms with one builder, ``_norm_objective``: ``t52`` and
+``synth`` over operators, the full index set's D = L - T (the reference
+operator L the hypothesis compares with, minus its perturbed counterpart
+T), and for ``t52`` the same sums over random block subsets, whose masks
+come off the search's random stream; the radius condition over its D_j;
+the lemma over I - U and U.  ``_decide`` searches ``t52``'s and
+``synth``'s with their witness.  The search runs in this order and stops
+at the first margin above the threshold, which refutes the hypothesis:
 
 1. a deterministic witness, block by block (``_spectral_witness``): for
    ``t52`` and ``synth``, the top right singular vector of the full set's
@@ -40,7 +42,8 @@ threshold, which refutes the hypothesis:
    involved is n x n.  With only the lam term (mu = gamma = 0) these
    witnesses refute exactly when the full-set hypothesis is false.  For
    the radius condition (its margin is its summed-norm functional) the
-   witness is the top eigenvector of sum_j D_j^H D_j;
+   witness is the top eigenvector of sum_j D_j^H D_j, and for the lemma
+   the top right singular vector of I - U, where ||x - Ux|| peaks;
 2. the Generator, seeded with ``seed``;
 3. ``t52``'s up to ``_EXTRA_SUBSETS`` (7) random subset masks, off that
    stream;
@@ -52,20 +55,21 @@ threshold, which refutes the hypothesis:
    margin and its gradient once, on all the candidate columns.  Terms
    whose coefficient is 0 are not evaluated.
 
-``synth`` and the radius condition search the full index set alone: a
-block subset's synthesis hypothesis is the full set's on direct-sum
-sequences supported there, so no subset can refute what the full set does
-not.  ``t52``'s sums over a subset are other operators.  The stop comes at
-the witness, at a screening or after any ascent step, and nothing after it
-is built or drawn: a refutation by the witness seeds no Generator and
-draws no mask.  A refuted report's sampled margin (or radius) is then the
-worst seen up to that point: still a witness, and a lower bound on the
-worst over all subsets after full ascent.  A hypothesis that holds never
-stops early, so its report is what the exhaustive search gives, the
-witness's margin included.  The invertibility lemma is decided first by
-its certificate ||I - U|| - lam1 - lam2*sigma_min(U), then by its witness,
-the top right singular vector of I - U, and draws only when neither
-decides (``LemmaReport``).
+``synth`` and the radius condition search the full index set alone (the
+lemma has no index sets): a block subset's synthesis hypothesis is the
+full set's on direct-sum sequences supported there, so no subset can
+refute what the full set does not.  ``t52``'s sums over a subset are other
+operators.  The stop comes at the witness, at a screening or after any
+ascent step, and nothing after it is built or drawn: a refutation by the
+witness seeds no Generator and draws no mask.  A refuted report's sampled
+margin (or radius) is then the worst seen up to that point: still a
+witness, and a lower bound on the worst over all subsets after full
+ascent.  A hypothesis that holds never stops early, so its report is what
+the exhaustive search gives, the witness's margin included.  The
+invertibility lemma is decided first by its certificate
+||I - U|| - lam1 - lam2*sigma_min(U); only when that does not decide (and
+lam2 > 0) does it run the search: witness, draw and ascent
+(``LemmaReport``).
 """
 
 from __future__ import annotations
@@ -168,14 +172,17 @@ class LemmaReport:
     then U is invertible with
     (1-lam1)/(1+lam2) <= ||Ux||/||x|| <= (1+lam1)/(1-lam2) and the mirrored
     pair for U^-1.  ``cert_margin = ||I - U|| - lam1 - lam2*sigma_min(U)`` at
-    most ``margin_tol`` proves the hypothesis with no draw
-    (``certified_sufficient``; with lam2 = 0 it decides both ways: ``exact``).
-    Else a margin above ``margin_tol`` at the top right singular vector of
-    I - U, where ||x - Ux|| peaks, refutes it with no draw; only then are
-    random unit vectors scored (both ``sampled``).  ``hypothesis_margin`` is
-    the worst margin evaluated, the witness's when nothing is drawn, so it
-    and ``cert_margin`` bracket the supremum.  The four sandwich bounds are
-    then checked against the singular spectrum.
+    most ``TOL_SAMPLED_MARGIN`` (echoed as ``margin_tol``) proves the
+    hypothesis with no draw (``certified_sufficient``; with lam2 = 0 it
+    decides both ways: ``exact``).  Else the margin
+    ``||(I - U)x|| - (lam2*||Ux|| + lam1)`` goes to the shared search
+    (``_sampled_max_margin``, both ``sampled``): a margin above
+    ``TOL_SAMPLED_MARGIN`` at the top right singular vector of I - U, where
+    ||x - Ux|| peaks, refutes it with no draw; only then are ``samples``
+    random unit vectors screened and ascended from the worst.
+    ``hypothesis_margin`` is the worst margin evaluated, the witness's when
+    nothing is drawn, so it and ``cert_margin`` bracket the supremum.  The
+    four sandwich bounds are then checked against the singular spectrum.
     """
 
     mode: str
@@ -219,7 +226,7 @@ def _require_samples(samples: int, least: int) -> None:
 
 
 def check_invertibility_lemma(
-    u: np.ndarray, lam1: float, lam2: float, *, samples: int = 2000, seed: int, margin_tol: float = TOL_SAMPLED_MARGIN
+    u: np.ndarray, lam1: float, lam2: float, *, samples: int = 2000, seed: int
 ) -> LemmaReport:
     _require_samples(samples, 1)
     if not (0.0 <= lam1 < 1.0 and 0.0 <= lam2 < 1.0):
@@ -231,21 +238,20 @@ def check_invertibility_lemma(
     sv = np.linalg.svd(u, compute_uv=False)
     smin, smax = float(sv[-1]), float(sv[0])
 
-    def margins(x):
-        ux = u @ x
-        return np.linalg.norm(x - ux, axis=0) - lam1 - lam2 * np.linalg.norm(ux, axis=0)
-
+    i_u = np.eye(u.shape[0]) - u
+    objective = _norm_objective([i_u], [(lam2, u, 0.0)], lam1)  # ||x - Ux|| - (lam2*||Ux|| + lam1)
     with _finite_margins():
-        norm_d, witness = _top_singular(np.eye(u.shape[0]) - u)
+        norm_d, top = _top_singular(i_u)
         # ||x - Ux|| <= ||I - U|| ||x|| and sigma_min ||x|| <= ||Ux||: at most 0 implies the hypothesis
         cert_margin = float(norm_d - lam1 - lam2 * smin)
-        margin = -np.inf if witness is None else float(margins(witness[:, None])[0])
-        # margin_tol absorbs round-off on exactly-tight instances; a witness above it refutes before any draw
-        certified = cert_margin <= margin_tol
-        if not (certified or lam2 == 0.0 or margin > margin_tol):
-            x = random_unit_vectors(np.random.default_rng(seed), u.shape[0], samples, field)
-            margin = max(float(margins(x).max()), margin)
-    holds = bool(certified or (lam2 > 0.0 and margin <= margin_tol))
+        # TOL_SAMPLED_MARGIN absorbs round-off on exactly-tight instances
+        certified = cert_margin <= TOL_SAMPLED_MARGIN
+        if certified or lam2 == 0.0:  # decided: the witness's margin is reported and nothing is drawn
+            margin = -np.inf if top is None else float(objective(top[:, None], grad=False)[0][0])
+        else:  # the witness first: a margin above TOL_SAMPLED_MARGIN there refutes before any draw
+            margin = _sampled_max_margin(u.shape[0], objective, _columns([top]), TOL_SAMPLED_MARGIN, seed, field,
+                                         samples)
+    holds = bool(certified or (lam2 > 0.0 and margin <= TOL_SAMPLED_MARGIN))
     inverse_norm = None if smin == 0.0 else 1.0 / smin
     if inverse_norm is not None:
         _finite_fields({"inverse_norm": inverse_norm})
@@ -438,47 +444,43 @@ def _over(num: np.ndarray, den: np.ndarray) -> np.ndarray:
     return np.divide(num, den, out=np.zeros_like(num), where=den > 0)
 
 
-def _margin_objective(d_m, l_m, t_m, params: PerturbParams, quad_form: bool):
-    """The hypothesis margin of one (D, L, T) triple, column by column, with its gradient.
+def _norm_objective(plus, minus=(), const=0.0):
+    """A hypothesis margin over norm terms, column by column, with its gradient.
 
     ``objective(f, grad)`` returns, for a (dim, k) block f of unit columns,
-    the k margins ``||D f|| - lam*||L f|| - mu*||T f|| - gamma * w(f)``, where
-    ``w`` is ``sqrt(f^H L f)`` when ``quad_form`` (frame-operator hypothesis,
-    L PSD) and ``||f|| = 1`` otherwise (synthesis hypothesis), and, when
-    ``grad``, their (dim, k) gradients (else None).  A term whose coefficient
-    is 0 is skipped: it would add exactly 0.0.
+    the k margins ``sum_{A in plus} ||A f|| - (sum_i (c_i*||B_i f|| +
+    gamma_i*sqrt(f^H B_i f)) + const)``, over the ``(c_i, B_i, gamma_i)`` in
+    ``minus`` (B_i PSD where gamma_i > 0), and, when ``grad``, their (dim, k)
+    gradients (else None); ``const`` has no tangent gradient on the unit
+    sphere.  Each matrix multiplies f once per call, and a term whose
+    coefficient is 0 is skipped: it would add exactly 0.0.
     """
-    lam, mu, gamma = params.lam, params.mu, params.gamma
-    d_h = adjoint(d_m)
-    l_h = adjoint(l_m) if lam else None
-    t_h = adjoint(t_m) if mu else None
-    need_lf = bool(lam or (gamma and quad_form))
+    plus = [(a, adjoint(a)) for a in plus]
+    minus = [(c, b, adjoint(b), gamma) for c, b, gamma in minus if c or gamma]
 
     def objective(f, grad=True):
-        df = d_m @ f
-        lhs = np.linalg.norm(df, axis=0)
-        g = _over(d_h @ df, lhs) if grad else None
+        value, g = 0.0, 0.0
+        for a, a_h in plus:
+            af = a @ f
+            an = np.linalg.norm(af, axis=0)
+            value = value + an
+            if grad:
+                g = g + _over(a_h @ af, an)
         rhs = 0.0
-        lf = l_m @ f if need_lf else None
-        if lam:
-            ln = np.linalg.norm(lf, axis=0)
-            rhs = rhs + lam * ln
-            if grad:
-                g = g - lam * _over(l_h @ lf, ln)
-        if mu:
-            tf = t_m @ f
-            tn = np.linalg.norm(tf, axis=0)
-            rhs = rhs + mu * tn
-            if grad:
-                g = g - mu * _over(t_h @ tf, tn)
-        if gamma and quad_form:
-            root = np.sqrt(np.clip(np.einsum("is,is->s", f.conj(), lf).real, 0.0, None))
-            rhs = rhs + gamma * root
-            if grad:
-                g = g - gamma * _over(lf, root)
-        elif gamma:
-            rhs = rhs + gamma  # constant on the unit sphere: no tangent gradient
-        return lhs - rhs, g
+        bfs = [b @ f for _, b, _, _ in minus]
+        for (c, _, b_h, _), bf in zip(minus, bfs):
+            if c:
+                bn = np.linalg.norm(bf, axis=0)
+                rhs = rhs + c * bn
+                if grad:
+                    g = g - c * _over(b_h @ bf, bn)
+        for (_, _, _, gamma), bf in zip(minus, bfs):
+            if gamma:
+                root = np.sqrt(np.clip(np.einsum("is,is->s", f.conj(), bf).real, 0.0, None))
+                rhs = rhs + gamma * root
+                if grad:
+                    g = g - gamma * _over(bf, root)
+        return value - (rhs + const), g if grad else None
 
     return objective
 
@@ -520,26 +522,24 @@ def _sampled_max_margin(dim: int, objective, witness: Iterable[np.ndarray], stop
     return float(worst)
 
 
-def _decide(cert_margin: float, threshold: float, hypothesis, params: PerturbParams, quad_form: bool, seed: int,
-            field: str, samples: int):
+def _decide(cert_margin: float, threshold: float, hypothesis, seed: int, field: str, samples: int):
     """Mode, margin, ``inequality_ok`` and sampled margin of a ``t52`` or ``synth`` hypothesis.
 
     A ``cert_margin <= 0`` certifies it.  Otherwise, with samples,
-    ``hypothesis()`` gives the full index set's (D, L, T), D's top right
-    singular vector, a thunk of L^+ and ``subsets``: rng -> the (D, L, T) of
-    further index sets, drawing what it needs from rng when called.  The full
-    set's ``_margin_objective`` is searched with its ``_spectral_witness``,
-    then the further sets' (``_sampled_max_margin``); a margin above
-    ``threshold`` refutes the hypothesis.
+    ``hypothesis()`` gives the full index set's D, L and margin objective
+    (``_norm_objective``), D's top right singular vector, a thunk of L^+ and
+    ``subsets``: rng -> the objectives of further index sets, drawing what it
+    needs from rng when called.  The full set's objective is searched with
+    its ``_spectral_witness``, then the further sets' (``_sampled_max_margin``);
+    a margin above ``threshold`` refutes the hypothesis.
     """
     if cert_margin <= 0.0:
         return "certified_sufficient", cert_margin, True, None
     if samples == 0:
         return "none", cert_margin, False, None
-    d, l, t, top, l_pinv, subsets = hypothesis()
+    d, l, objective, top, l_pinv, subsets = hypothesis()
     sampled = _sampled_max_margin(
-        d.shape[1], _margin_objective(d, l, t, params, quad_form), _spectral_witness(d, l, top, l_pinv), threshold,
-        seed, field, samples, lambda rng: (_margin_objective(*ops, params, quad_form) for ops in subsets(rng)),
+        d.shape[1], objective, _spectral_witness(d, l, top, l_pinv), threshold, seed, field, samples, subsets
     )
     return "sampled", sampled, sampled <= threshold, sampled
 
@@ -597,14 +597,17 @@ def certify_frame_operator_perturbation(
             return tuple(None if terms is None else sum(x for x, keep in zip(terms, mask) if keep)
                          for terms in (terms_d, terms_l, terms_t))
 
+        def objective(d, l, t):  # the gamma term reuses the lam term's L f
+            return _norm_objective([d], [(params.lam, l, params.gamma), (params.mu, t, 0.0)])
+
         def subsets(rng):  # the masks come off rng at once; a subset's sums are built when it is searched
-            return map(on, _subset_masks(rng, lam_sys.block_count, _EXTRA_SUBSETS)[1:])
+            return (objective(*on(mask)) for mask in _subset_masks(rng, lam_sys.block_count, _EXTRA_SUBSETS)[1:])
 
         d, l, t = on(np.ones(lam_sys.block_count, dtype=bool))
-        return d, l, t, _top_singular(d)[1], lambda: inverse_frame_operator(lam_sys), subsets
+        return d, l, objective(d, l, t), _top_singular(d)[1], lambda: inverse_frame_operator(lam_sys), subsets
 
     mode, margin, inequality_ok, sampled_margin = _decide(
-        cert_margin, TOL_SAMPLED_MARGIN * max(1.0, b), hypothesis, params, True, seed, lam_sys.field, samples
+        cert_margin, TOL_SAMPLED_MARGIN * max(1.0, b), hypothesis, seed, lam_sys.field, samples
     )
     holds = bool(inequality_ok and admissible)
     predicted = None
@@ -667,22 +670,11 @@ def certify_R_condition(
         mode = "certified_sufficient"
     elif samples > 0:
         diffs = _gram_differences(blocks)
-
-        def objective(f, grad=True):
-            """sum_j ||D_j f|| per column of f, D_j = herm(F_j^H E_j), with its gradient when ``grad``."""
-            value, g = 0, 0
-            for d in diffs:
-                df = d @ f
-                dn = np.linalg.norm(df, axis=0)
-                value = value + dn
-                if grad:
-                    g = g + _over(d @ df, dn)
-            return value, g if grad else None
-
         # stop once r_sampled >= a (the largest float below a is exceeded): the mode is then none
         stop = np.nextafter(a, -np.inf)
         # witness: the top eigenvector of sum_j D_j^H D_j, the top right singular vector of the stacked D_j
         witness = _columns([_top_singular(np.vstack(diffs))[1]])
+        objective = _norm_objective(diffs)  # sum_j ||D_j f||
         r_sampled = _sampled_max_margin(lam_sys.dim, objective, witness, stop, seed, lam_sys.field, samples)
         radius = min(r_cert, r_sampled)
         if r_sampled < a:
@@ -758,9 +750,12 @@ def certify_synthesis_perturbation(
     def l_pinv():  # K S^-1, so D L^+ is n x n
         return analysis_matrix(lam_sys) @ inverse_frame_operator(lam_sys)
 
+    def hypothesis():  # gamma * ||g|| is the constant gamma on the unit sphere
+        objective = _norm_objective([d_t], [(params.lam, t_lam, 0.0), (params.mu, t_theta, 0.0)], params.gamma)
+        return d_t, t_lam, objective, top, l_pinv, lambda rng: ()
+
     mode, margin, inequality_ok, sampled_margin = _decide(
-        cert_margin, TOL_SAMPLED_MARGIN * max(1.0, sqrt_b), lambda: (d_t, t_lam, t_theta, top, l_pinv, lambda rng: ()),
-        params, False, seed, lam_sys.field, samples,
+        cert_margin, TOL_SAMPLED_MARGIN * max(1.0, sqrt_b), hypothesis, seed, lam_sys.field, samples
     )
     holds = bool(inequality_ok and admissible)
     predicted = None
