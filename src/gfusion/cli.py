@@ -104,8 +104,8 @@ def _cmd_induce(args, load):
     return rep.coincidence_residual <= args.tol and rep.bounds_agree, {
         "family": {
             "count": fam.count,
-            "labels": [[j, k] for j, k, _ in fam.entries],
-            "vectors": fam.matrix(),
+            "labels": fam.labels,
+            "vectors": fam.vectors,
         },
         "report": rep,
     }

@@ -10,7 +10,6 @@ operator.  ``verify_correspondence`` checks all of that numerically.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,23 +27,17 @@ from .system import (
 
 @dataclass(frozen=True)
 class InducedFamily:
-    """The induced vectors, kept with their (block, basis-index) labels."""
+    """The induced vectors u_{j,k} as the columns of ``vectors`` (dim x M, the columns of K^H), in (j, k) order.
 
-    entries: tuple[tuple[int, int, np.ndarray], ...]
+    Row i of ``labels`` (M x 2 integers) is the (block, basis-index) pair of column i.  Both arrays are read-only.
+    """
+
+    vectors: np.ndarray
+    labels: np.ndarray
 
     @property
     def count(self) -> int:
-        return len(self.entries)
-
-    @functools.cached_property
-    def _matrix(self) -> np.ndarray:
-        m = np.column_stack([u for _, _, u in self.entries])
-        m.flags.writeable = False
-        return m
-
-    def matrix(self) -> np.ndarray:
-        """All induced vectors as columns, in (j, k) order: stacked on the first call, read-only."""
-        return self._matrix
+        return len(self.labels)
 
 
 def induce_vectors(sys: GFusionSystem, onbs=None) -> InducedFamily:
@@ -64,12 +57,11 @@ def induce_vectors(sys: GFusionSystem, onbs=None) -> InducedFamily:
                 raise BadBasis(f"block {j}: basis must be {m}x{m}, got {e.shape}")
             if not orthonormality_deviation(e) <= TOL_ORTHO:  # NaN fails too
                 raise BadBasis(f"block {j}: basis columns are not orthonormal")
-    entries = []
-    for j, (k_j, e) in enumerate(zip(split_blocks(sys, analysis_matrix(sys)), onbs)):
-        u_block = adjoint(k_j) @ e  # v_j P_j L_j^H e
-        for k in range(u_block.shape[1]):
-            entries.append((j, k, u_block[:, k]))
-    return InducedFamily(tuple(entries))
+    # v_j P_j L_j^H e_{j,k} for every block j and basis index k
+    vectors = np.hstack([adjoint(k_j) @ e for k_j, e in zip(split_blocks(sys, analysis_matrix(sys)), onbs)])
+    labels = np.array([(j, k) for j, m in enumerate(sys.block_dims) for k in range(m)])
+    vectors.flags.writeable = labels.flags.writeable = False
+    return InducedFamily(vectors, labels)
 
 
 @dataclass(frozen=True)
@@ -99,7 +91,7 @@ def verify_correspondence(sys: GFusionSystem, fam: InducedFamily, tol: float = T
     follows from (a); it is not an independent check.
     """
     sys_ext = spectral_extremes(sys)
-    u = fam.matrix()
+    u = fam.vectors
     induced_op = finite_product(u, adjoint(u), "induced frame operator U U^H")
     coincidence = float(np.linalg.norm(induced_op - frame_operator(sys), 2))
     ind_eigs = np.linalg.eigvalsh(hermitian_part(induced_op))

@@ -19,9 +19,10 @@ orthonormal are kept verbatim (so canonical files round-trip exactly),
 anything else is orthonormalized on load.  A read holds the file's text and
 one subsystem's lists at a time, never the whole file's (`_read_json`).
 A write (`save_system`, and every CLI payload through `dumps_canonical`,
-its report objects as they are) goes straight from each matrix's float64
-parts to its text, holding one matrix's number texts at a time and never
-the file's nested lists.
+its report objects and arrays as they are) goes straight from each array's
+numbers (a matrix's float64 parts, an integer array's ints) to its text,
+holding one array's number texts at a time and never the file's nested
+lists.
 """
 
 from __future__ import annotations
@@ -235,20 +236,7 @@ def save_system(sys: GFusionSystem, path: str):
 
 
 _encode_scalar = json.JSONEncoder(check_circular=False).encode
-_SEQUENCES = {list, tuple}
 _NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def _rectangular(obj) -> tuple[list, tuple] | None:
-    """The leaves and shape of a nest of lists (or tuples) of plain numbers with no empty level, else None."""
-    level, shape = [obj], ()
-    while set(map(type, level)) <= _SEQUENCES:
-        widths = set(map(len, level))
-        if widths == {0} or len(widths) != 1:
-            return None
-        shape += (widths.pop(),)
-        level = list(chain.from_iterable(level))
-    return (level, shape) if shape and set(map(type, level)) <= _PLAIN_NUMBERS else None
 
 
 def _number_texts(numbers: list, finite: bool):
@@ -285,23 +273,21 @@ def _grid(texts, shape: tuple, indent: str) -> str:
 def _encode(obj, indent: str, out: list):
     """Append to `out` the json.dumps(indent=2, sort_keys=True) text of obj at nesting `indent`.
 
-    An ndarray is written as json writes the nested lists of its float64
-    parts (`_parts`), and a dataclass instance as json writes the dict of its
-    fields.
+    An integer ndarray is written as json writes its .tolist() (ints), any
+    other ndarray as json writes the nested lists of its float64 parts
+    (`_parts`), and a dataclass instance as json writes the dict of its
+    fields.  A non-empty array of rank >= 1 goes through `_grid`; a list or
+    tuple is written item by item.
     """
     if isinstance(obj, np.ndarray):
-        parts = _parts(obj, "complex" if np.iscomplexobj(obj) else "real")
-        if obj.ndim not in (1, 2) or not obj.size:
+        parts = obj if obj.dtype.kind in "iu" else _parts(obj, "complex" if np.iscomplexobj(obj) else "real")
+        if not obj.ndim or not obj.size:
             _encode(parts.tolist(), indent, out)
             return
         out.append(_grid(_number_texts(parts.ravel().tolist(), np.isfinite(parts).all()), parts.shape, indent))
     elif isinstance(obj, (list, tuple)):
         if not obj:
             out.append("[]")
-            return
-        found = _rectangular(obj)
-        if found is not None:
-            out.append(_grid(_number_texts(found[0], False), found[1], indent))
             return
         inner = indent + "  "
         out.append("[\n" + inner)
@@ -331,14 +317,14 @@ def _encode(obj, indent: str, out: list):
 def dumps_canonical(payload: dict) -> str:
     """Deterministic JSON: exactly json.dumps(payload, sort_keys=True, indent=2) plus a newline.
 
-    The payload may hold report objects as they are.  An ndarray is written
-    as json writes the nested lists of its float64 parts (a complex entry as
-    an [re, im] pair), and a dataclass instance as json writes the dict of
-    its fields.  Keys must be str (a TypeError otherwise).  The stdlib's
-    indent=2 encoder is pure Python; here every non-empty 1-D or 2-D
-    ndarray, and every nest of lists of plain numbers (a matrix, a row of
-    [re, im] pairs, a list of [j, k] labels), is written by `_grid`: one
-    repr per number and one str.join per list.
+    The payload may hold report objects as they are.  An integer ndarray
+    (`induce`'s [j, k] labels) is written as json writes its .tolist(), any
+    other ndarray as json writes the nested lists of its float64 parts (a
+    complex entry as an [re, im] pair), and a dataclass instance as json
+    writes the dict of its fields.  Keys must be str (a TypeError otherwise).
+    The stdlib's indent=2 encoder is pure Python; here every non-empty
+    ndarray of rank >= 1 is written by `_grid`: one repr per number and one
+    str.join per list.  Lists and tuples get no special handling.
     """
     out: list = []
     _encode(payload, "", out)

@@ -181,7 +181,8 @@ class LemmaReport:
     ||x - Ux|| peaks, refutes it with no draw; only then are ``samples``
     random unit vectors screened and ascended from the worst.
     ``hypothesis_margin`` is the worst margin evaluated, the witness's when
-    nothing is drawn, so it and ``cert_margin`` bracket the supremum.  The
+    nothing is drawn (e_1's when U = I, where every unit vector attains
+    -(lam1 + lam2)), so it and ``cert_margin`` bracket the supremum.  The
     four sandwich bounds are then checked against the singular spectrum.
     """
 
@@ -247,7 +248,8 @@ def check_invertibility_lemma(
         # TOL_SAMPLED_MARGIN absorbs round-off on exactly-tight instances
         certified = cert_margin <= TOL_SAMPLED_MARGIN
         if certified or lam2 == 0.0:  # decided: the witness's margin is reported and nothing is drawn
-            margin = -np.inf if top is None else float(objective(top[:, None], grad=False)[0][0])
+            # I - U = 0 gives no top vector; then every unit vector, e_1 among them, attains the supremum
+            margin = float(objective(np.eye(u.shape[0], 1) if top is None else top[:, None], grad=False)[0][0])
         else:  # the witness first: a margin above TOL_SAMPLED_MARGIN there refutes before any draw
             margin = _sampled_max_margin(u.shape[0], objective, _columns([top]), TOL_SAMPLED_MARGIN, seed, field,
                                          samples)

@@ -5,7 +5,7 @@ import json
 
 import numpy as np
 import pytest
-from helpers import replay_golden, run_cli
+from helpers import GOLDEN_DIR, replay_golden, run_cli
 
 import gfusion as gf
 from gfusion import cli
@@ -194,6 +194,60 @@ class TestExitCodes:
         assert err["error"] == "GFusionError" and target in err["message"]
 
 
+def _literal_file(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    return str(path)
+
+
+EYE_FILE = """{"version": 1, "field": "real", "dim": 2, "subsystems": [
+  {"weight": 1.0, "subspace": [[1.0, 0.0], [0.0, 1.0]], "lambda": [[1.0, 0.0], [0.0, 1.0]]}]}"""
+# The same structure with S = diag(1, 0): gf-complete fails, so it is not a frame.
+RANK_ONE_FILE = """{"version": 1, "field": "real", "dim": 2, "subsystems": [
+  {"weight": 1.0, "subspace": [[1.0, 0.0], [0.0, 1.0]], "lambda": [[1.0, 0.0], [0.0, 0.0]]}]}"""
+
+
+class TestNonFrameAndUsageExits:
+    def test_dual_of_a_non_frame_is_a_verdict_with_no_residual(self, tmp_path):
+        code, out = run_cli(["dual", _literal_file(tmp_path, "r.json", RANK_ONE_FILE), "--seed", "1"])
+        payload = _strict_json(out)
+        assert code == 1
+        assert set(payload) == ENVELOPE | {"verdict"} and payload["verdict"] == "not_a_frame"
+
+    def test_cross_with_a_non_frame_lambda_is_a_failed_precondition(self, tmp_path, capsys):
+        theta, lam = (_literal_file(tmp_path, n, t) for n, t in (("e.json", EYE_FILE), ("r.json", RANK_ONE_FILE)))
+        code, out = run_cli(["cross", theta, lam])
+        assert (code, out) == (2, "")
+        assert _strict_json(capsys.readouterr().err) == {
+            "error": "PreconditionFailed",
+            "message": "lambda is not a g-fusion frame",
+        }
+
+    @pytest.mark.parametrize("theorem", ["t52", "cR", "synth", "analysis"])
+    def test_perturb_of_a_non_frame_reference_is_an_input_error(self, tmp_path, theorem, capsys):
+        ref, other = (_literal_file(tmp_path, n, t) for n, t in (("r.json", RANK_ONE_FILE), ("e.json", EYE_FILE)))
+        code, out = run_cli(["perturb", ref, other, "--theorem", theorem, "--lam", "0.1", "--seed", "1"])
+        assert (code, out) == (2, "")
+        assert _strict_json(capsys.readouterr().err) == {
+            "error": "NotAFrameError",
+            "message": "the reference system must be a g-fusion frame",
+        }
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["gen", "--noise", "0.1", "--seed", "1"], "--noise needs --base"),
+            (["gen", "--seed", "1"], "gen needs --dim and --blocks (or --base)"),
+            (["gen", "--dim", "3", "--seed", "1"], "gen needs --dim and --blocks (or --base)"),
+            (["gen", "--blocks", "2", "--seed", "1"], "gen needs --dim and --blocks (or --base)"),
+        ],
+    )
+    def test_gen_without_a_structure_is_an_input_error(self, argv, message, capsys):
+        code, out = run_cli(argv)
+        assert (code, out) == (2, "")
+        assert _strict_json(capsys.readouterr().err) == {"error": "GFusionError", "message": message}
+
+
 def _run_main(argv, capsys):
     """cli.main in this process: (exit code, stdout, stderr), an argparse exit included."""
     try:
@@ -281,16 +335,27 @@ class TestEnvelope:
 
 
 class TestLemmaReportIsStrictJson:
-    def _files(self, tmp_path, second):
+    def _files(self, tmp_path, second, field="real"):
         paths = []
         for name, lam in (("eye.json", [[1.0, 0.0], [0.0, 1.0]]), ("other.json", second)):
             path = tmp_path / name
             path.write_text(json.dumps({
-                "version": 1, "field": "real", "dim": 2,
+                "version": 1, "field": field, "dim": 2,
                 "subsystems": [{"weight": 1.0, "subspace": [[1.0, 0.0], [0.0, 1.0]], "lambda": lam}],
             }))
             paths.append(str(path))
         return paths
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("mu, mode", [("0.2", "certified_sufficient"), ("0", "exact")])
+    def test_identity_u_reports_the_supremum_as_its_margin(self, tmp_path, field, mu, mode):
+        # I - U = 0 has no top singular vector; e_1, like every unit vector, attains -(lam1 + lam2).
+        ref, same = self._files(tmp_path, [[1.0, 0.0], [0.0, 1.0]], field)
+        code, out = run_cli(["perturb", ref, same, "--theorem", "lemma", "--lam", "0.1", "--mu", mu, "--seed", "1"])
+        rep = _strict_json(out)["report"]
+        assert code == 0
+        assert (rep["mode"], rep["hypothesis_holds"], rep["sandwich_ok"]) == (mode, True, True)
+        assert rep["hypothesis_margin"] == rep["cert_margin"] == -(float(mu) + 0.1)
 
     def test_singular_u_reports_a_null_inverse_norm(self, tmp_path):
         ref, zero = self._files(tmp_path, [[0.0, 0.0], [0.0, 0.0]])
@@ -448,3 +513,5 @@ class TestParseDiagnostics:
 def test_golden_files(tmp_path):
     names = replay_golden(tmp_path)
     assert len(names) == 20
+    for name in names:  # every payload is strict JSON: no NaN or Infinity token
+        _strict_json((GOLDEN_DIR / f"{name}.json").read_text(encoding="utf-8"))

@@ -2,24 +2,27 @@
 
 import numpy as np
 import pytest
-from helpers import coordinate_system, run_cli
+from helpers import coordinate_system
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gfusion as gf
 from gfusion.errors import BadBasis, DimensionMismatch
 from gfusion.linalg import adjoint, operator_norm
-from gfusion.sampling import haar_unitary
+from gfusion.sampling import gaussian_matrix, haar_unitary
+from gfusion.system import split_blocks
 
 
 class TestInduceVectors:
     def test_coordinate_system_induces_standard_basis(self):
         fam = gf.induce_vectors(coordinate_system((1.0, 1.0)))
         assert fam.count == 2
-        np.testing.assert_allclose(fam.entries[0][2], [1.0, 0.0], atol=1e-15)
-        np.testing.assert_allclose(fam.entries[1][2], [0.0, 1.0], atol=1e-15)
+        np.testing.assert_allclose(fam.vectors[:, 0], [1.0, 0.0], atol=1e-15)
+        np.testing.assert_allclose(fam.vectors[:, 1], [0.0, 1.0], atol=1e-15)
 
     def test_weight_scales_induced_vector(self):
         fam = gf.induce_vectors(coordinate_system((2.0, 1.0)))
-        np.testing.assert_allclose(fam.entries[0][2], [2.0, 0.0], atol=1e-15)
+        np.testing.assert_allclose(fam.vectors[:, 0], [2.0, 0.0], atol=1e-15)
 
     @pytest.mark.parametrize("field", ["real", "complex"])
     def test_pairing_identity(self, field):
@@ -31,7 +34,7 @@ class TestInduceVectors:
             f = rng.standard_normal(6)
             if field == "complex":
                 f = f + 1j * rng.standard_normal(6)
-            for j, k, u in fam.entries:
+            for (j, k), u in zip(fam.labels, fam.vectors.T):
                 sub = sys.subsystems[j]
                 block = sub.weight * (sub.operator @ (sub.subspace.projector() @ f))
                 lhs = np.vdot(u, f)        # <f, u>
@@ -46,7 +49,7 @@ class TestInduceVectors:
         for _ in range(20):
             f = rng.standard_normal(5)
             for j, sub in enumerate(sys.subsystems):
-                vecs = [u for (jj, _, u) in fam.entries if jj == j]
+                vecs = fam.vectors.T[fam.labels[:, 0] == j]
                 expansion = np.array([np.vdot(u, f) for u in vecs])
                 block = sub.weight * (sub.operator @ (sub.subspace.projector() @ f))
                 assert np.linalg.norm(expansion - block) <= 1e-10 * max(1.0, np.linalg.norm(block))
@@ -57,7 +60,7 @@ class TestInduceVectors:
         sys = gf.generate("frame", 5, 2, seed=11)
         fam = gf.induce_vectors(sys)
         for j, sub in enumerate(sys.subsystems):
-            vecs = np.column_stack([u for (jj, _, u) in fam.entries if jj == j])
+            vecs = fam.vectors[:, fam.labels[:, 0] == j]
             for _ in range(10):
                 g = rng.standard_normal(sub.block_dim)
                 lhs = sub.weight * (sub.subspace.projector() @ (adjoint(sub.operator) @ g))
@@ -71,7 +74,7 @@ class TestInduceVectors:
         for _ in range(20):
             f = rng.standard_normal(6)
             for j, sub in enumerate(sys.subsystems):
-                total = sum(abs(np.vdot(u, f)) ** 2 for (jj, _, u) in fam.entries if jj == j)
+                total = sum(abs(np.vdot(u, f)) ** 2 for u in fam.vectors.T[fam.labels[:, 0] == j])
                 bound = sub.weight**2 * operator_norm(sub.operator) ** 2 * np.vdot(f, f).real
                 assert total <= bound + 1e-9
 
@@ -86,6 +89,35 @@ class TestInduceVectors:
         with pytest.raises(DimensionMismatch):
             gf.induce_vectors(sys, [np.array([[1.0]])])
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        field=st.sampled_from(["real", "complex"]),
+        n=st.integers(1, 6),
+        blocks=st.integers(1, 4),
+        with_bases=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_family_arrays_are_the_block_products_in_label_order(self, field, n, blocks, with_bases, seed):
+        rng = np.random.default_rng(seed)
+        components = []
+        for _ in range(blocks):
+            span = gaussian_matrix(rng, n, int(rng.integers(1, n + 1)), field)
+            components.append((float(rng.uniform(0.5, 2.0)), span, gaussian_matrix(rng, int(rng.integers(1, 4)), n, field)))
+        sys = gf.make_system(n, field, components)
+        onbs = [haar_unitary(rng, m, field) for m in sys.block_dims] if with_bases else None
+        fam = gf.induce_vectors(sys, onbs)
+        bases = onbs or [np.eye(m, dtype=sys.dtype) for m in sys.block_dims]
+        blocks_u = [adjoint(k_j) @ e for k_j, e in zip(split_blocks(sys, sys.analysis_matrix), bases)]
+        assert np.array_equal(fam.vectors, np.concatenate(blocks_u, axis=1))
+        assert fam.vectors.dtype == sys.dtype
+        assert fam.labels.dtype.kind == "i"
+        assert fam.labels.tolist() == [[j, k] for j, m in enumerate(sys.block_dims) for k in range(m)]
+        assert fam.count == sum(sys.block_dims) == fam.vectors.shape[1]
+        for arr in (fam.vectors, fam.labels):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0, 0] = 0
+
 
 class TestCorrespondence:
     def test_parseval_coordinates_give_standard_onb(self):
@@ -97,7 +129,7 @@ class TestCorrespondence:
     def test_weighted_coordinates_operator(self):
         sys = coordinate_system((2.0, 1.0))
         fam = gf.induce_vectors(sys)
-        u = fam.matrix()
+        u = fam.vectors
         np.testing.assert_allclose(u @ adjoint(u), np.diag([4.0, 1.0]), atol=1e-14)
         rep = gf.verify_correspondence(sys, fam)
         assert rep.coincidence_residual <= 1e-14
@@ -130,26 +162,9 @@ class TestCorrespondence:
         fam_std = gf.induce_vectors(sys)
         onbs = [haar_unitary(rng, m, sys.field) for m in sys.block_dims]
         fam_rot = gf.induce_vectors(sys, onbs)
-        assert not np.allclose(fam_std.matrix(), fam_rot.matrix())
+        assert not np.allclose(fam_std.vectors, fam_rot.vectors)
         rep_std = gf.verify_correspondence(sys, fam_std)
         rep_rot = gf.verify_correspondence(sys, fam_rot)
         assert rep_rot.coincidence_residual <= 1e-10
         assert abs(rep_std.induced_extremes.min_eig - rep_rot.induced_extremes.min_eig) <= 1e-10
         assert abs(rep_std.induced_extremes.max_eig - rep_rot.induced_extremes.max_eig) <= 1e-10
-
-    def test_family_matrix_is_stacked_once_per_request_and_read_only(self, tmp_path, monkeypatch):
-        fam = gf.induce_vectors(gf.generate("frame", 5, 3, seed=4))
-        u = fam.matrix()
-        assert u is fam.matrix() and not u.flags.writeable
-        path = tmp_path / "f.json"
-        gf.save_system(gf.generate("frame", 5, 3, seed=4), str(path))
-        stacks = []
-        column_stack = np.column_stack
-
-        def counted(*args, **kwargs):
-            stacks.append(args)
-            return column_stack(*args, **kwargs)
-
-        monkeypatch.setattr(np, "column_stack", counted)
-        code, out = run_cli(["induce", str(path)])
-        assert code == 0 and len(stacks) == 1

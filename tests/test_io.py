@@ -218,8 +218,13 @@ ARRAYS = _arrays()
 
 
 def _lists(tree):
-    """The JSON data that dumps_canonical writes for a tree: each array as the per-entry formula's nested lists."""
+    """The JSON data that dumps_canonical writes for a tree.
+
+    An integer array is its .tolist() (ints), any other array the per-entry formula's nested lists.
+    """
     if isinstance(tree, np.ndarray):
+        if tree.dtype.kind in "iu":
+            return tree.tolist()
         if tree.ndim in (1, 2):
             return _per_entry(tree, "complex" if np.iscomplexobj(tree) else "real")
         return [_lists(x) for x in tree]
@@ -525,7 +530,7 @@ _NUMBER_LISTS = st.one_of(
 )
 _MIXED_LISTS = st.lists(st.one_of(_NUMBERS, st.booleans(), st.none(), _TEXT), max_size=6)
 # Rows of [re, im] pairs, the shape of a complex matrix row, alone and stacked
-# into matrices; exact ints and floats, so that most take the one-call path.
+# into matrices; exact ints and floats, as a system file's lists hold them.
 _PLAIN = st.one_of(_INTS, st.floats(), st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 10**20 + 1]))
 _PAIR_ROWS = st.lists(st.lists(_PLAIN, min_size=2, max_size=2), min_size=1, max_size=6)
 _PAIR_LISTS = st.one_of(_PAIR_ROWS, st.lists(_PAIR_ROWS, max_size=3))
@@ -574,11 +579,11 @@ class _Dict(dict):
         "é",
         7,
         None,
-        # Rows of exact-int/float pairs take one encoder call, also inside a tuple or a matrix.
+        # Rows of exact-int/float pairs, also inside a tuple or a matrix.
         [[1, 2]],
         ([0.5, -0.0], [math.nan, math.inf]),
         {"m": [[[1.0, -0.0], [-math.inf, 10**30]], [[-(10**25), 0.1], [5e-324, 1e308]]]},
-        # Not rows of pairs: the generic path.
+        # Not rows of pairs.
         [[1, 2], [3], [4, 5]],
         [[1, 2], [3, 4, 5]],
         [[], []],
@@ -598,7 +603,7 @@ def test_dumps_canonical_follows_the_stdlib_for_containers(tree):
 
 def test_dumps_canonical_encodes_a_complex_row_in_one_call(monkeypatch):
     system = gf.generate("frame", 8, 3, seed=3, field="complex")
-    data = gf.system_to_dict(system)
+    data = gfio._system_tree(system)
     calls = []
     encode = gfio._encode
 
@@ -613,7 +618,7 @@ def test_dumps_canonical_encodes_a_complex_row_in_one_call(monkeypatch):
     nodes = [data, *data.values(), *(x for sub in data["subsystems"] for x in (sub, *sub.values()))]
     assert len(calls) == 5 + 4 * len(system.subsystems)
     assert sorted(map(id, calls)) == sorted(map(id, nodes))
-    assert text == _stdlib(data)
+    assert text == _stdlib(gf.system_to_dict(system))
 
 
 # ndarray leaves: written as json writes their per-entry lists (`_lists`).
@@ -630,7 +635,8 @@ _SHAPES = st.one_of(
 @st.composite
 def _ndarrays(draw):
     dtype = draw(st.sampled_from(["float64", "float32", "int64", "complex64", "complex128"]))
-    # An array of another rank is written from the nested lists of its float64 parts too.
+    # An array of another rank is written from the nested lists of its float64 parts too (an integer one from its
+    # .tolist()), through `_grid` like rank 1 and 2.
     cube = st.tuples(st.integers(1, 2), st.integers(1, 2), st.integers(1, 2))
     shape = draw(st.one_of(_SHAPES, cube))
     size = math.prod(shape)

@@ -329,6 +329,11 @@ class TestCompleteness:
         sys = gf.make_system(2, "real", [(1.0, np.array([[1.0], [0.0]]), np.array([[1.0, 0.0]]))])
         assert not gf.is_gf_complete(sys)
 
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    def test_all_zero_system_is_incomplete(self, field):
+        sys = gf.make_system(2, field, [(1.0, np.eye(2), np.zeros((2, 2))), (2.0, np.eye(2)[:, [0]], np.zeros((1, 2)))])
+        assert not gf.is_gf_complete(sys)
+
     def test_frame_implies_complete(self):
         for seed in range(10):
             sys = gf.generate("frame", 5, 3, seed=100 + seed)
