@@ -46,7 +46,6 @@ from .perturb import (
     check_invertibility_lemma,
 )
 from .system import (
-    DirectSumVector,
     FrameBounds,
     GFusionSystem,
     ReconstructionResult,

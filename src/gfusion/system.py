@@ -179,6 +179,8 @@ def make_system(dim, field, components) -> GFusionSystem:
     TOL_ORTHO) are kept verbatim as the basis; anything else goes through
     rank-revealing orthonormalization.
     """
+    if field not in _DTYPES:
+        raise ValueError(f"field must be 'real' or 'complex', got {field!r}")
     dtype = _DTYPES[field]
     subs = []
     for weight, span, op in components:
@@ -203,43 +205,16 @@ def _coerce(a, dtype, name: str) -> np.ndarray:
     return np.asarray(a, dtype=dtype)
 
 
-@dataclass(frozen=True)
-class DirectSumVector:
-    """An element of the block direct sum: one vector per subsystem block."""
-
-    blocks: tuple[np.ndarray, ...]
-
-    def __post_init__(self):
-        blocks = tuple(np.asarray(b) for b in self.blocks)
-        for b in blocks:
-            if b.ndim != 1:
-                raise DimensionMismatch("direct-sum blocks must be 1-D vectors")
-            require_finite(b, "direct-sum block")
-        object.__setattr__(self, "blocks", blocks)
-
-    @property
-    def block_dims(self) -> tuple[int, ...]:
-        return tuple(b.shape[0] for b in self.blocks)
-
-    def norm(self) -> float:
-        return float(np.sqrt(sum(float(np.vdot(b, b).real) for b in self.blocks)))
-
-    def inner(self, other: "DirectSumVector") -> complex:
-        """Block-wise inner product, linear in self."""
-        if self.block_dims != other.block_dims:
-            raise DimensionMismatch("direct-sum shapes differ")
-        return complex(sum(np.vdot(o, s) for s, o in zip(self.blocks, other.blocks)))
-
-
-def _as_vector(sys: GFusionSystem, f, batch: bool = False) -> np.ndarray:
-    f = np.asarray(f)
-    if np.iscomplexobj(f) and sys.field == "real":
-        raise FieldMismatch("complex vector supplied to a real-field system")
-    f = np.asarray(f, dtype=sys.dtype)
-    if f.ndim not in ((1, 2) if batch else (1,)) or f.shape[0] != sys.dim:
-        raise DimensionMismatch(f"expected a vector of length {sys.dim}, got shape {f.shape}")
-    require_finite(f, "vector")
-    return f
+def _as_array(sys: GFusionSystem, x, rows: int, what: str) -> np.ndarray:
+    """x in the system's field: a finite vector of length ``rows`` or a (rows, k) batch of columns."""
+    x = np.asarray(x)
+    if np.iscomplexobj(x) and sys.field == "real":
+        raise FieldMismatch(f"complex {what} supplied to a real-field system")
+    x = np.asarray(x, dtype=sys.dtype)
+    if x.ndim not in (1, 2) or x.shape[0] != rows:
+        raise DimensionMismatch(f"expected a {what} of length {rows}, got shape {x.shape}")
+    require_finite(x, what)
+    return x
 
 
 def analysis_matrix(sys: GFusionSystem) -> np.ndarray:
@@ -252,22 +227,14 @@ def split_blocks(sys: GFusionSystem, x: np.ndarray) -> list[np.ndarray]:
     return np.split(x, np.cumsum(sys.block_dims)[:-1])
 
 
-def analysis(sys: GFusionSystem, f) -> DirectSumVector:
-    """Analysis operator: block j of K f is v_j * L_j P_j f."""
-    f = _as_vector(sys, f)
-    return DirectSumVector(tuple(split_blocks(sys, sys.analysis_matrix @ f)))
+def analysis(sys: GFusionSystem, f) -> np.ndarray:
+    """Analysis operator: K f, a vector or a (dim, k) batch; ``split_blocks`` cuts it into the v_j L_j P_j f."""
+    return sys.analysis_matrix @ _as_array(sys, f, sys.dim, "vector")
 
 
 def synthesis(sys: GFusionSystem, g) -> np.ndarray:
-    """Synthesis operator (adjoint of analysis): K^H g = sum_j v_j P_j L_j^H g_j."""
-    blocks = g.blocks if isinstance(g, DirectSumVector) else tuple(np.asarray(b) for b in g)
-    shapes = tuple(np.shape(b) for b in blocks)
-    if shapes != tuple((m,) for m in sys.block_dims):
-        raise DimensionMismatch(f"block shapes {shapes} do not match the block dimensions {sys.block_dims}")
-    g = np.concatenate(blocks)
-    if np.iscomplexobj(g) and sys.field == "real":
-        raise FieldMismatch("complex block supplied to a real-field system")
-    return adjoint(sys.analysis_matrix) @ g.astype(sys.dtype, copy=False)
+    """Synthesis operator K^H g = sum_j v_j P_j L_j^H g_j, for g with its blocks stacked in block order (length M)."""
+    return adjoint(sys.analysis_matrix) @ _as_array(sys, g, sys.analysis_matrix.shape[0], "direct-sum vector")
 
 
 def synthesis_matrix(sys: GFusionSystem) -> np.ndarray:
@@ -351,7 +318,7 @@ def reconstruct(sys: GFusionSystem, dual: GFusionSystem, f) -> ReconstructionRes
         raise FieldMismatch("system and dual use different scalar fields")
     if sys.dim != dual.dim or sys.block_dims != dual.block_dims:
         raise DimensionMismatch("system and dual shapes differ")
-    f = _as_vector(sys, f, batch=True)
+    f = _as_array(sys, f, sys.dim, "vector")
     k, k_dual = sys.analysis_matrix, dual.analysis_matrix
     primal = adjoint(k) @ (k_dual @ f)
     swapped = adjoint(k_dual) @ (k @ f)

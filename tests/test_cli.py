@@ -433,7 +433,7 @@ class TestNumericOptions:
     @pytest.mark.parametrize(
         "flag, value",
         [(f, v) for f in ("--tol", "--lam", "--mu", "--gamma", "--noise") for v in ("nan", "inf", "-inf")]
-        + [("--tol", "-1")],
+        + [("--tol", "-1"), ("--lam", "abc")],
     )
     def test_non_finite_or_negative_tolerance_is_a_usage_error(self, frame_file, flag, value, capsys):
         argv = {
@@ -443,6 +443,12 @@ class TestNumericOptions:
         code, out, err = _run_main([*argv, f"{flag}={value}"], capsys)  # "=": argparse reads a bare -inf as an option
         assert (code, out) == (2, "")
         assert f"argument {flag}: " in err and repr(value) in err
+
+    def test_lam_beyond_one_is_an_input_error_raised_after_both_files_are_read(self, frame_file, capsys):
+        code, out = run_cli(["perturb", frame_file, frame_file, "--theorem", "t52", "--lam", "1.5", "--seed", "1"])
+        assert (code, out) == (2, "")
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "ValueError", "message": "lam and mu must lie in [0, 1)"}
 
     def test_zero_tolerance_is_accepted(self, frame_file):
         assert run_cli(["analyze", frame_file, "--tol", "0"])[0] == 0

@@ -62,6 +62,11 @@ def test_generate_like_structured_requires_onb_base():
     base = gf.generate("frame", 6, 3, seed=5)
     with pytest.raises(PreconditionFailed):
         gf.generate_like(base, "parseval", seed=6)
+    # K = I, so this base is gf-orthonormal, but its first block maps span{e1, e2} into a 1-dimensional block.
+    onb = gf.make_system(2, "real", [(1.0, np.eye(2), [[1.0, 0.0]]), (1.0, np.eye(2)[:, [1]], [[0.0, 1.0]])])
+    assert gf.is_gf_orthonormal(onb).is_gf_orthonormal
+    with pytest.raises(PreconditionFailed, match=r"^matched generation needs block size equal to subspace dimension$"):
+        gf.generate_like(onb, "riesz", seed=1)
 
 
 def test_perturbed_copy_radius_is_exact():
@@ -100,6 +105,9 @@ def test_partition_rejects_too_many_blocks():
 def test_unknown_kind_rejected():
     with pytest.raises(ValueError):
         gf.generate("tight", 4, 2, seed=1)
+    message = r"^unknown kind 'bogus'; expected one of \('frame', 'parseval', 'onb', 'riesz'\)$"
+    with pytest.raises(ValueError, match=message):
+        gf.generate_like(gf.generate("onb", 4, 2, seed=1), "bogus", seed=1)
 
 
 def test_frame_resampling_gives_up_after_its_fixed_number_of_tries():

@@ -354,6 +354,18 @@ def test_cli_exits_two_on_a_non_finite_number(tmp_path, capsys, weight, lam, whe
     assert err == {"error": "SystemFileError", "message": f"{where}: expected a finite number, got {shown}"}
 
 
+@pytest.mark.parametrize(
+    "subsystems, message",
+    [("[]", "subsystems: expected a non-empty list"), ("[1]", "subsystems[0]: expected an object")],
+)
+def test_cli_exits_two_on_a_subsystems_list_with_no_subsystem_object(tmp_path, capsys, subsystems, message):
+    path = tmp_path / "empty.json"
+    path.write_text(f'{{"version": 1, "field": "real", "dim": 1, "subsystems": {subsystems}}}')
+    code, out = run_cli(["analyze", str(path)])
+    assert code == 2 and out == ""
+    assert json.loads(capsys.readouterr().err) == {"error": "SystemFileError", "message": message}
+
+
 OVERFLOWING = '{"weight": 1e300, "subspace": [[1]], "lambda": [[1e300]]}'  # finite entries, v_j L_j P_j = inf
 BLOCK_OVERFLOW = "the weighted block v_j L_j P_j contains NaN or Inf entries"
 

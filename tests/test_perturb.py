@@ -68,6 +68,10 @@ class TestInvertibilityLemma:
         with pytest.raises(ValueError):
             gf.check_invertibility_lemma(np.eye(2), 1.0, 0.0, samples=10, seed=0)
 
+    def test_rejects_a_non_square_u(self):
+        with pytest.raises(ValueError, match=r"^U must be square, got shape \(2, 3\)$"):
+            gf.check_invertibility_lemma(np.ones((2, 3)), 0.1, 0.0, samples=10, seed=0)
+
     def test_non_finite_u_or_margin_is_an_input_error_without_a_warning(self):
         with pytest.raises(NonFiniteInput, match=r"^U contains NaN or Inf entries$"):
             gf.check_invertibility_lemma(np.array([[np.nan]]), 0.1, 0.0, samples=10, seed=0)

@@ -18,7 +18,7 @@ from gfusion.errors import (
     SystemMismatch,
 )
 from gfusion.linalg import TOL_ORTHO, adjoint, operator_norm, orthonormality_deviation
-from gfusion.sampling import random_unit_vectors
+from gfusion.sampling import gaussian_matrix, random_unit_vectors
 from gfusion.system import require_same_structure
 
 
@@ -34,14 +34,11 @@ def quadratic_form(sys, f):
 class TestAnalysisSynthesis:
     def test_coordinate_analysis(self):
         sys = coordinate_system((1.0, 1.0))
-        out = gf.analysis(sys, [3.0, 4.0])
-        np.testing.assert_allclose(out.blocks[0], [3.0])
-        np.testing.assert_allclose(out.blocks[1], [4.0])
+        np.testing.assert_allclose(gf.analysis(sys, [3.0, 4.0]), [3.0, 4.0])
 
     def test_zero_vector(self):
         sys = gf.generate("frame", 5, 3, seed=2)
-        out = gf.analysis(sys, np.zeros(5))
-        assert all(np.all(b == 0) for b in out.blocks)
+        assert np.all(gf.analysis(sys, np.zeros(5)) == 0)
 
     def test_analysis_energy_matches_frame_operator(self):
         rng = np.random.default_rng(4)
@@ -49,16 +46,17 @@ class TestAnalysisSynthesis:
         s = gf.frame_operator(sys)
         for _ in range(20):
             f = rng.standard_normal(6)
-            energy = sum(float(np.vdot(b, b).real) for b in gf.analysis(sys, f).blocks)
+            kf = gf.analysis(sys, f)
+            energy = float(np.vdot(kf, kf).real)
             assert abs(energy - np.vdot(f, s @ f).real) <= 1e-10 * max(1.0, energy)
 
     def test_coordinate_synthesis(self):
         sys = coordinate_system((1.0, 1.0))
-        np.testing.assert_allclose(gf.synthesis(sys, [np.array([3.0]), np.array([4.0])]), [3.0, 4.0])
+        np.testing.assert_allclose(gf.synthesis(sys, [3.0, 4.0]), [3.0, 4.0])
 
     def test_synthesis_zero(self):
         sys = gf.generate("frame", 4, 2, seed=3)
-        np.testing.assert_array_equal(gf.synthesis(sys, [np.zeros(m) for m in sys.block_dims]), np.zeros(4))
+        np.testing.assert_array_equal(gf.synthesis(sys, np.zeros(sum(sys.block_dims))), np.zeros(4))
 
     @pytest.mark.parametrize("field", ["real", "complex"])
     def test_adjointness_identity(self, field):
@@ -71,9 +69,9 @@ class TestAnalysisSynthesis:
 
         for _ in range(100):
             f = rand_vec(5)
-            g = gf.DirectSumVector(tuple(rand_vec(m) for m in sys.block_dims))
+            g = rand_vec(sum(sys.block_dims))
             lhs = np.vdot(f, gf.synthesis(sys, g))  # <synthesis(g), f>
-            rhs = g.inner(gf.analysis(sys, f))  # <g, analysis(f)>
+            rhs = np.vdot(gf.analysis(sys, f), g)  # <g, analysis(f)>
             assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
 
     def test_matrix_adjointness_is_exact(self):
@@ -92,12 +90,42 @@ class TestAnalysisSynthesis:
         with pytest.raises(DimensionMismatch):
             gf.analysis(sys, [1.0, 2.0, 3.0])
         with pytest.raises(DimensionMismatch):
-            gf.synthesis(sys, [np.array([1.0, 2.0]), np.array([3.0])])
+            gf.synthesis(sys, [1.0, 2.0, 3.0])
 
     def test_field_mismatch(self):
         sys = coordinate_system((1.0, 1.0))
         with pytest.raises(FieldMismatch):
             gf.analysis(sys, np.array([1.0 + 1j, 0.0]))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(1, 6),
+        blocks=st.integers(1, 4),
+        field=st.sampled_from(["real", "complex"]),
+        seed=st.integers(0, 10_000),
+    )
+    def test_operators_are_k_and_its_adjoint_on_stacked_vectors(self, n, blocks, field, seed):
+        """analysis is K f and synthesis K^H g bit for bit, on one vector and a batch; bad input is refused."""
+        sys = gf.generate("frame", n, blocks, seed=seed, field=field)
+        k = gf.analysis_matrix(sys)
+        m = k.shape[0]
+        rng = np.random.default_rng(seed)
+        for cols in (0, slice(None)):  # one vector, then a (rows, 3) batch
+            f = gaussian_matrix(rng, n, 3, field)[:, cols]
+            g = gaussian_matrix(rng, m, 3, field)[:, cols]
+            assert np.array_equal(gf.analysis(sys, f), k @ f)
+            assert np.array_equal(gf.synthesis(sys, g), k.conj().T @ g)
+            for op, x in ((gf.analysis, f), (gf.synthesis, g)):
+                for bad in (np.nan, np.inf):
+                    y = x.copy()
+                    y.flat[rng.integers(y.size)] = bad
+                    with pytest.raises(NonFiniteInput):
+                        op(sys, y)
+                with pytest.raises(DimensionMismatch):
+                    op(sys, np.concatenate([x, x[:1]]))
+                if field == "real":
+                    with pytest.raises(FieldMismatch):
+                        op(sys, x + 1j)
 
 
 class TestFrameOperator:
@@ -433,6 +461,19 @@ class TestStructureMatch:
             gf.certify_analysis_perturbation(theta, lam)
         assert type(from_cross.value) is type(from_certifier.value)
 
+    @pytest.mark.parametrize(
+        "other, message",
+        [
+            (coordinate_system((1.0, 1.0), field="complex"), "systems use different scalar fields"),
+            (gf.make_system(2, "real", [(1.0, np.eye(2), np.eye(2)[[i]]) for i in (0, 1, 1)]),
+             "systems have different block structure"),
+        ],
+        ids=["real_against_complex", "two_blocks_against_three"],
+    )
+    def test_field_and_block_count_mismatches_name_themselves(self, other, message):
+        with pytest.raises(SystemMismatch, match=rf"^{message}$"):
+            require_same_structure(coordinate_system((1.0, 1.0)), other)
+
     # Either side of TOL_WEIGHT = 1e-12 and TOL_SUBSPACE = 1e-10, written as literals so that a changed
     # threshold fails.
     @staticmethod
@@ -492,12 +533,14 @@ class TestMakeSystem:
         with pytest.raises(FieldMismatch):
             gf.make_system(2, "real", [(1.0, np.eye(2, dtype=complex) * 1j, np.ones((1, 2)))])
 
+    def test_rejects_an_unknown_field_as_the_system_does(self):
+        components = [(1.0, np.eye(2), np.eye(2))]
+        message = r"^field must be 'real' or 'complex', got 'quaternion'$"
+        with pytest.raises(ValueError, match=message):
+            gf.make_system(2, "quaternion", components)
+        with pytest.raises(ValueError, match=message):
+            gf.GFusionSystem(2, "quaternion", gf.make_system(2, "real", components).subsystems)
+
     def test_rejects_nonpositive_weight(self):
         with pytest.raises(ValueError):
             gf.make_system(2, "real", [(0.0, np.eye(2), np.ones((1, 2)))])
-
-    def test_direct_sum_vector_norm_and_inner(self):
-        g = gf.DirectSumVector((np.array([3.0]), np.array([4.0])))
-        assert g.norm() == 5.0
-        h = gf.DirectSumVector((np.array([1.0]), np.array([0.0])))
-        assert g.inner(h) == 3.0
