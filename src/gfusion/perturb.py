@@ -20,6 +20,17 @@ every report labels the guarantee it carries:
   exactly (analysis-side certifier, and the lemma with lam2 = 0);
 * ``none`` -- the hypothesis could not be established.
 
+The four frame certifiers build their reports with one routine,
+``_certify``: the set-up (the structure check, the reference bounds A, B and
+the perturbed system's actual bounds), the statement's decision, its bounds
+computed with overflow ignored and then required finite, the bracket against
+the actual spectrum, and the report.  ``cR`` and ``analysis`` pass their
+radius logic as the decision.  ``t52`` and ``synth`` share ``_comparison``,
+which checks admissibility (lam + gamma/sqrt(A) and mu below 1), sets the
+threshold ``TOL_SAMPLED_MARGIN * max(1, scale)`` (scale B for ``t52``,
+sqrt(B) for ``synth``) and runs ``_decide``.  So each certifier keeps only
+its certificate, its hypothesis and its bound formulas.
+
 The three sampled certifiers and the invertibility lemma share one search,
 ``_sampled_max_margin``, the only place that fixes its order and the only
 one that draws; its shape is fixed by module constants.  Each states its
@@ -552,6 +563,59 @@ def _bracket(predicted: FrameBounds | None, actual: FrameBounds, tol: float) -> 
     return bool(predicted.lower <= actual.lower + tol and actual.upper <= predicted.upper + tol)
 
 
+def _certify(tag: str, lam_sys, theta_sys, samples: int, bracket_tol: float, decide) -> PerturbationReport:
+    """The report of one perturbation statement: set-up, its decision, its bounds and the bracket.
+
+    ``decide(a, b, actual)`` gets the reference bounds A, B and the perturbed
+    system's actual bounds, and returns the mode, whether the hypothesis
+    holds, its margin, a thunk of the bounds (None when the statement
+    predicts nothing) and its own report fields.  The thunk returns the named
+    bound values, with the predicted pair as ``predicted.lower`` and
+    ``predicted.upper`` (absent when nothing is certified), and the flags
+    that compare the others with ``actual``.  It runs with overflow ignored;
+    then every value must be finite, else NonFiniteInput names the first
+    that is not.
+    """
+    a, b, actual = _setup(lam_sys, theta_sys, samples)
+    mode, holds, margin, bounds, fields = decide(a, b, actual)
+    predicted = None
+    if bounds is not None:
+        with np.errstate(over="ignore", invalid="ignore"):
+            values, flags = bounds()
+        _finite_fields(values)
+        if "predicted.lower" in values:
+            predicted = FrameBounds(float(values.pop("predicted.lower")), float(values.pop("predicted.upper")),
+                                    "certified")
+        fields = {**fields, **{name: float(value) for name, value in values.items()}, **flags}
+    bracket_ok = _bracket(predicted, actual, bracket_tol)
+    return PerturbationReport(tag, mode, holds, margin, actual, predicted, bracket_ok, **fields)
+
+
+def _comparison(tag: str, lam_sys, theta_sys, params, samples, seed, bracket_tol, statement, scale, bounds):
+    """The report of a comparison hypothesis in (lam, mu, gamma): ``t52`` or ``synth``.
+
+    The parameters are admissible when lam + gamma/sqrt(A) and mu are below
+    1.  ``statement(a)`` gives the certificate margin and the ``hypothesis``
+    thunk that ``_decide`` searches when the certificate does not decide, with
+    the threshold ``TOL_SAMPLED_MARGIN * max(1, scale(B))``.  The hypothesis
+    holds when it is decided true and the parameters are admissible; the
+    bounds, ``bounds(a, b, actual)``, are predicted whenever the parameters
+    are admissible.
+    """
+    def decide(a, b, actual):
+        admissible = bool(max(params.lam + params.gamma / np.sqrt(a), params.mu) < 1.0)
+        cert_margin, hypothesis = statement(a)
+        mode, margin, inequality_ok, sampled_margin = _decide(
+            cert_margin, TOL_SAMPLED_MARGIN * max(1.0, scale(b)), hypothesis, seed, lam_sys.field, samples
+        )
+        fields = dict(params=params, params_admissible=admissible, cert_margin=cert_margin,
+                      sampled_margin=sampled_margin, seed=seed, samples=samples)
+        thunk = (lambda: bounds(a, b, actual)) if admissible else None
+        return mode, bool(inequality_ok and admissible), margin, thunk, fields
+
+    return _certify(tag, lam_sys, theta_sys, samples, bracket_tol, decide)
+
+
 def certify_frame_operator_perturbation(
     lam_sys: GFusionSystem,
     theta_sys: GFusionSystem,
@@ -583,13 +647,6 @@ def certify_frame_operator_perturbation(
     The subsets' masks come off the random stream ahead of its first batch
     (``_subset_masks``), so a witness refutation draws none.
     """
-    a, b, actual = _setup(lam_sys, theta_sys, samples)
-    sqrt_a, sqrt_b = np.sqrt(a), np.sqrt(b)
-    admissible = bool(max(params.lam + params.gamma / sqrt_a, params.mu) < 1.0)
-
-    ds = gram_difference_norm(analysis_matrix(lam_sys), analysis_matrix(theta_sys))
-    cert_margin = float(ds - (params.lam * a + params.gamma * sqrt_a))
-
     def hypothesis():
         terms_d = _gram_differences(_row_block_pairs(lam_sys, theta_sys))
         terms_l = _quadratic_terms(lam_sys)
@@ -608,34 +665,16 @@ def certify_frame_operator_perturbation(
         d, l, t = on(np.ones(lam_sys.block_count, dtype=bool))
         return d, l, objective(d, l, t), _top_singular(d)[1], lambda: inverse_frame_operator(lam_sys), subsets
 
-    mode, margin, inequality_ok, sampled_margin = _decide(
-        cert_margin, TOL_SAMPLED_MARGIN * max(1.0, b), hypothesis, seed, lam_sys.field, samples
-    )
-    holds = bool(inequality_ok and admissible)
-    predicted = None
-    if admissible:
-        with np.errstate(over="ignore", invalid="ignore"):
-            predicted = FrameBounds(
-                a * (1.0 - (params.lam + params.gamma / sqrt_a)) / (1.0 + params.mu),
-                b * (1.0 + params.lam + params.gamma / sqrt_b) / (1.0 - params.mu),
-                "certified",
-            )
-        _finite_fields({"predicted.lower": predicted.lower, "predicted.upper": predicted.upper})
-    return PerturbationReport(
-        theorem=_TAG_FRAME_OPERATOR,
-        mode=mode,
-        hypothesis_holds=holds,
-        hypothesis_margin=margin,
-        actual=actual,
-        predicted=predicted,
-        bracket_ok=_bracket(predicted, actual, bracket_tol),
-        params=params,
-        params_admissible=admissible,
-        cert_margin=cert_margin,
-        sampled_margin=sampled_margin,
-        seed=seed,
-        samples=samples,
-    )
+    def statement(a):
+        ds = gram_difference_norm(analysis_matrix(lam_sys), analysis_matrix(theta_sys))
+        return float(ds - (params.lam * a + params.gamma * np.sqrt(a))), hypothesis
+
+    def bounds(a, b, actual):
+        return {"predicted.lower": a * (1.0 - (params.lam + params.gamma / np.sqrt(a))) / (1.0 + params.mu),
+                "predicted.upper": b * (1.0 + params.lam + params.gamma / np.sqrt(b)) / (1.0 - params.mu)}, {}
+
+    return _comparison(_TAG_FRAME_OPERATOR, lam_sys, theta_sys, params, samples, seed, bracket_tol, statement,
+                       float, bounds)  # float: the search threshold scales with B itself
 
 
 def certify_R_condition(
@@ -663,51 +702,36 @@ def certify_R_condition(
     individual satisfaction flags; the bracket check uses the quadratic-form
     component, which is the one the frame-operator certificate yields.
     """
-    a, b, actual = _setup(lam_sys, theta_sys, samples)
-    blocks = _row_block_pairs(lam_sys, theta_sys)
-    r_cert = float(sum(gram_difference_norm(k, k_t) for k, k_t in blocks))
-    _finite_fields({"radius_certificate": r_cert})
-    mode, radius, r_sampled, warning = "none", r_cert, None, None
-    if r_cert < a:
-        mode = "certified_sufficient"
-    elif samples > 0:
-        diffs = _gram_differences(blocks)
-        # stop once r_sampled >= a (the largest float below a is exceeded): the mode is then none
-        stop = np.nextafter(a, -np.inf)
-        # witness: the top eigenvector of sum_j D_j^H D_j, the top right singular vector of the stacked D_j
-        witness = _columns([_top_singular(np.vstack(diffs))[1]])
-        objective = _norm_objective(diffs)  # sum_j ||D_j f||
-        r_sampled = _sampled_max_margin(lam_sys.dim, objective, witness, stop, seed, lam_sys.field, samples)
-        radius = min(r_cert, r_sampled)
-        if r_sampled < a:
-            mode = "sampled"
-            warning = "triangle-inequality radius exceeded the lower frame bound; using the sampled radius"
+    def decide(a, b, actual):
+        blocks = _row_block_pairs(lam_sys, theta_sys)
+        r_cert = float(sum(gram_difference_norm(k, k_t) for k, k_t in blocks))
+        _finite_fields({"radius_certificate": r_cert})
+        mode, radius, r_sampled, warning = "none", r_cert, None, None
+        if r_cert < a:
+            mode = "certified_sufficient"
+        elif samples > 0:
+            diffs = _gram_differences(blocks)
+            # stop once r_sampled >= a (the largest float below a is exceeded): the mode is then none
+            stop = np.nextafter(a, -np.inf)
+            # witness: the top eigenvector of sum_j D_j^H D_j, the top right singular vector of the stacked D_j
+            witness = _columns([_top_singular(np.vstack(diffs))[1]])
+            objective = _norm_objective(diffs)  # sum_j ||D_j f||
+            r_sampled = _sampled_max_margin(lam_sys.dim, objective, witness, stop, seed, lam_sys.field, samples)
+            radius = min(r_cert, r_sampled)
+            if r_sampled < a:
+                mode = "sampled"
+                warning = "triangle-inequality radius exceeded the lower frame bound; using the sampled radius"
+        holds = mode != "none"  # both other modes already have radius < A
 
-    holds = mode != "none"  # both other modes already have radius < A
-    with np.errstate(over="ignore", invalid="ignore"):
-        upper_quadratic = b + radius * np.sqrt(b / a)
-        upper_mixed = radius + np.sqrt(b)
-    _finite_fields({"upper_quadratic": upper_quadratic, "upper_mixed": upper_mixed})
-    predicted = FrameBounds(a - radius, float(upper_quadratic), "certified") if holds else None
-    return PerturbationReport(
-        theorem=_TAG_R_CONDITION,
-        mode=mode,
-        hypothesis_holds=holds,
-        hypothesis_margin=float(radius - a),
-        actual=actual,
-        predicted=predicted,
-        bracket_ok=_bracket(predicted, actual, bracket_tol),
-        radius=float(radius),
-        radius_certificate=r_cert,
-        radius_sampled=r_sampled,
-        upper_quadratic=float(upper_quadratic),
-        upper_mixed=float(upper_mixed),
-        upper_quadratic_ok=bool(actual.upper <= upper_quadratic + bracket_tol),
-        upper_mixed_ok=bool(actual.upper <= upper_mixed + bracket_tol),
-        warning=warning,
-        seed=seed,
-        samples=samples,
-    )
+        def bounds():  # the predicted upper bound is the quadratic-form component
+            upper = {"upper_quadratic": b + radius * np.sqrt(b / a), "upper_mixed": radius + np.sqrt(b)}
+            pair = {"predicted.lower": a - radius, "predicted.upper": upper["upper_quadratic"]} if holds else {}
+            return {**upper, **pair}, {name + "_ok": bool(actual.upper <= x + bracket_tol) for name, x in upper.items()}
+
+        return mode, holds, radius - a, bounds, dict(radius=radius, radius_certificate=r_cert, radius_sampled=r_sampled,
+                                                     warning=warning, seed=seed, samples=samples)
+
+    return _certify(_TAG_R_CONDITION, lam_sys, theta_sys, samples, bracket_tol, decide)
 
 
 def certify_synthesis_perturbation(
@@ -739,56 +763,31 @@ def certify_synthesis_perturbation(
     are emitted and bracketed separately, with ``predicted``/``bracket_ok``
     carrying the proof-derived pair.
     """
-    a, b, actual = _setup(lam_sys, theta_sys, samples)
-    sqrt_a, sqrt_b = np.sqrt(a), np.sqrt(b)
-    admissible = bool(max(params.lam + params.gamma / sqrt_a, params.mu) < 1.0)
-
-    t_lam = synthesis_matrix(lam_sys)
-    t_theta = synthesis_matrix(theta_sys)
-    d_t = t_lam - t_theta
-    norm_d, top = _top_singular(d_t)
-    cert_margin = float(norm_d - params.gamma)
-
     def l_pinv():  # K S^-1, so D L^+ is n x n
         return analysis_matrix(lam_sys) @ inverse_frame_operator(lam_sys)
 
-    def hypothesis():  # gamma * ||g|| is the constant gamma on the unit sphere
-        objective = _norm_objective([d_t], [(params.lam, t_lam, 0.0), (params.mu, t_theta, 0.0)], params.gamma)
-        return d_t, t_lam, objective, top, l_pinv, lambda rng: ()
+    def statement(a):
+        t_lam, t_theta = synthesis_matrix(lam_sys), synthesis_matrix(theta_sys)
+        d_t = t_lam - t_theta
+        norm_d, top = _top_singular(d_t)
 
-    mode, margin, inequality_ok, sampled_margin = _decide(
-        cert_margin, TOL_SAMPLED_MARGIN * max(1.0, sqrt_b), hypothesis, seed, lam_sys.field, samples
-    )
-    holds = bool(inequality_ok and admissible)
-    predicted = None
-    stated_lower = None
-    stated_ok = None
-    if admissible:
-        with np.errstate(over="ignore", invalid="ignore"):
-            contraction = params.lam + params.gamma / sqrt_a
-            proof_lower = a * ((1.0 - contraction) / (1.0 + params.mu)) ** 2
-            stated_lower = a * (1.0 - contraction**2) / (1.0 + params.mu)
-            upper = b * ((1.0 + params.lam + params.gamma / sqrt_b) / (1.0 - params.mu)) ** 2
-        _finite_fields({"predicted.lower": proof_lower, "predicted.upper": upper, "stated_lower": stated_lower})
-        predicted = FrameBounds(float(proof_lower), float(upper), "certified")
-        stated_ok = bool(stated_lower <= actual.lower + bracket_tol)
-    return PerturbationReport(
-        theorem=_TAG_SYNTHESIS,
-        mode=mode,
-        hypothesis_holds=holds,
-        hypothesis_margin=margin,
-        actual=actual,
-        predicted=predicted,
-        bracket_ok=_bracket(predicted, actual, bracket_tol),
-        params=params,
-        params_admissible=admissible,
-        cert_margin=cert_margin,
-        sampled_margin=sampled_margin,
-        stated_lower=stated_lower,
-        stated_lower_bracket_ok=stated_ok,
-        seed=seed,
-        samples=samples,
-    )
+        def hypothesis():  # gamma * ||g|| is the constant gamma on the unit sphere
+            objective = _norm_objective([d_t], [(params.lam, t_lam, 0.0), (params.mu, t_theta, 0.0)], params.gamma)
+            return d_t, t_lam, objective, top, l_pinv, lambda rng: ()
+
+        return float(norm_d - params.gamma), hypothesis
+
+    def bounds(a, b, actual):
+        contraction = params.lam + params.gamma / np.sqrt(a)
+        stated_lower = a * (1.0 - contraction**2) / (1.0 + params.mu)
+        return {
+            "predicted.lower": a * ((1.0 - contraction) / (1.0 + params.mu)) ** 2,
+            "predicted.upper": b * ((1.0 + params.lam + params.gamma / np.sqrt(b)) / (1.0 - params.mu)) ** 2,
+            "stated_lower": stated_lower,
+        }, {"stated_lower_bracket_ok": bool(stated_lower <= actual.lower + bracket_tol)}
+
+    return _comparison(_TAG_SYNTHESIS, lam_sys, theta_sys, params, samples, seed, bracket_tol, statement,
+                       np.sqrt, bounds)  # the search threshold scales with sqrt(B)
 
 
 def certify_analysis_perturbation(
@@ -806,32 +805,20 @@ def certify_analysis_perturbation(
     With R < A the perturbed system is a frame with bounds
     ``(sqrt(A) - sqrt(R))^2`` and ``(sqrt(R) + sqrt(B))^2``.
     """
-    a, b, actual = _setup(lam_sys, theta_sys)
-    d = analysis_matrix(lam_sys) - analysis_matrix(theta_sys)
-    dd = finite_product(adjoint(d), d, "analysis perturbation D^H D")
-    radius = max(float(np.linalg.eigvalsh(hermitian_part(dd))[-1]), 0.0)
-    _finite_fields({"radius": radius})
-    holds = bool(radius < a)
-    predicted = None
-    if holds:
-        with np.errstate(over="ignore", invalid="ignore"):
-            predicted = FrameBounds(
-                float((np.sqrt(a) - np.sqrt(radius)) ** 2),
-                float((np.sqrt(radius) + np.sqrt(b)) ** 2),
-                "certified",
-            )
-        _finite_fields({"predicted.lower": predicted.lower, "predicted.upper": predicted.upper})
-    return PerturbationReport(
-        theorem=_TAG_ANALYSIS,
-        mode="exact",
-        hypothesis_holds=holds,
-        hypothesis_margin=float(radius - a),
-        actual=actual,
-        predicted=predicted,
-        bracket_ok=_bracket(predicted, actual, bracket_tol),
-        radius=float(radius),
-        radius_certificate=float(radius),
-    )
+    def decide(a, b, actual):
+        d = analysis_matrix(lam_sys) - analysis_matrix(theta_sys)
+        dd = finite_product(adjoint(d), d, "analysis perturbation D^H D")
+        radius = max(float(np.linalg.eigvalsh(hermitian_part(dd))[-1]), 0.0)
+        _finite_fields({"radius": radius})
+        holds = bool(radius < a)
+
+        def bounds():
+            return {"predicted.lower": (np.sqrt(a) - np.sqrt(radius)) ** 2,
+                    "predicted.upper": (np.sqrt(radius) + np.sqrt(b)) ** 2}, {}
+
+        return "exact", holds, radius - a, bounds if holds else None, dict(radius=radius, radius_certificate=radius)
+
+    return _certify(_TAG_ANALYSIS, lam_sys, theta_sys, 0, bracket_tol, decide)
 
 
 def certify_invertibility_lemma(

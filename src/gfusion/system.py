@@ -153,18 +153,23 @@ class GFusionSystem:
         return self.eigh[0]
 
 
-def require_same_structure(a: GFusionSystem, b: GFusionSystem):
-    """Raise SystemMismatch unless the two systems share their structure.
-
-    Field, dimension and block sizes must be equal, weights agree within
-    TOL_WEIGHT and subspace projectors within TOL_SUBSPACE.
-    """
+def _require_same_shape(a: GFusionSystem, b: GFusionSystem):
+    """Raise SystemMismatch unless the two systems share field, ambient dimension and block sizes."""
     if a.field != b.field:
         raise SystemMismatch("systems use different scalar fields")
     if a.dim != b.dim:
         raise SystemMismatch("systems have different ambient dimensions")
     if a.block_dims != b.block_dims:
         raise SystemMismatch("systems have different block structure")
+
+
+def require_same_structure(a: GFusionSystem, b: GFusionSystem):
+    """Raise SystemMismatch unless the two systems share their structure.
+
+    Field, dimension and block sizes must be equal, weights agree within
+    TOL_WEIGHT and subspace projectors within TOL_SUBSPACE.
+    """
+    _require_same_shape(a, b)
     if not np.allclose(a.weights, b.weights, rtol=0.0, atol=TOL_WEIGHT):
         raise SystemMismatch("systems have different weights")
     for i, (sa, sb) in enumerate(zip(a.subsystems, b.subsystems)):
@@ -177,8 +182,12 @@ def make_system(dim, field, components) -> GFusionSystem:
 
     Spanning matrices whose columns are already orthonormal (within
     TOL_ORTHO) are kept verbatim as the basis; anything else goes through
-    rank-revealing orthonormalization.
+    rank-revealing orthonormalization.  ``dim`` must be an integer (a numpy
+    integer too), not a bool: ValueError otherwise, as the file reader
+    rejects a non-integer ``dim``.
     """
+    if isinstance(dim, bool) or not isinstance(dim, (int, np.integer)):
+        raise ValueError(f"dim must be an integer, got {dim!r}")
     if field not in _DTYPES:
         raise ValueError(f"field must be 'real' or 'complex', got {field!r}")
     dtype = _DTYPES[field]
@@ -312,12 +321,11 @@ def reconstruct(sys: GFusionSystem, dual: GFusionSystem, f) -> ReconstructionRes
     primal  = K^H K_d f = sum_j v_j^2 P_j L_j^H  Ld_j Pd_j f
     swapped = K_d^H K f = sum_j v_j^2 Pd_j Ld_j^H L_j  P_j f
 
-    With ``dual = canonical_dual(sys)`` both recover f up to round-off.
+    With ``dual = canonical_dual(sys)`` both recover f up to round-off.  The
+    pair must share field, dimension and block sizes (else SystemMismatch, as
+    for every pair); the dual's subspaces are its own.
     """
-    if sys.field != dual.field:
-        raise FieldMismatch("system and dual use different scalar fields")
-    if sys.dim != dual.dim or sys.block_dims != dual.block_dims:
-        raise DimensionMismatch("system and dual shapes differ")
+    _require_same_shape(sys, dual)
     f = _as_array(sys, f, sys.dim, "vector")
     k, k_dual = sys.analysis_matrix, dual.analysis_matrix
     primal = adjoint(k) @ (k_dual @ f)

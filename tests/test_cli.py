@@ -1,16 +1,20 @@
 """CLI behavior tests: exit codes, round-trips, diagnostics, golden files."""
 
 import dataclasses
+import importlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import GOLDEN_DIR, replay_golden, run_cli
+from helpers import GOLDEN_DIR, golden_scenarios, replay_golden, run_cli
 
 import gfusion as gf
 from gfusion import cli
 from gfusion.errors import SystemFileError
 from gfusion.io import load_system, save_system, system_from_dict, system_to_dict
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 @pytest.fixture()
@@ -521,3 +525,37 @@ def test_golden_files(tmp_path):
     assert len(names) == 20
     for name in names:  # every payload is strict JSON: no NaN or Infinity token
         _strict_json((GOLDEN_DIR / f"{name}.json").read_text(encoding="utf-8"))
+
+
+def _golden_expect(argv: list[str]) -> dict:
+    """What the benchmark's checker expects of one golden scenario, read off its argv as its request lists build it."""
+    cmd = argv[0]
+    if cmd == "gen":
+        flags = dict(zip(argv[1::2], argv[2::2]))  # every gen argument of the scenarios is a --flag value pair
+        if "--noise" in flags:
+            return {"kind": "noise", "base": flags["--base"], "noise": float(flags["--noise"])}
+        if "--base" in flags:
+            return {"kind": flags["--kind"], "base": flags["--base"]}
+        return {"kind": flags.get("--kind", "frame"), "dim": int(flags["--dim"]), "blocks": int(flags["--blocks"]),
+                "field": flags.get("--field", "real")}
+    if cmd == "cross":
+        return {"theta": argv[1], "system": argv[2]}
+    if cmd == "perturb":
+        return {"system": argv[1], "perturbed": argv[2]}
+    return {"system": argv[1]}
+
+
+def test_golden_payloads_pass_the_benchmark_checker(tmp_path, monkeypatch):
+    # perfbench's checker compares each payload with plain-numpy facts of the files it read (no gfusion), so a
+    # regenerated golden is checked against something other than itself.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    checks, reference = importlib.import_module("checks"), importlib.import_module("reference")
+    facts = reference.Facts(tmp_path)
+    kinds = []
+    for name, argv, _ in golden_scenarios(tmp_path):
+        code, out = run_cli(argv)
+        req = {"argv": argv, "expect": _golden_expect(argv)}
+        req["facts"] = facts.for_request(req)
+        assert checks.check(req, code, out, tmp_path) == [], name or argv
+        kinds.append(argv[0])
+    assert len(kinds) == 22 and kinds.count("gen") == 8

@@ -211,13 +211,16 @@ class TestFrameOperatorCertifier:
         assert rep.hypothesis_margin < -1e-8
         assert rep.bracket_ok
 
-    def test_inadmissible_params(self):
+    @pytest.mark.parametrize("certify", [gf.certify_frame_operator_perturbation, gf.certify_synthesis_perturbation],
+                             ids=["t52", "synth"])
+    def test_inadmissible_params(self, certify):
+        # lam + gamma/sqrt(A) = 1.95: no golden reaches this branch, where nothing is predicted or bracketed.
         lam = small_frame(2)
         p = gf.PerturbParams(lam=0.95, gamma=np.sqrt(gf.frame_bounds(lam).lower))
-        rep = gf.certify_frame_operator_perturbation(lam, lam, p, samples=0, seed=0)
+        rep = certify(lam, lam, p, samples=0, seed=0)
         assert not rep.params_admissible
         assert not rep.hypothesis_holds
-        assert rep.predicted is None
+        assert (rep.predicted, rep.bracket_ok, rep.stated_lower, rep.stated_lower_bracket_ok) == (None,) * 4
 
     def test_mismatch_raises(self):
         lam = coordinate_system((1.0, 1.0))

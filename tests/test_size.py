@@ -26,9 +26,9 @@ SIZE = {
     "induced": 80,
     "io": 205,
     "linalg": 97,
-    "perturb": 506,
+    "perturb": 449,
     "sampling": 31,
-    "system": 193,
+    "system": 194,
 }
 
 

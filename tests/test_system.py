@@ -2,6 +2,7 @@
 
 import contextlib
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -465,14 +466,18 @@ class TestStructureMatch:
         "other, message",
         [
             (coordinate_system((1.0, 1.0), field="complex"), "systems use different scalar fields"),
+            (coordinate_system((1.0, 1.0, 1.0)), "systems have different ambient dimensions"),
             (gf.make_system(2, "real", [(1.0, np.eye(2), np.eye(2)[[i]]) for i in (0, 1, 1)]),
              "systems have different block structure"),
         ],
-        ids=["real_against_complex", "two_blocks_against_three"],
+        ids=["real_against_complex", "dim_2_against_3", "two_blocks_against_three"],
     )
-    def test_field_and_block_count_mismatches_name_themselves(self, other, message):
+    # reconstruct checks its system/dual pair with the same messages, but not the subspaces: a dual has its own
+    @pytest.mark.parametrize("check", [require_same_structure, lambda a, b: gf.reconstruct(a, b, np.ones(2))],
+                             ids=["require_same_structure", "reconstruct"])
+    def test_field_and_block_count_mismatches_name_themselves(self, check, other, message):
         with pytest.raises(SystemMismatch, match=rf"^{message}$"):
-            require_same_structure(coordinate_system((1.0, 1.0)), other)
+            check(coordinate_system((1.0, 1.0)), other)
 
     # Either side of TOL_WEIGHT = 1e-12 and TOL_SUBSPACE = 1e-10, written as literals so that a changed
     # threshold fails.
@@ -540,6 +545,17 @@ class TestMakeSystem:
             gf.make_system(2, "quaternion", components)
         with pytest.raises(ValueError, match=message):
             gf.GFusionSystem(2, "quaternion", gf.make_system(2, "real", components).subsystems)
+
+    @pytest.mark.parametrize("dim", [2.7, 2.0, True, "2"])
+    def test_rejects_a_dimension_that_is_not_an_integer(self, dim):
+        # As the file reader does: a float, even an integral one, or a bool is not a dimension.
+        with pytest.raises(ValueError, match=rf"^dim must be an integer, got {re.escape(repr(dim))}$"):
+            gf.make_system(dim, "real", [(1.0, np.eye(2), np.eye(2))])
+
+    @pytest.mark.parametrize("dim", [2, np.int64(2), np.int32(2)])
+    def test_accepts_python_and_numpy_integers(self, dim):
+        sys = gf.make_system(dim, "real", [(1.0, np.eye(2), np.eye(2))])
+        assert sys.dim == 2 and type(sys.dim) is int
 
     def test_rejects_nonpositive_weight(self):
         with pytest.raises(ValueError):
