@@ -26,9 +26,10 @@ the perturbed system's actual bounds), the statement's decision, its bounds
 computed with overflow ignored and then required finite, the bracket against
 the actual spectrum, and the report.  ``cR`` and ``analysis`` pass their
 radius logic as the decision.  ``t52`` and ``synth`` share ``_comparison``,
-which checks admissibility (lam + gamma/sqrt(A) and mu below 1), sets the
-threshold ``TOL_SAMPLED_MARGIN * max(1, scale)`` (scale B for ``t52``,
-sqrt(B) for ``synth``) and runs ``_decide``.  So each certifier keeps only
+which checks admissibility (lam + gamma/sqrt(A) and mu below 1) and decides
+the hypothesis: certified by the certificate, ``none`` without samples, else
+searched against the threshold ``TOL_SAMPLED_MARGIN * max(1, scale)``
+(scale B for ``t52``, sqrt(B) for ``synth``).  So each certifier keeps only
 its certificate, its hypothesis and its bound formulas.
 
 The three sampled certifiers and the invertibility lemma share one search,
@@ -39,7 +40,7 @@ margin over norm terms with one builder, ``_norm_objective``: ``t52`` and
 operator L the hypothesis compares with, minus its perturbed counterpart
 T), and for ``t52`` the same sums over random block subsets, whose masks
 come off the search's random stream; the radius condition over its D_j;
-the lemma over I - U and U.  ``_decide`` searches ``t52``'s and
+the lemma over I - U and U.  ``_comparison`` searches ``t52``'s and
 ``synth``'s with their witness.  The search runs in this order and stops
 at the first margin above the threshold, which refutes the hypothesis:
 
@@ -140,6 +141,8 @@ class PerturbParams:
             raise ValueError("lam and mu must lie in [0, 1)")
         if not 0.0 <= self.gamma < np.inf:
             raise ValueError("gamma must be finite and nonnegative")
+        for name in ("lam", "mu", "gamma"):  # a numpy scalar or an int is echoed as the float the CLI gives
+            object.__setattr__(self, name, float(getattr(self, name)))
 
 
 @dataclass(frozen=True)
@@ -535,28 +538,6 @@ def _sampled_max_margin(dim: int, objective, witness: Iterable[np.ndarray], stop
     return float(worst)
 
 
-def _decide(cert_margin: float, threshold: float, hypothesis, seed: int, field: str, samples: int):
-    """Mode, margin, ``inequality_ok`` and sampled margin of a ``t52`` or ``synth`` hypothesis.
-
-    A ``cert_margin <= 0`` certifies it.  Otherwise, with samples,
-    ``hypothesis()`` gives the full index set's D, L and margin objective
-    (``_norm_objective``), D's top right singular vector, a thunk of L^+ and
-    ``subsets``: rng -> the objectives of further index sets, drawing what it
-    needs from rng when called.  The full set's objective is searched with
-    its ``_spectral_witness``, then the further sets' (``_sampled_max_margin``);
-    a margin above ``threshold`` refutes the hypothesis.
-    """
-    if cert_margin <= 0.0:
-        return "certified_sufficient", cert_margin, True, None
-    if samples == 0:
-        return "none", cert_margin, False, None
-    d, l, objective, top, l_pinv, subsets = hypothesis()
-    sampled = _sampled_max_margin(
-        d.shape[1], objective, _spectral_witness(d, l, top, l_pinv), threshold, seed, field, samples, subsets
-    )
-    return "sampled", sampled, sampled <= threshold, sampled
-
-
 def _bracket(predicted: FrameBounds | None, actual: FrameBounds, tol: float) -> bool | None:
     if predicted is None:
         return None
@@ -596,22 +577,35 @@ def _comparison(tag: str, lam_sys, theta_sys, params, samples, seed, bracket_tol
 
     The parameters are admissible when lam + gamma/sqrt(A) and mu are below
     1.  ``statement(a)`` gives the certificate margin and the ``hypothesis``
-    thunk that ``_decide`` searches when the certificate does not decide, with
-    the threshold ``TOL_SAMPLED_MARGIN * max(1, scale(B))``.  The hypothesis
-    holds when it is decided true and the parameters are admissible; the
-    bounds, ``bounds(a, b, actual)``, are predicted whenever the parameters
-    are admissible.
+    thunk.  A certificate margin <= 0 certifies the hypothesis
+    (``certified_sufficient``); otherwise, without samples, the mode is
+    ``none``.  With samples, ``hypothesis()`` gives the full index set's D, L
+    and margin objective (``_norm_objective``), D's top right singular
+    vector, a thunk of L^+ and ``subsets``: rng -> the objectives of further
+    index sets, drawing what it needs from rng when called.  The full set's
+    objective is searched with its ``_spectral_witness``, then the further
+    sets' (``_sampled_max_margin``); a margin above the threshold
+    ``TOL_SAMPLED_MARGIN * max(1, scale(B))`` refutes the hypothesis.  The
+    hypothesis holds when it is decided true and the parameters are
+    admissible; the bounds, ``bounds(a, b, actual)``, are predicted whenever
+    the parameters are admissible.
     """
     def decide(a, b, actual):
         admissible = bool(max(params.lam + params.gamma / np.sqrt(a), params.mu) < 1.0)
         cert_margin, hypothesis = statement(a)
-        mode, margin, inequality_ok, sampled_margin = _decide(
-            cert_margin, TOL_SAMPLED_MARGIN * max(1.0, scale(b)), hypothesis, seed, lam_sys.field, samples
-        )
+        mode, margin, holds, sampled_margin = "certified_sufficient", cert_margin, True, None
+        if cert_margin > 0.0 and samples == 0:
+            mode, holds = "none", False
+        elif cert_margin > 0.0:
+            threshold = TOL_SAMPLED_MARGIN * max(1.0, scale(b))
+            d, l, objective, top, l_pinv, subsets = hypothesis()
+            margin = sampled_margin = _sampled_max_margin(d.shape[1], objective, _spectral_witness(d, l, top, l_pinv),
+                                                          threshold, seed, lam_sys.field, samples, subsets)
+            mode, holds = "sampled", margin <= threshold
         fields = dict(params=params, params_admissible=admissible, cert_margin=cert_margin,
                       sampled_margin=sampled_margin, seed=seed, samples=samples)
         thunk = (lambda: bounds(a, b, actual)) if admissible else None
-        return mode, bool(inequality_ok and admissible), margin, thunk, fields
+        return mode, bool(holds and admissible), margin, thunk, fields
 
     return _certify(tag, lam_sys, theta_sys, samples, bracket_tol, decide)
 

@@ -38,7 +38,7 @@ from .linalg import (
     require_finite,
 )
 
-_DTYPES = {"real": np.float64, "complex": np.complex128}
+_DTYPES = {"real": np.dtype(np.float64), "complex": np.dtype(np.complex128)}
 
 
 @dataclass(frozen=True)
@@ -66,6 +66,7 @@ class Subsystem:
     def __post_init__(self):
         if not (self.weight > 0 and np.isfinite(self.weight)):
             raise ValueError(f"weight must be positive and finite, got {self.weight}")
+        object.__setattr__(self, "weight", float(self.weight))
         op = np.asarray(self.operator)
         require_finite(op, "block operator")
         if op.ndim != 2 or op.shape[0] < 1:
@@ -87,6 +88,11 @@ class GFusionSystem:
     """A finite weighted family of (subspace, block operator) pairs.
 
     The scalar field is fixed per system; real and complex systems never mix.
+    Every constructor path ends here, so the normal form holds for every
+    instance: ``dim`` is a Python ``int`` (a numpy integer is converted; a
+    bool or a float is a ValueError, as the file reader rejects it), each
+    weight a ``float`` (``Subsystem``), and every basis and operator has
+    exactly the field's dtype (float64 or complex128; else FieldMismatch).
     Instances are immutable and safe to share between threads.
     """
 
@@ -95,23 +101,25 @@ class GFusionSystem:
     subsystems: tuple[Subsystem, ...]
 
     def __post_init__(self):
+        if isinstance(self.dim, bool) or not isinstance(self.dim, (int, np.integer)):
+            raise ValueError(f"dim must be an integer, got {self.dim!r}")
         if self.field not in _DTYPES:
             raise ValueError(f"field must be 'real' or 'complex', got {self.field!r}")
         if self.dim < 1:
             raise ValueError("ambient dimension must be >= 1")
         if len(self.subsystems) < 1:
             raise ValueError("a system needs at least one subsystem")
-        kind = "f" if self.field == "real" else "c"
         for i, sub in enumerate(self.subsystems):
             if sub.subspace.ambient_dim != self.dim:
                 raise DimensionMismatch(f"subsystem {i}: subspace ambient dim != {self.dim}")
-            if sub.operator.dtype.kind != kind or sub.subspace.basis.dtype.kind != kind:
+            if sub.operator.dtype != self.dtype or sub.subspace.basis.dtype != self.dtype:
                 raise FieldMismatch(f"subsystem {i}: data does not match field {self.field!r}")
+        object.__setattr__(self, "dim", int(self.dim))
         object.__setattr__(self, "subsystems", tuple(self.subsystems))
 
     @property
     def dtype(self) -> np.dtype:
-        return np.dtype(_DTYPES[self.field])
+        return _DTYPES[self.field]
 
     @property
     def block_count(self) -> int:
@@ -180,31 +188,27 @@ def require_same_structure(a: GFusionSystem, b: GFusionSystem):
 def make_system(dim, field, components) -> GFusionSystem:
     """Build a system from raw (weight, spanning-or-Subspace, operator) triples.
 
-    Spanning matrices whose columns are already orthonormal (within
-    TOL_ORTHO) are kept verbatim as the basis; anything else goes through
-    rank-revealing orthonormalization.  ``dim`` must be an integer (a numpy
-    integer too), not a bool: ValueError otherwise, as the file reader
-    rejects a non-integer ``dim``.
+    Only coerces: each array to the field's dtype (complex data for a real
+    field is FieldMismatch), and each spanning matrix whose columns are
+    already orthonormal (within TOL_ORTHO) kept verbatim as the basis, any
+    other through rank-revealing orthonormalization (``orthonormalize``
+    raises its own errors, a ValueError naming the shape of one that is not
+    2-D).  ``Subsystem`` and ``GFusionSystem`` check the rest: a ``dim`` that
+    is not an integer (a numpy integer is one; a bool is not) is a ValueError.
     """
-    if isinstance(dim, bool) or not isinstance(dim, (int, np.integer)):
-        raise ValueError(f"dim must be an integer, got {dim!r}")
     if field not in _DTYPES:
         raise ValueError(f"field must be 'real' or 'complex', got {field!r}")
     dtype = _DTYPES[field]
     subs = []
     for weight, span, op in components:
-        if isinstance(span, Subspace):
-            sub_space = span
-        else:
+        if not isinstance(span, Subspace):
             span = _coerce(span, dtype, "subspace")
-            if span.ndim != 2:
-                raise DimensionMismatch(f"subspace spanning set must be 2-D, got shape {span.shape}")
             try:  # Subspace checks orthonormality within TOL_ORTHO, the one check per block
-                sub_space = Subspace(span)
+                span = Subspace(span)
             except (ValueError, NonFiniteInput):  # orthonormalize raises its own errors for a bad span
-                sub_space = orthonormalize(span)
-        subs.append(Subsystem(float(weight), sub_space, _coerce(op, dtype, "block operator")))
-    return GFusionSystem(int(dim), field, tuple(subs))
+                span = orthonormalize(span)
+        subs.append(Subsystem(weight, span, _coerce(op, dtype, "block operator")))
+    return GFusionSystem(dim, field, tuple(subs))
 
 
 def _coerce(a, dtype, name: str) -> np.ndarray:

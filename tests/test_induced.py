@@ -81,8 +81,10 @@ class TestInduceVectors:
     def test_rejects_bad_basis(self):
         sys = coordinate_system((1.0, 1.0))
         for bad in (2.0, np.nan):
-            with pytest.raises(BadBasis):
+            with pytest.raises(BadBasis, match=r"^block 0: basis columns are not orthonormal$"):
                 gf.induce_vectors(sys, [np.array([[bad]]), np.array([[1.0]])])
+        with pytest.raises(BadBasis, match=r"^block 1: basis must be 1x1, got \(2, 2\)$"):
+            gf.induce_vectors(sys, [np.array([[1.0]]), np.eye(2)])
 
     def test_rejects_wrong_block_count(self):
         sys = coordinate_system((1.0, 1.0))

@@ -251,6 +251,28 @@ def test_save_load_save_is_byte_identical(tmp_path, field, kind):
     assert first.read_bytes() == second.read_bytes()
 
 
+# A system's normal form (dim an int, each weight a float), whatever path built it, is what the file holds.
+@pytest.mark.parametrize("kind", ["onb", "frame"])
+@pytest.mark.parametrize("dim", [np.int64(4), np.int32(4)], ids=["int64", "int32"])
+def test_a_numpy_dimension_is_saved_as_an_integer(tmp_path, kind, dim):
+    numpy_path, int_path = tmp_path / "numpy.json", tmp_path / "int.json"
+    save_system(gf.generate(kind, dim, 2, 1), str(numpy_path))
+    save_system(gf.generate(kind, 4, 2, 1), str(int_path))
+    assert numpy_path.read_bytes() == int_path.read_bytes()
+    assert load_system(str(numpy_path)).dim == 4
+
+
+@pytest.mark.parametrize("weight", [2, np.int64(2), np.float32(2.0), np.float64(2.0)],
+                         ids=["int", "int64", "float32", "float64"])
+def test_a_weight_is_written_as_a_float(tmp_path, weight):
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    space = gf.Subspace(np.eye(2))
+    save_system(gf.GFusionSystem(2, "real", (gf.Subsystem(weight, space, np.ones((1, 2))),)), str(first))
+    assert '"weight": 2.0\n' in first.read_text(encoding="utf-8")
+    save_system(load_system(str(first)), str(second))
+    assert first.read_bytes() == second.read_bytes()
+
+
 # ---------------------------------------------------------------------------
 # Integers too large for a float are input errors that name their entry.
 

@@ -41,6 +41,11 @@ class TestOrthonormalize:
     def test_zero_matrix_gives_zero_dim(self):
         assert orthonormalize(np.zeros((4, 2))).dim == 0
 
+    def test_integer_span_gives_a_float64_basis(self):
+        w = orthonormalize(np.array([[2, 0], [0, 3], [0, 0]]))
+        assert w.basis.dtype == np.float64 and w.dim == 2
+        np.testing.assert_allclose(w.projector(), np.diag([1.0, 1.0, 0.0]), atol=1e-15)
+
     def test_rejects_nonfinite(self):
         with pytest.raises(NonFiniteInput):
             orthonormalize(np.array([[np.nan], [1.0]]))

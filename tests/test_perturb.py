@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import gfusion as gf
 from gfusion import perturb
 from gfusion.errors import NonFiniteInput, NotAFrameError, SystemMismatch
+from gfusion.io import dumps_canonical
 from gfusion.linalg import TOL_SAMPLED_MARGIN, adjoint, operator_norm
 from gfusion.perturb import _ascend, _norm_objective, _subset_masks
 from gfusion.sampling import gaussian_matrix, haar_unitary, random_unit_vectors, well_conditioned_matrix
@@ -1208,6 +1209,19 @@ def test_gamma_must_be_finite_and_nonnegative():
     for gamma in (float("nan"), float("inf"), -1.0):
         with pytest.raises(ValueError, match="gamma"):
             gf.PerturbParams(gamma=gamma)
+
+
+@pytest.mark.parametrize("theorem", ["t52", "synth"])
+def test_numpy_and_int_parameters_write_the_bytes_of_float_parameters(theorem):
+    # The parameters are stored as floats: json cannot write a numpy float32, and an int 0 would echo as 0, not
+    # the 0.0 the CLI gives.
+    lam = small_frame(3)
+    theta = gf.perturbed_copy(lam, seed=4, radius=0.01)
+    params = gf.PerturbParams(lam=np.float32(0.25), mu=0, gamma=np.float16(0.5))
+    assert all(type(v) is float for v in (params.lam, params.mu, params.gamma))
+    reports = [_CERTIFIERS[theorem](lam, theta, p, samples=0, seed=0)
+               for p in (params, gf.PerturbParams(lam=0.25, mu=0.0, gamma=0.5))]
+    assert dumps_canonical({"report": reports[0]}) == dumps_canonical({"report": reports[1]})
 
 
 @pytest.mark.parametrize("theorem", ["t52", "synth", "cR"])

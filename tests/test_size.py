@@ -26,9 +26,9 @@ SIZE = {
     "induced": 80,
     "io": 205,
     "linalg": 97,
-    "perturb": 449,
+    "perturb": 447,
     "sampling": 31,
-    "system": 194,
+    "system": 191,
 }
 
 

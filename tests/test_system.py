@@ -548,15 +548,72 @@ class TestMakeSystem:
 
     @pytest.mark.parametrize("dim", [2.7, 2.0, True, "2"])
     def test_rejects_a_dimension_that_is_not_an_integer(self, dim):
-        # As the file reader does: a float, even an integral one, or a bool is not a dimension.
-        with pytest.raises(ValueError, match=rf"^dim must be an integer, got {re.escape(repr(dim))}$"):
-            gf.make_system(dim, "real", [(1.0, np.eye(2), np.eye(2))])
+        # As the file reader does: a float, even an integral one, or a bool is not a dimension.  The dataclass
+        # owns the check, so a system built without make_system is held to it too.
+        components = [(1.0, np.eye(2), np.eye(2))]
+        message = rf"^dim must be an integer, got {re.escape(repr(dim))}$"
+        with pytest.raises(ValueError, match=message):
+            gf.make_system(dim, "real", components)
+        with pytest.raises(ValueError, match=message):
+            gf.GFusionSystem(dim, "real", gf.make_system(2, "real", components).subsystems)
 
     @pytest.mark.parametrize("dim", [2, np.int64(2), np.int32(2)])
     def test_accepts_python_and_numpy_integers(self, dim):
-        sys = gf.make_system(dim, "real", [(1.0, np.eye(2), np.eye(2))])
-        assert sys.dim == 2 and type(sys.dim) is int
+        components = [(1.0, np.eye(2), np.eye(2))]
+        for sys in (gf.make_system(dim, "real", components),
+                    gf.GFusionSystem(dim, "real", gf.make_system(2, "real", components).subsystems)):
+            assert sys.dim == 2 and type(sys.dim) is int
+
+    def test_coerces_integer_and_single_precision_data_to_the_field(self):
+        # make_system coerces; GFusionSystem, which it calls, would reject any dtype but the field's.
+        for field, dtype in (("real", np.float64), ("complex", np.complex128)):
+            sys = gf.make_system(2, field, [(1.0, np.eye(2, dtype=np.float32), np.ones((1, 2), dtype=np.int64))])
+            assert sys.dtype == dtype
+            assert sys.subsystems[0].operator.dtype == sys.subsystems[0].subspace.basis.dtype == dtype
+
+    def test_a_spanning_set_that_is_not_2d_is_a_value_error(self):
+        with pytest.raises(ValueError, match=r"^spanning set must be a 2-D matrix, got shape \(2,\)$"):
+            gf.make_system(2, "real", [(1.0, np.ones(2), np.ones((1, 2)))])
 
     def test_rejects_nonpositive_weight(self):
         with pytest.raises(ValueError):
             gf.make_system(2, "real", [(0.0, np.eye(2), np.ones((1, 2)))])
+
+
+def _eye_subsystem(n=2, dtype=np.float64, op=None):
+    basis = np.eye(n, dtype=dtype)
+    return gf.Subsystem(1.0, gf.Subspace(basis), basis if op is None else op)
+
+
+class TestConstructorChecks:
+    """What Subsystem and GFusionSystem reject themselves, whichever path builds them."""
+
+    @pytest.mark.parametrize(
+        "build, error, message",
+        [
+            (lambda: _eye_subsystem(op=np.ones(2)), DimensionMismatch,
+             r"block operator must be a nonempty 2-D matrix, got shape \(2,\)"),
+            (lambda: _eye_subsystem(op=np.ones((0, 2))), DimensionMismatch,
+             r"block operator must be a nonempty 2-D matrix, got shape \(0, 2\)"),
+            (lambda: _eye_subsystem(op=np.ones((1, 3))), DimensionMismatch,
+             "block operator has 3 columns but the subspace lives in dimension 2"),
+            (lambda: gf.GFusionSystem(0, "real", (_eye_subsystem(),)), ValueError, "ambient dimension must be >= 1"),
+            (lambda: gf.GFusionSystem(2, "real", ()), ValueError, "a system needs at least one subsystem"),
+            (lambda: gf.GFusionSystem(2, "real", (_eye_subsystem(), _eye_subsystem(3))), DimensionMismatch,
+             "subsystem 1: subspace ambient dim != 2"),
+            # Only the field's own dtype: single precision would compute K, S and every verdict in float32.
+            (lambda: gf.GFusionSystem(2, "real", (_eye_subsystem(dtype=np.float32),)), FieldMismatch,
+             "subsystem 0: data does not match field 'real'"),
+            (lambda: gf.GFusionSystem(2, "real", (_eye_subsystem(op=np.eye(2, dtype=np.float32)),)), FieldMismatch,
+             "subsystem 0: data does not match field 'real'"),
+            (lambda: gf.GFusionSystem(2, "complex", (_eye_subsystem(dtype=np.complex64),)), FieldMismatch,
+             "subsystem 0: data does not match field 'complex'"),
+            (lambda: gf.GFusionSystem(2, "complex", (_eye_subsystem(),)), FieldMismatch,
+             "subsystem 0: data does not match field 'complex'"),
+        ],
+        ids=["1d_operator", "zero_row_operator", "operator_columns", "dim_0", "no_subsystems", "other_dimension",
+             "float32_data", "float32_operator", "complex64_data", "real_data_in_complex_field"],
+    )
+    def test_rejects(self, build, error, message):
+        with pytest.raises(error, match=rf"^{message}$"):
+            build()
